@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagrams import GraphDiagram, InvalidDiagramError
+from .diagrams import GraphDiagram, InvalidDiagramError, reversed_ray_word
 from .polyxyz import PolyXYZ
 from .rings import D, ONE, LocalizedElement, LaurentPoly, ZERO
 from .tl import bracket
@@ -54,11 +54,6 @@ class CabledExpansion:
     terms: tuple[CabledTerm, ...]
 
 
-def _neg_rev_sum(word: tuple[str, ...]) -> tuple[str, ...]:
-    flip = {"1+": "1-", "1-": "1+", "2+": "2-", "2-": "2+"}
-    return tuple(flip[t] for t in reversed(word))
-
-
 def _word_sum(word: tuple[str, ...]) -> tuple[int, int]:
     w1 = w2 = 0
     for t in word:
@@ -66,29 +61,6 @@ def _word_sum(word: tuple[str, ...]) -> tuple[int, int]:
         w1 += d1
         w2 += d2
     return w1, w2
-
-
-def _edge_classes(g: GraphDiagram) -> list[list[int]]:
-    """Group arcs into edges of the underlying graph (strands merged through
-    crossings); sorted by least arc label."""
-    ends = g.arc_ends()
-    parent = {a: a for a in ends}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c, d in g.crossings:
-        for x, y in ((a, c), (b, d)):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-    groups: dict[int, list[int]] = {}
-    for a in ends:
-        groups.setdefault(find(a), []).append(a)
-    return sorted((sorted(v) for v in groups.values()), key=lambda c: c[0])
 
 
 def cable(
@@ -153,7 +125,7 @@ def cable(
         for grid in ("NW", "NE", "SW", "SE"):
             grid_crossings.append(tuple(an(ci, grid, side) for side in _GRID_SIDES))
 
-    classes = _edge_classes(g)
+    classes = g.edge_classes()
     n_classes = len(classes) + g.free_circles
 
     terms: list[CabledTerm] = []
@@ -177,8 +149,8 @@ def cable(
                 w = g.ray_word(a)
                 if turn and a == arc_t:
                     split = max(0, min(split, len(w)))
-                    near = w[:split] + _neg_rev_sum(w[:split])
-                    far = _neg_rev_sum(w[split:]) + w[split:]
+                    near = w[:split] + reversed_ray_word(w[:split])
+                    far = reversed_ray_word(w[split:]) + w[split:]
                     segs.append((jn(a, 0, 0), jn(a, 0, 1), near))
                     segs.append((jn(a, 1, 0), jn(a, 1, 1), far))
                 else:

@@ -230,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--poly", help="polynomial document for the spatial graph")
     src.add_argument("--diagram", help="diagram file; its Yamada value is used")
-    p.add_argument("--quotient-poly", help="polynomial document for the quotient graph")
-    p.add_argument("--quotient-diagram", help="diagram file for the quotient graph")
+    quot = p.add_mutually_exclusive_group()
+    quot.add_argument("--quotient-poly", help="polynomial document for the quotient graph")
+    quot.add_argument("--quotient-diagram", help="diagram file for the quotient graph")
     p.add_argument("--mode", choices=("folded", "saturated"), default="saturated")
     add_output(p)
     p.set_defaults(func=cmd_symmetry)

@@ -143,9 +143,10 @@ class GraphDiagram:
                 if tok not in RAY_TOKENS:
                     raise DiagramParseError(f"bad ray token {tok!r}")
 
-    def num_edges(self) -> int:
-        """Edges of the underlying abstract graph: arc strands merged through
-        crossings, counting only strands that touch a vertex."""
+    def edge_classes(self) -> list[list[int]]:
+        """Arcs grouped into the edges of the underlying abstract graph
+        (strands merged through crossings); each class sorted, classes
+        ordered by least arc label."""
         ends = self.arc_ends()
         parent = {a: a for a in ends}
 
@@ -160,11 +161,20 @@ class GraphDiagram:
                 rx, ry = find(x), find(y)
                 if rx != ry:
                     parent[rx] = ry
-        touches_vertex: set[int] = set()
-        for a, (p0, p1) in ends.items():
-            if p0[0] == "v" or p1[0] == "v":
-                touches_vertex.add(find(a))
-        return len({find(a) for a in touches_vertex})
+        groups: dict[int, list[int]] = {}
+        for a in ends:
+            groups.setdefault(find(a), []).append(a)
+        return sorted(sorted(cls) for cls in groups.values())
+
+    def num_edges(self) -> int:
+        """Edges of the underlying abstract graph: edge classes with an arc
+        end at a vertex (the others are closed link components)."""
+        ends = self.arc_ends()
+        return sum(
+            1
+            for cls in self.edge_classes()
+            if any(p[0] == "v" for a in cls for p in ends[a])
+        )
 
     def edge_excess(self) -> int:
         """#edges - #vertices of the underlying abstract graph."""
@@ -315,7 +325,8 @@ def disjoint_union(g1: GraphDiagram, g2: GraphDiagram) -> GraphDiagram:
     )
 
 
-def _neg_rev(word: tuple[str, ...]) -> tuple[str, ...]:
+def reversed_ray_word(word: tuple[str, ...]) -> tuple[str, ...]:
+    """The ray word of an arc read in the opposite direction."""
     flip = {"1+": "1-", "1-": "1+", "2+": "2-", "2-": "2+"}
     return tuple(flip[t] for t in reversed(word))
 
@@ -369,8 +380,9 @@ def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiag
             del arcs[a1]
             return
         rec1, rec2 = arcs[a1], arcs[a2]
-        w1 = rec1[2] if k1 == 1 else _neg_rev(rec1[2])  # oriented toward the join
-        w2 = rec2[2] if k2 == 0 else _neg_rev(rec2[2])  # oriented away from it
+        # w1 oriented toward the join, w2 away from it
+        w1 = rec1[2] if k1 == 1 else reversed_ray_word(rec1[2])
+        w2 = rec2[2] if k2 == 0 else reversed_ray_word(rec2[2])
         other1, other2 = rec1[1 - k1], rec2[1 - k2]
         arcs[a1] = [other1, other2, w1 + w2]
         del arcs[a2]
@@ -406,7 +418,7 @@ def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiag
     for a, (p0, p1, w) in arcs.items():
         if not w:
             continue
-        rays[a] = w if _scan_rank(p0) < _scan_rank(p1) else _neg_rev(w)
+        rays[a] = w if _scan_rank(p0) < _scan_rank(p1) else reversed_ray_word(w)
     out = GraphDiagram(new_vertices, new_crossings, free, rays)
     return normalize_labels(out)
 

@@ -1,17 +1,15 @@
 """Property suites behind ``skein verify``.
 
-Each suite returns (passed, detail lines); the driver prints one line per
-suite and exits nonzero when any suite fails.  SKEIN_THREADS caps the thread
-pool used to run independent suites; output order stays deterministic.
+Each suite returns (passed, detail lines); the driver runs the requested
+suites in order, prints one line per suite and exits nonzero when any suite
+fails.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -341,25 +339,10 @@ _SUITES: dict[str, Callable[[], tuple[bool, list[str]]]] = {
 }
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SKEIN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, 32))
-
-
 def run_suites(names: list[str]) -> list[SuiteResult]:
-    def run_one(name: str) -> SuiteResult:
+    results = []
+    for name in names:
         start = time.monotonic()
         passed, details = _SUITES[name]()
-        return SuiteResult(name, passed, details, time.monotonic() - start)
-
-    cap = thread_cap()
-    if cap > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
+        results.append(SuiteResult(name, passed, details, time.monotonic() - start))
     return results

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Sequence
 
-from .core import canon_key
+from .core import CANON_KEY_LIMIT, canon_key
 from .diagrams import (
     FlatState,
     GraphDiagram,
@@ -187,8 +187,15 @@ def flat_eval(
 
     Loops are removed first (factor d - 1/d each); a non-loop edge e gives
     W(G) = W(G/e) - (1/d) W(G-e); k isolated vertices are worth d^k; each
-    free circle contributes a factor d^2 - 1.
+    free circle contributes a factor d^2 - 1.  States with more than
+    CANON_KEY_LIMIT vertices or edges exceed the memo key encoding and raise
+    InvalidDiagramError.
     """
+    if state.num_vertices > CANON_KEY_LIMIT or len(state.edges) > CANON_KEY_LIMIT:
+        raise InvalidDiagramError(
+            f"flat state has {state.num_vertices} vertices and {len(state.edges)} "
+            f"edges; at most {CANON_KEY_LIMIT} of each are supported"
+        )
     if memo is None:
         memo = _shared_memo
     picker = edge_picker or _first_nonloop

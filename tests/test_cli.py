@@ -100,6 +100,17 @@ def test_cli_yamada_exit_codes(tmp_path):
     assert rays.returncode == 2
 
 
+def test_cli_yamada_past_key_limit_is_a_clean_error(tmp_path):
+    theta = tmp_path / "theta300.graph"
+    labels = [str(i) for i in range(300)]
+    theta.write_text("V " + " ".join(labels) + "\nV " + " ".join(reversed(labels)) + "\n")
+    out = run_cli(["yamada", str(theta)])
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "255" in lines[0]
+
+
 def test_cli_bracket():
     out = run_cli(["bracket", "fixture:hopf.graph", "--output", "machine"])
     assert out.returncode == 0
@@ -173,6 +184,16 @@ def test_cli_symmetry_with_quotient_and_diagram_inputs(tmp_path):
     by_id = {t["test"]: t for t in doc["tests"]}
     assert by_id["free-symmetry"]["verdict"] == "Inconclusive"
     assert by_id["vertex-fixing"]["verdict"] == "Inconclusive"
+
+
+def test_cli_symmetry_quotient_options_are_exclusive():
+    out = run_cli(
+        ["symmetry", "--p", "3", "--poly", "fixture:petersen.poly",
+         "--quotient-poly", "fixture:petersen.poly",
+         "--quotient-diagram", "fixture:circle.graph"]
+    )
+    assert out.returncode == 2
+    assert "not allowed with" in out.stderr
 
 
 def test_cli_verify_single_suite():

@@ -1,17 +1,12 @@
-"""The two kernels: backend agreement, canonical-form invariance, and an
-independent circle-count reference."""
+"""The two kernels: canonical-form invariance, the key encoder's limits, and
+an independent circle-count reference."""
 
 import random
 
 import pytest
 
-from skein import _core_py
-from skein.core import backend_name
-
-try:
-    from skein import _core_c
-except ImportError:
-    _core_c = None
+from skein import core
+from skein.core import CANON_KEY_LIMIT, backend_name
 
 
 def random_graph(rng, n_max=9, m_max=12):
@@ -30,23 +25,23 @@ def test_canon_key_is_isomorphism_invariant():
         permuted = tuple(
             tuple(sorted((perm[u], perm[v]))) for u, v in edges
         )
-        assert _core_py.canon_key(n, edges) == _core_py.canon_key(n, permuted)
+        assert core.canon_key(n, edges) == core.canon_key(n, permuted)
 
 
 def test_canon_key_separates_nonisomorphic():
     path = ((0, 1), (1, 2))
     star = ((0, 1), (0, 2))
     # path on 3 vertices is isomorphic to the star with center relabeled
-    assert _core_py.canon_key(3, path) == _core_py.canon_key(3, star)
+    assert core.canon_key(3, path) == core.canon_key(3, star)
     triangle = ((0, 1), (1, 2), (0, 2))
     path3 = ((0, 1), (1, 2), (2, 0))  # same multiset: triangle
-    assert _core_py.canon_key(3, triangle) == _core_py.canon_key(3, path3)
+    assert core.canon_key(3, triangle) == core.canon_key(3, path3)
     # genuinely different graphs
-    assert _core_py.canon_key(3, ((0, 1), (0, 1))) != _core_py.canon_key(
+    assert core.canon_key(3, ((0, 1), (0, 1))) != core.canon_key(
         3, ((0, 1), (1, 2))
     )
-    assert _core_py.canon_key(2, ((0, 0),)) != _core_py.canon_key(2, ((0, 1),))
-    assert _core_py.canon_key(3, ()) != _core_py.canon_key(2, ())
+    assert core.canon_key(2, ((0, 0),)) != core.canon_key(2, ((0, 1),))
+    assert core.canon_key(3, ()) != core.canon_key(2, ())
 
 
 def test_canon_key_petersen_runs_fast():
@@ -56,7 +51,7 @@ def test_canon_key_petersen_runs_fast():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     )
     edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    key = _core_py.canon_key(10, edges)
+    key = core.canon_key(10, edges)
     assert isinstance(key, bytes) and len(key) == 2 + 2 * 15
 
 
@@ -97,23 +92,19 @@ def test_state_circle_counts_against_reference():
     rng = random.Random(99)
     for _ in range(40):
         n_arcs, crossings = _random_diagram(rng, rng.randint(1, 5))
-        counts = _core_py.state_circle_counts(n_arcs, crossings)
+        counts = core.state_circle_counts(n_arcs, crossings)
         for mask in range(1 << len(crossings)):
             assert counts[mask] == _reference_circles(n_arcs, crossings, mask)
 
 
-@pytest.mark.skipif(_core_c is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(1234)
-    for _ in range(150):
-        n, edges = random_graph(rng)
-        assert _core_py.canon_key(n, edges) == _core_c.canon_key(n, edges)
-    for _ in range(40):
-        n_arcs, crossings = _random_diagram(rng, rng.randint(1, 6))
-        assert _core_py.state_circle_counts(n_arcs, crossings) == _core_c.state_circle_counts(
-            n_arcs, crossings
-        )
+def test_canon_key_rejects_counts_past_the_byte_limit():
+    n = CANON_KEY_LIMIT
+    assert len(core.canon_key(2, ((0, 1),) * n)) == 2 + 2 * n
+    with pytest.raises(ValueError, match="at most 255"):
+        core.canon_key(2, ((0, 1),) * (n + 1))
+    with pytest.raises(ValueError, match="at most 255"):
+        core.canon_key(n + 1, ())
 
 
 def test_backend_is_reported():
-    assert backend_name() in ("pure", "compiled")
+    assert backend_name() == "pure"

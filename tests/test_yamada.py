@@ -73,6 +73,13 @@ def test_oracle_edge_limit():
         flat_eval_oracle(state, max_edges=16)
 
 
+def test_flat_eval_rejects_states_past_key_limit():
+    with pytest.raises(InvalidDiagramError, match="at most 255"):
+        flat_eval(FlatState.make(2, [(0, 1)] * 256), memo={})
+    with pytest.raises(InvalidDiagramError, match="at most 255"):
+        flat_eval(FlatState.make(256, []), memo={})
+
+
 def test_oracle_equivalence_exhaustive_small():
     # all labeled multigraphs on 4 vertices with <= 4 edges
     memo = {}
