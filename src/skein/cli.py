@@ -116,6 +116,10 @@ def cmd_phi(args: argparse.Namespace) -> int:
             value = phi_plane(g)
             _print_localized(value, args.output == "machine", "phi")
             return EXIT_OK
+        if args.surface == "annulus" and any(
+            tok[0] == "2" for word in g.ray_words.values() for tok in word
+        ):
+            raise InvalidDiagramError("the annulus has one hole; ray tokens 2+/2- name a second")
         poly = phi_punctured(g)
     except InvalidDiagramError as exc:
         raise _CliInputError(str(exc), EXIT_INVALID) from exc

@@ -1,17 +1,22 @@
-"""The two hot kernels, in pure Python.
+"""The three hot kernels, in pure Python.
 
-Both kernels are pure functions on small integers; the package needs no
+The kernels are pure functions on small integers; the package needs no
 build step and has no compiled backend.
 
 * :func:`canon_key` -- canonical byte key of a labeled multigraph, used to
   share memo entries between isomorphic crossing-resolution states.
 * :func:`state_circle_counts` -- circle counts of all 2^c smoothing states of
   a vertexless diagram, the inner loop of the Kauffman bracket state sum.
+* :func:`resolution_states` -- the flat multigraph of each of the 3^c
+  resolution states of a diagram, the outer loop of the Yamada state sum.
+
+Both state sums work on arc-end ids (:meth:`GraphDiagram.end_ids`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 #: largest vertex or edge count :func:`canon_key` can encode (one byte each)
 CANON_KEY_LIMIT = 255
@@ -170,3 +175,76 @@ def state_circle_counts(
                     comps -= 1
         counts.append(comps)
     return counts
+
+
+def components(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Connected components of the graph on 0..n-1 with edges ``pairs``.
+
+    Returns the component count and, for each element, the least element
+    of its component.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            if rx < ry:
+                parent[ry] = rx
+            else:
+                parent[rx] = ry
+            count -= 1
+    return count, [find(x) for x in range(n)]
+
+
+def resolution_states(
+    n_arcs: int,
+    vertices: Sequence[Sequence[int]],
+    crossings: Sequence[tuple[int, int, int, int]],
+) -> Iterator[tuple[int, int, int, list[tuple[int, int]], int]]:
+    """Flat residues of all 3^c resolution states of a diagram.
+
+    ``vertices[v]`` and ``crossings[i]`` hold the arc-end ids of the slots
+    of flat vertex v and crossing i.  Each crossing becomes a flat vertex,
+    or takes the B- or the A-smoothing (as in :func:`state_circle_counts`),
+    in that order, crossing 0 the most significant.  The k-th crossing
+    resolved as a vertex becomes vertex ``len(vertices) + k``.  Yields
+    ``(a_exponent, vertex_resolutions, num_vertices, edges, circles)`` per
+    state, with a_exponent = 4 * (#A - #B) and edges as (u, v), u <= v.
+    """
+    n_ends = 2 * n_arcs
+    arc_joins = [(2 * a, 2 * a + 1) for a in range(n_arcs)]
+    vertex_slots = [(e, v) for v, ends in enumerate(vertices) for e in ends]
+    n_vertices = len(vertices)
+    for choice in product((0, 1, 2), repeat=len(crossings)):
+        joins = list(arc_joins)
+        slots = list(vertex_slots)
+        a_exp = 0
+        nv = n_vertices
+        for (e0, e1, e2, e3), kind in zip(crossings, choice):
+            if kind == 0:
+                slots += ((e0, nv), (e1, nv), (e2, nv), (e3, nv))
+                nv += 1
+            elif kind == 1:
+                joins += ((e0, e3), (e1, e2))
+                a_exp -= 4
+            else:
+                joins += ((e0, e1), (e2, e3))
+                a_exp += 4
+        count, root = components(n_ends, joins)
+        # every strand ending at vertex slots ends at exactly two of them
+        first: dict[int, int] = {}
+        edges: list[tuple[int, int]] = []
+        for e, v in slots:
+            u = first.pop(root[e], None)
+            if u is None:
+                first[root[e]] = v
+            else:
+                edges.append((u, v) if u <= v else (v, u))
+        yield a_exp, nv - n_vertices, nv, edges, count - len(edges)

@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .core import components, resolution_states
+
 RAY_TOKENS = ("1+", "1-", "2+", "2-")
 
 
@@ -143,28 +145,37 @@ class GraphDiagram:
                 if tok not in RAY_TOKENS:
                     raise DiagramParseError(f"bad ray token {tok!r}")
 
+    def end_ids(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Arc-end ids of every slot, as (vertex slots, crossing slots): arc
+        i (dense index in label order) has id 2*i at its first occurrence in
+        scan order and 2*i + 1 at its second."""
+        ends = self.arc_ends()
+        index = {a: i for i, a in enumerate(sorted(ends))}
+
+        def ids(kind: str, k: int, slots: Sequence[int]) -> tuple[int, ...]:
+            return tuple(
+                2 * index[a] + (ends[a][0] != (kind, k, si)) for si, a in enumerate(slots)
+            )
+
+        return (
+            tuple(ids("v", vi, slots) for vi, slots in enumerate(self.vertices)),
+            tuple(ids("x", ci, slots) for ci, slots in enumerate(self.crossings)),
+        )
+
     def edge_classes(self) -> list[list[int]]:
         """Arcs grouped into the edges of the underlying abstract graph
         (strands merged through crossings); each class sorted, classes
         ordered by least arc label."""
-        ends = self.arc_ends()
-        parent = {a: a for a in ends}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, c, d in self.crossings:
-            for x, y in ((a, c), (b, d)):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
+        labels = sorted(self.arc_ends())
+        index = {a: i for i, a in enumerate(labels)}
+        through = [
+            (index[x], index[y]) for a, b, c, d in self.crossings for x, y in ((a, c), (b, d))
+        ]
+        _count, root = components(len(labels), through)
         groups: dict[int, list[int]] = {}
-        for a in ends:
-            groups.setdefault(find(a), []).append(a)
-        return sorted(sorted(cls) for cls in groups.values())
+        for a in labels:
+            groups.setdefault(root[index[a]], []).append(a)
+        return list(groups.values())
 
     def num_edges(self) -> int:
         """Edges of the underlying abstract graph: edge classes with an arc
@@ -331,96 +342,37 @@ def reversed_ray_word(word: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(flip[t] for t in reversed(word))
 
 
-def _scan_rank(pos: tuple) -> tuple:
-    kind, idx, slot = pos
-    return (0 if kind == "v" else 1, idx, slot)
-
-
 def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiagram:
-    """Replace crossing ``index`` by a smoothing or a flat 4-valent vertex.
+    """Replace crossing ``index`` of a plane diagram by a smoothing or a flat
+    4-valent vertex.
 
     Smoothing A joins slots (0,1) and (2,3); smoothing B joins (0,3) and
-    (1,2); VERTEX keeps the cyclic slot order as a flat vertex.  Arcs merged
-    by a smoothing concatenate their ray words; arcs closing onto themselves
-    become free circles (their net ray word is dropped, so punctured-disk
-    circle classification must not go through this operation).
+    (1,2); VERTEX keeps the cyclic slot order as a flat vertex.  A smoothing
+    gives joined arcs one label; an arc joined to itself becomes a free
+    circle.  Ray words would have to be carried along and are rejected.
     """
+    if g.has_rays():
+        raise InvalidDiagramError("resolve_crossing is defined on plane diagrams (no ray words)")
     if not (0 <= index < len(g.crossings)):
         raise InvalidDiagramError(f"no crossing with index {index}")
     slots = g.crossings[index]
-    rest_crossings = [x for i, x in enumerate(g.crossings) if i != index]
-
+    crossings = [x for i, x in enumerate(g.crossings) if i != index]
     if kind is Resolution.VERTEX:
-        out = GraphDiagram(
-            list(g.vertices) + [list(slots)],
-            rest_crossings,
-            g.free_circles,
-            g.ray_words,
-        )
-        return normalize_labels(out)
-
-    ends = g.arc_ends()
-    # arc records: arc -> [pos_end0, pos_end1, word(end0 -> end1)]
-    arcs: dict[int, list] = {a: [p0, p1, g.ray_word(a)] for a, (p0, p1) in ends.items()}
-    # current occupant of each slot of the resolved crossing
-    slot_state: dict[int, tuple[int, int]] = {}
-    for si in range(4):
-        pos = ("x", index, si)
-        a = slots[si]
-        slot_state[si] = (a, 0 if arcs[a][0] == pos else 1)
-
-    free = g.free_circles
-
-    def join(s1: int, s2: int) -> None:
-        nonlocal free
-        a1, k1 = slot_state.pop(s1)
-        a2, k2 = slot_state.pop(s2)
-        if a1 == a2:
-            free += 1
-            del arcs[a1]
-            return
-        rec1, rec2 = arcs[a1], arcs[a2]
-        # w1 oriented toward the join, w2 away from it
-        w1 = rec1[2] if k1 == 1 else reversed_ray_word(rec1[2])
-        w2 = rec2[2] if k2 == 0 else reversed_ray_word(rec2[2])
-        other1, other2 = rec1[1 - k1], rec2[1 - k2]
-        arcs[a1] = [other1, other2, w1 + w2]
-        del arcs[a2]
-        # a surviving end may itself sit on a still-pending slot of this crossing
-        for si, (a, _e) in list(slot_state.items()):
-            pos = ("x", index, si)
-            if other1 == pos:
-                slot_state[si] = (a1, 0)
-            elif other2 == pos:
-                slot_state[si] = (a1, 1)
-
+        return normalize_labels(GraphDiagram(g.vertices + (slots,), crossings, g.free_circles))
     pairs = ((0, 1), (2, 3)) if kind is Resolution.SMOOTH_A else ((0, 3), (1, 2))
-    for s1, s2 in pairs:
-        join(s1, s2)
-
-    # rebuild slot lists from final arc end positions (none reference the
-    # resolved crossing: all four of its slots were consumed by the joins)
-    pos_to_arc: dict[tuple, int] = {}
-    for a, (p0, p1, _w) in arcs.items():
-        pos_to_arc[p0] = a
-        pos_to_arc[p1] = a
-
-    new_vertices = [
-        [pos_to_arc[("v", vi, si)] for si in range(len(v))]
-        for vi, v in enumerate(g.vertices)
-    ]
-    new_crossings = [
-        [pos_to_arc[("x", ci, si)] for si in range(4)]
-        for ci in range(len(g.crossings))
-        if ci != index
-    ]
-    rays = {}
-    for a, (p0, p1, w) in arcs.items():
-        if not w:
-            continue
-        rays[a] = w if _scan_rank(p0) < _scan_rank(p1) else reversed_ray_word(w)
-    out = GraphDiagram(new_vertices, new_crossings, free, rays)
-    return normalize_labels(out)
+    labels = sorted(g.arc_ends())
+    dense = {a: i for i, a in enumerate(labels)}
+    joins = [(dense[slots[s1]], dense[slots[s2]]) for s1, s2 in pairs]
+    count, root = components(len(labels), joins)
+    # a join that merges no two strands closes a free circle
+    free = g.free_circles + len(joins) - (len(labels) - count)
+    return normalize_labels(
+        GraphDiagram(
+            [[root[dense[a]] for a in v] for v in g.vertices],
+            [[root[dense[a]] for a in x] for x in crossings],
+            free,
+        )
+    )
 
 
 def to_flat_state(g: GraphDiagram) -> FlatState:
@@ -428,9 +380,6 @@ def to_flat_state(g: GraphDiagram) -> FlatState:
     free-circle count."""
     if g.crossings:
         raise InvalidDiagramError("diagram still has crossings")
-    ends = g.arc_ends()
-    edges = []
-    for _a, (p0, p1) in sorted(ends.items()):
-        u, v = p0[1], p1[1]
-        edges.append((u, v) if u <= v else (v, u))
-    return FlatState.make(len(g.vertices), edges, g.free_circles)
+    vertex_ends, _ = g.end_ids()
+    ((_, _, n, edges, circles),) = resolution_states(len(g.arc_ends()), vertex_ends, ())
+    return FlatState.make(n, edges, circles + g.free_circles)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import state_circle_counts
+from .core import components, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .rings import (
     D_LAURENT,
@@ -33,18 +33,9 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
     """State-sum Kauffman bracket; requires a link diagram (no flat vertices)."""
     if g.vertices:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
-    ends = g.arc_ends()
-    arc_index = {a: i for i, a in enumerate(sorted(ends))}
-    n_arcs = len(arc_index)
-    crossing_ends = []
-    for ci, slots in enumerate(g.crossings):
-        ids = []
-        for si, a in enumerate(slots):
-            which = 0 if ends[a][0] == ("x", ci, si) else 1
-            ids.append(2 * arc_index[a] + which)
-        crossing_ends.append(tuple(ids))
+    _, crossing_ends = g.end_ids()
     c = len(g.crossings)
-    counts = state_circle_counts(n_arcs, crossing_ends)
+    counts = state_circle_counts(len(g.arc_ends()), crossing_ends)
     # aggregate multiplicities of (A-exponent, circle count)
     weights: dict[tuple[int, int], int] = {}
     for mask, circles in enumerate(counts):
@@ -386,22 +377,9 @@ def markov_trace(elem: TangleElement) -> RationalFunction:
     is worth d."""
     n = elem.n
     total = RationalFunction.from_int(0)
+    closure = [(i, n + i) for i in range(n)]
     for pairing, c in elem._terms.items():
-        parent = list(range(2 * n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = 2 * n
-        joins = list(pairing.pairs) + [(i, n + i) for i in range(n)]
-        for u, v in joins:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
+        comps, _ = components(2 * n, list(pairing.pairs) + closure)
         total = total + c * RationalFunction.from_laurent(D_LAURENT**comps)
     return total
 

@@ -169,7 +169,8 @@ def _move_corpus() -> list[tuple[str, GraphDiagram]]:
 
 def suite_moves() -> tuple[bool, list[str]]:
     conds: list[tuple[bool, str]] = []
-    y = {name: yamada(g) for name, g in _move_corpus()}
+    memo: dict = {}
+    y = {name: yamada(g, memo) for name, g in _move_corpus()}
     circle = y["circle"]
 
     conds.append((y["r2_unknot"] == circle, "R2 poke leaves the unknot value"))
@@ -182,7 +183,7 @@ def suite_moves() -> tuple[bool, list[str]]:
 
     mirror_ok = True
     for name, g in _move_corpus():
-        if yamada(mirror(g)) != y[name].invert_variable():
+        if yamada(mirror(g), memo) != y[name].invert_variable():
             mirror_ok = False
             conds.append((False, f"mirror property fails on {name}"))
     conds.append((mirror_ok, "mirror property on the whole corpus"))
@@ -190,7 +191,7 @@ def suite_moves() -> tuple[bool, list[str]]:
     mult_ok = True
     for n1, n2 in [("theta", "circle"), ("handcuff", "theta"), ("kink_pos", "bouquet2")]:
         g1, g2 = fixtures.load_diagram(n1), fixtures.load_diagram(n2)
-        if yamada(disjoint_union(g1, g2)) != y[n1] * y[n2]:
+        if yamada(disjoint_union(g1, g2), memo) != y[n1] * y[n2]:
             mult_ok = False
     conds.append((mult_ok, "disjoint union multiplies values"))
 
@@ -230,15 +231,16 @@ def suite_moves() -> tuple[bool, list[str]]:
 
 def suite_phi() -> tuple[bool, list[str]]:
     conds: list[tuple[bool, str]] = []
+    memo: dict = {}
     flat_cases = ["theta", "handcuff", "k4", "bouquet1", "bouquet2", "bouquet3",
                   "bouquet4", "bouquet2_nested", "circle"]
     for name in flat_cases:
         g = fixtures.load_diagram(name)
-        conds.append((phi_plane(g) == yamada(g), f"cabled bracket equals Y on {name}"))
+        conds.append((phi_plane(g) == yamada(g, memo), f"cabled bracket equals Y on {name}"))
     for name in ["kink_pos", "kink_neg"]:
         g = fixtures.load_diagram(name)
         conds.append(
-            (phi_plane(g) == yamada(g), f"cabled bracket equals Y on crossed {name}")
+            (phi_plane(g) == yamada(g, memo), f"cabled bracket equals Y on crossed {name}")
         )
     for n1, n2 in [("theta", "circle"), ("bouquet2", "handcuff")]:
         g1, g2 = fixtures.load_diagram(n1), fixtures.load_diagram(n2)

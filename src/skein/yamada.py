@@ -1,9 +1,11 @@
 """The Yamada invariant of spatial-graph diagrams in the 3-sphere.
 
-Crossings are expanded by the three-term resolution (A^4, A^-4, -d); the
-crossing-free residue depends only on the abstract multigraph and is
-evaluated by deletion-contraction with a memo table keyed on canonical
-multigraph forms.  An independent subset state sum serves as the oracle:
+Crossings are expanded by the three-term resolution (A^4, A^-4, -d) on
+arc-end ids (:func:`skein.core.resolution_states`), without building a
+diagram per state; the crossing-free residue depends only on the abstract
+multigraph and is evaluated by deletion-contraction with a memo table keyed
+on canonical multigraph forms.  The memo lives for one call unless the
+caller passes one in.  An independent subset state sum serves as the oracle:
 
     W(G) = sum over F subset of E of (-1/d)^{|E-F|} * d^{beta(F) + c(F)}
 
@@ -15,21 +17,16 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Sequence
 
-from .core import CANON_KEY_LIMIT, canon_key
-from .diagrams import (
-    FlatState,
-    GraphDiagram,
-    InvalidDiagramError,
-    Resolution,
-    resolve_crossing,
-    to_flat_state,
-)
+from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
+from .diagrams import FlatState, GraphDiagram, InvalidDiagramError
+
+# unused here, but skeinbench/tracing.py rebinds this name in this module
+from .diagrams import resolve_crossing  # noqa: F401
 from .rings import (
     CIRCLE_FACTOR,
     D,
     D_INV,
     LOOP_FACTOR,
-    ONE,
     ZERO,
     LaurentPoly,
     LocalizedElement,
@@ -38,11 +35,7 @@ from .rings import (
 #: soft limit on the 3^c expansion; beyond it a warning is emitted
 EXPANSION_WARN_CROSSINGS = 16
 
-_A4 = LocalizedElement(LaurentPoly.monomial(1, 4))
-_A4_INV = LocalizedElement(LaurentPoly.monomial(1, -4))
 _NEG_D = -D
-
-_shared_memo: dict[bytes, LocalizedElement] = {}
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
 
@@ -73,34 +66,18 @@ def _delete(edges: tuple[tuple[int, int], ...], idx: int) -> tuple:
 def _components(n: int, edges: tuple[tuple[int, int], ...]):
     """Split into connected components (relabeled densely) plus the count of
     isolated vertices."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    count, root = components(n, edges)
     groups: dict[int, list[tuple[int, int]]] = {}
-    touched: set[int] = set()
     for u, v in edges:
-        groups.setdefault(find(u), []).append((u, v))
-        touched.add(u)
-        touched.add(v)
-    isolated = n - len(touched)
+        groups.setdefault(root[u], []).append((u, v))
     comps = []
-    for root in sorted(groups):
-        comp_edges = groups[root]
+    for _, comp_edges in sorted(groups.items()):
         verts = sorted({x for e in comp_edges for x in e})
         remap = {v: i for i, v in enumerate(verts)}
         comps.append(
             (len(verts), tuple(sorted((remap[u], remap[v]) for u, v in comp_edges)))
         )
-    return comps, isolated
+    return comps, count - len(groups)  # components without edges are isolated vertices
 
 
 def _has_bridge(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
@@ -189,7 +166,7 @@ def flat_eval(
     W(G) = W(G/e) - (1/d) W(G-e); k isolated vertices are worth d^k; each
     free circle contributes a factor d^2 - 1.  States with more than
     CANON_KEY_LIMIT vertices or edges exceed the memo key encoding and raise
-    InvalidDiagramError.
+    InvalidDiagramError.  Without ``memo`` the call uses a fresh one.
     """
     if state.num_vertices > CANON_KEY_LIMIT or len(state.edges) > CANON_KEY_LIMIT:
         raise InvalidDiagramError(
@@ -197,7 +174,7 @@ def flat_eval(
             f"edges; at most {CANON_KEY_LIMIT} of each are supported"
         )
     if memo is None:
-        memo = _shared_memo
+        memo = {}
     picker = edge_picker or _first_nonloop
     w = _w_eval(state.num_vertices, state.edges, memo, picker)
     return CIRCLE_FACTOR**state.circle_count * w if state.circle_count else w
@@ -253,8 +230,10 @@ def yamada(
 ) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
-    Expands all 3^c crossing resolutions depth-first with early scalar
-    multiplication; flat states share one memo table.
+    Evaluates the flat residue of each of the 3^c resolution states, sums
+    the values per (A-exponent, vertex resolutions) and multiplies each sum
+    by its weight A^e (-d)^v once.  The flat states share ``memo``, or a
+    fresh memo when none is given.
     """
     if g.has_rays():
         raise InvalidDiagramError("yamada is defined on plane diagrams (no ray words)")
@@ -264,26 +243,17 @@ def yamada(
             stacklevel=2,
         )
     if memo is None:
-        memo = _shared_memo
+        memo = {}
+    vertex_ends, crossing_ends = g.end_ids()
+    sums: dict[tuple[int, int], LocalizedElement] = {}
+    for a_exp, v, n, edges, circles in resolution_states(
+        len(g.arc_ends()), vertex_ends, crossing_ends
+    ):
+        value = flat_eval(FlatState.make(n, edges, circles + g.free_circles), memo)
+        key = (a_exp, v)
+        sums[key] = sums[key] + value if key in sums else value
     total = ZERO
-    stack: list[tuple[GraphDiagram, LocalizedElement]] = [(g, ONE)]
-    while stack:
-        diagram, scalar = stack.pop()
-        if diagram.crossings:
-            stack.append(
-                (resolve_crossing(diagram, 0, Resolution.SMOOTH_A), scalar * _A4)
-            )
-            stack.append(
-                (resolve_crossing(diagram, 0, Resolution.SMOOTH_B), scalar * _A4_INV)
-            )
-            stack.append(
-                (resolve_crossing(diagram, 0, Resolution.VERTEX), scalar * _NEG_D)
-            )
-        else:
-            total = total + scalar * flat_eval(to_flat_state(diagram), memo)
+    for (a_exp, v), value in sorted(sums.items()):
+        weight = LocalizedElement(LaurentPoly.monomial(1, a_exp)) * _NEG_D**v
+        total = total + weight * value
     return total
-
-
-def clear_memo() -> None:
-    """Drop the shared deletion-contraction memo (mainly for benchmarks)."""
-    _shared_memo.clear()

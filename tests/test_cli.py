@@ -146,6 +146,14 @@ def test_cli_phi_annulus():
     assert "b^2 - 1" in out.stdout
 
 
+def test_cli_phi_annulus_rejects_hole_two():
+    out = run_cli(["phi", "fixture:pants_y.graph", "--surface", "annulus"])
+    assert out.returncode == 2
+    assert not out.stdout
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "2+" in lines[0]
+
+
 def test_cli_symmetry_exit_codes(tmp_path):
     out = run_cli(["symmetry", "--p", "6", "--poly", "fixture:petersen.poly"])
     assert out.returncode == 2

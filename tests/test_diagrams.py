@@ -104,12 +104,13 @@ def test_resolve_decreases_crossings_and_unknown_index_rejected():
         resolve_crossing(hopf, 5, Resolution.SMOOTH_A)
 
 
-def test_resolve_merges_ray_words():
-    # two-arc circle around hole 1 drawn through a crossing with a spur;
-    # smoothing A merges arcs end to end and concatenates the words
+def test_resolve_rejects_ray_words():
+    # resolution is a plane operation: joined arcs would have to carry
+    # their ray words, and free circles would lose their winding
     g = parse_diagram("X 1 2 1 2\nRAY 1 1+\nRAY 2 2+")
-    out = resolve_crossing(g, 0, Resolution.SMOOTH_A)
-    assert out.free_circles == 1 and not out.crossings
+    for kind in Resolution:
+        with pytest.raises(InvalidDiagramError):
+            resolve_crossing(g, 0, kind)
 
 
 def test_to_flat_state_examples():

@@ -108,3 +108,10 @@ def test_canon_key_rejects_counts_past_the_byte_limit():
 
 def test_backend_is_reported():
     assert backend_name() == "pure"
+
+
+def test_components_count_and_least_element_labels():
+    count, root = core.components(6, [(4, 2), (5, 4), (1, 3)])
+    assert count == 3
+    assert root == [0, 1, 2, 1, 2, 2]
+    assert core.components(0, []) == (0, [])

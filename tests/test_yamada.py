@@ -7,7 +7,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from skein import fixtures
-from skein.diagrams import FlatState, InvalidDiagramError, disjoint_union, mirror, parse_diagram
+from skein.diagrams import (
+    FlatState,
+    GraphDiagram,
+    InvalidDiagramError,
+    Resolution,
+    disjoint_union,
+    mirror,
+    parse_diagram,
+    resolve_crossing,
+    to_flat_state,
+)
 from skein.rings import (
     CIRCLE_FACTOR,
     D,
@@ -31,6 +41,11 @@ def d_poly(coeffs, d_power=0):
 
 A8 = LocalizedElement(LaurentPoly.monomial(1, 8))
 A8_INV = LocalizedElement(LaurentPoly.monomial(1, -8))
+RESOLUTION_WEIGHTS = {
+    Resolution.SMOOTH_A: LocalizedElement(LaurentPoly.monomial(1, 4)),
+    Resolution.SMOOTH_B: LocalizedElement(LaurentPoly.monomial(1, -4)),
+    Resolution.VERTEX: -D,
+}
 
 
 # -- flat states -------------------------------------------------------------
@@ -192,3 +207,58 @@ def test_threaded_evaluation_is_consistent():
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(lambda n: yamada(fixtures.load_diagram(n)), names))
     assert got == expected
+
+
+def _expand(g, memo):
+    """The Yamada value by rebuilding a diagram per resolution:
+    resolve_crossing, then to_flat_state, then flat_eval."""
+    if not g.crossings:
+        return flat_eval(to_flat_state(g), memo)
+    total = ZERO
+    for kind, weight in RESOLUTION_WEIGHTS.items():
+        total = total + weight * _expand(resolve_crossing(g, 0, kind), memo)
+    return total
+
+
+def _twisted(rng, text, crossings):
+    """``text`` with ``crossings`` seeded half twists, each of two edges that
+    leave one vertex at neighbouring slots (a local, planar change)."""
+    g = parse_diagram(text)
+    vertices = [list(v) for v in g.vertices]
+    twists = []
+    label = max(g.arc_labels()) + 1
+    for _ in range(crossings):
+        slots = rng.choice(vertices)
+        k = rng.randrange(len(slots))
+        k2 = (k + 1) % len(slots)
+        right, left = slots[k], slots[k2]
+        slots[k], slots[k2] = label, label + 1
+        # counterclockwise: new right end, old right, old left, new left end;
+        # rotating the slots by one gives the mirror twist
+        twist = (label, right, left, label + 1)
+        twists.append(twist if rng.random() < 0.5 else twist[1:] + twist[:1])
+        label += 2
+    return GraphDiagram(vertices, twists)
+
+
+def _plane_corpus():
+    graphs = [n for n in fixtures.list_fixtures() if n.endswith(".graph")]
+    corpus = [(n, fixtures.load_diagram(n)) for n in graphs]
+    rng = random.Random(4)
+    for i in range(6):
+        base, name = ("V 1 2 3\nV 3 2 1\n", "theta") if i % 2 else (
+            "V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", "k4")
+        c = 1 + i % 5
+        corpus.append((f"twisted_{name}_c{c}", _twisted(rng, base, c)))
+    return [pytest.param(g, id=n) for n, g in corpus if not g.has_rays()]
+
+
+@pytest.mark.parametrize("g", _plane_corpus())
+def test_yamada_equals_expansion_by_rebuilt_diagrams(g):
+    assert yamada(g, memo={}) == _expand(g, {})
+
+
+def test_petersen_memo_size_is_pinned():
+    memo: dict = {}
+    yamada(fixtures.load_diagram("petersen_diagram"), memo=memo)
+    assert len(memo) == 3044
