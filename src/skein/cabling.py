@@ -74,7 +74,6 @@ def cable(
     that arc's ray word).  The placement never changes the result; a test
     perturbs it to demonstrate that.
     """
-    ends = g.arc_ends()
     for vi, slots in enumerate(g.vertices):
         if len(slots) == 0:
             raise InvalidDiagramError(f"vertex {vi} is isolated; cabling undefined")
@@ -87,13 +86,13 @@ def cable(
     def an(ci: int, grid: str, side: str) -> tuple:
         return ("a", ci, grid, side)
 
+    # the occurrence (0 or 1) of each slot's arc is the low bit of its end id
+    vertex_ids, crossing_ids = g.end_ids()
+
     # vertex polygons
-    for vi, slots in enumerate(g.vertices):
+    for slots, ids in zip(g.vertices, vertex_ids):
         k = len(slots)
-        slot_ends = []
-        for si, a in enumerate(slots):
-            e = 0 if ends[a][0] == ("v", vi, si) else 1
-            slot_ends.append((a, e))
+        slot_ends = [(a, eid & 1) for a, eid in zip(slots, ids)]
         for i in range(k):
             a1, e1 = slot_ends[i]
             a2, e2 = slot_ends[(i + 1) % k]
@@ -102,12 +101,8 @@ def cable(
     # crossing grids: four sub-crossings per crossing, vertical (over) cable
     # at slots 2 and 4 of each
     grid_crossings: list[tuple[tuple, tuple, tuple, tuple]] = []
-    for ci, slots in enumerate(g.crossings):
-        se = []
-        for si, a in enumerate(slots):
-            e = 0 if ends[a][0] == ("x", ci, si) else 1
-            se.append((a, e))
-        (a0, e0), (a1, e1), (a2, e2), (a3, e3) = se
+    for ci, (slots, ids) in enumerate(zip(g.crossings, crossing_ids)):
+        (a0, e0), (a1, e1), (a2, e2), (a3, e3) = [(a, eid & 1) for a, eid in zip(slots, ids)]
         segments_static += [
             (jn(a0, e0, 0), an(ci, "NW", "W"), ()),
             (an(ci, "NW", "E"), an(ci, "NE", "W"), ()),

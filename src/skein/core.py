@@ -1,21 +1,25 @@
-"""The three hot kernels, in pure Python.
+"""The hot kernels, in pure Python.
 
 The kernels are pure functions on small integers; the package needs no
 build step and has no compiled backend.
 
 * :func:`canon_key` -- canonical byte key of a labeled multigraph, used to
   share memo entries between isomorphic crossing-resolution states.
+* :func:`components` -- connected components by union-find.
 * :func:`state_circle_counts` -- circle counts of all 2^c smoothing states of
   a vertexless diagram, the inner loop of the Kauffman bracket state sum.
 * :func:`resolution_states` -- the flat multigraph of each of the 3^c
   resolution states of a diagram, the outer loop of the Yamada state sum.
 
-Both state sums work on arc-end ids (:meth:`GraphDiagram.end_ids`).
+The two state sums are depth-first walks over the arc-end ids of
+:meth:`GraphDiagram.end_ids`.  They keep the open strands in a mate array
+(``mate[e]`` is the far end of the strand ending at arc end e, initially
+e ^ 1), join strands at each smoothing and undo the join on the way back,
+so a state costs O(1) work instead of a union-find over all arc ends.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Sequence
 
 #: largest vertex or edge count :func:`canon_key` can encode (one byte each)
@@ -131,49 +135,65 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
     return best[0]
 
 
+def _check_slots(n_arcs: int, *slot_lists: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless the slots hold each arc-end id exactly once."""
+    ids = sorted(e for slots in slot_lists for ends in slots for e in ends)
+    if ids != list(range(2 * n_arcs)):
+        raise ValueError("every arc-end id must appear in exactly one slot")
+
+
 def state_circle_counts(
     n_arcs: int, crossings: Sequence[tuple[int, int, int, int]]
 ) -> list[int]:
     """Circle counts for every smoothing state of a vertexless diagram.
 
     ``crossings[i]`` holds the four arc-end ids (2*arc + occurrence) of
-    crossing i in counterclockwise slot order.  State ``mask`` applies the
-    B-smoothing (joining slots 0-3 and 1-2) at crossing i when bit i is set,
-    and the A-smoothing (slots 0-1 and 2-3) otherwise.  Returns a list of
-    length 2^len(crossings).
+    crossing i in counterclockwise slot order; every id below 2 * n_arcs
+    appears in exactly one slot.  State ``mask`` applies the B-smoothing
+    (joining slots 0-3 and 1-2) at crossing i when bit i is set, and the
+    A-smoothing (slots 0-1 and 2-3) otherwise.  Returns a list of length
+    2^len(crossings).
+
+    The walk takes crossing c-1 outermost and A before B, which visits the
+    states in mask order, and holds one int per state.
     """
-    c = len(crossings)
-    n_ends = 2 * n_arcs
-    parent = list(range(n_ends))
+    _check_slots(n_arcs, crossings)
+    if not crossings:
+        return [0]
+    mate = [e ^ 1 for e in range(2 * n_arcs)]
     counts: list[int] = []
+    append = counts.append
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def visit(i: int, closed: int) -> None:
+        e0, e1, e2, e3 = crossings[i]
+        if i == 0:
+            # only these four ends are still open, paired by two strands
+            m = mate[e0]
+            append(closed + 1 + (m == e1))
+            append(closed + 1 + (m == e3))
+            return
+        for x, y, z, w in ((e0, e1, e2, e3), (e0, e3, e1, e2)):
+            # joining the two ends of one strand (a == y) closes a circle
+            # and leaves mate as it was
+            a = mate[x]
+            b = mate[y]
+            mate[a] = b
+            mate[b] = a
+            p = mate[z]
+            q = mate[w]
+            mate[p] = q
+            mate[q] = p
+            visit(i - 1, closed + (a == y) + (p == w))
+            mate[p] = z
+            mate[q] = w
+            mate[a] = x
+            mate[b] = y
 
-    for mask in range(1 << c):
-        for i in range(n_ends):
-            parent[i] = i
-        comps = n_ends
-        for a in range(n_arcs):
-            ra, rb = find(2 * a), find(2 * a + 1)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        for i in range(c):
-            e0, e1, e2, e3 = crossings[i]
-            if (mask >> i) & 1:
-                joins = ((e0, e3), (e1, e2))
-            else:
-                joins = ((e0, e1), (e2, e3))
-            for x, y in joins:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-                    comps -= 1
-        counts.append(comps)
+    visit(len(crossings) - 1, 0)
+    # visit refers to itself through its closure cell; unbinding it frees
+    # the cycle (and ``counts`` through ``append``) now, not at the next
+    # garbage collection
+    visit = None
     return counts
 
 
@@ -208,43 +228,78 @@ def resolution_states(
     vertices: Sequence[Sequence[int]],
     crossings: Sequence[tuple[int, int, int, int]],
 ) -> Iterator[tuple[int, int, int, list[tuple[int, int]], int]]:
-    """Flat residues of all 3^c resolution states of a diagram.
+    """Flat residues of all 3^c resolution states of a diagram, lazily.
 
     ``vertices[v]`` and ``crossings[i]`` hold the arc-end ids of the slots
-    of flat vertex v and crossing i.  Each crossing becomes a flat vertex,
-    or takes the B- or the A-smoothing (as in :func:`state_circle_counts`),
-    in that order, crossing 0 the most significant.  The k-th crossing
-    resolved as a vertex becomes vertex ``len(vertices) + k``.  Yields
-    ``(a_exponent, vertex_resolutions, num_vertices, edges, circles)`` per
-    state, with a_exponent = 4 * (#A - #B) and edges as (u, v), u <= v.
+    of flat vertex v and crossing i; every id below 2 * n_arcs appears in
+    exactly one slot.  Each crossing becomes a flat vertex, or takes the B-
+    or the A-smoothing (as in :func:`state_circle_counts`), in that order,
+    crossing 0 the most significant.  The k-th crossing resolved as a vertex
+    becomes vertex ``len(vertices) + k``.  Yields ``(a_exponent,
+    vertex_resolutions, num_vertices, edges, circles)`` per state, with
+    a_exponent = 4 * (#A - #B) and edges as vertex pairs.
+
+    The walk keeps an explicit stack, so no cycle outlives it.  Vertex
+    slots are the terminals of the open strands: in a leaf state each strand
+    runs between two of them, an edge; circles are the joins that closed a
+    strand.
     """
-    n_ends = 2 * n_arcs
-    arc_joins = [(2 * a, 2 * a + 1) for a in range(n_arcs)]
-    vertex_slots = [(e, v) for v, ends in enumerate(vertices) for e in ends]
-    n_vertices = len(vertices)
-    for choice in product((0, 1, 2), repeat=len(crossings)):
-        joins = list(arc_joins)
-        slots = list(vertex_slots)
-        a_exp = 0
-        nv = n_vertices
-        for (e0, e1, e2, e3), kind in zip(crossings, choice):
+    _check_slots(n_arcs, vertices, crossings)
+    mate = [e ^ 1 for e in range(2 * n_arcs)]
+    owner = [0] * (2 * n_arcs)  # vertex of each terminal end
+    terminals: list[int] = []
+    for v, ends in enumerate(vertices):
+        for e in ends:
+            owner[e] = v
+        terminals.extend(ends)
+    n_vertices = nv = len(vertices)
+    a_exp = closed = 0
+    # per resolved crossing on the current path: its kind (0 vertex, 1 B,
+    # 2 A) and the counters as they were before it
+    path: list[tuple[int, int, int, int]] = []
+    kind = 0
+    while True:
+        i = len(path)
+        if i < len(crossings):
+            path.append((kind, a_exp, closed, nv))
+            ends = crossings[i]
             if kind == 0:
-                slots += ((e0, nv), (e1, nv), (e2, nv), (e3, nv))
+                for e in ends:
+                    owner[e] = nv
+                terminals.extend(ends)
                 nv += 1
-            elif kind == 1:
-                joins += ((e0, e3), (e1, e2))
-                a_exp -= 4
             else:
-                joins += ((e0, e1), (e2, e3))
-                a_exp += 4
-        count, root = components(n_ends, joins)
-        # every strand ending at vertex slots ends at exactly two of them
-        first: dict[int, int] = {}
-        edges: list[tuple[int, int]] = []
-        for e, v in slots:
-            u = first.pop(root[e], None)
-            if u is None:
-                first[root[e]] = v
+                e0, e1, e2, e3 = ends
+                for x, y in ((e0, e3), (e1, e2)) if kind == 1 else ((e0, e1), (e2, e3)):
+                    a = mate[x]
+                    b = mate[y]
+                    mate[a] = b
+                    mate[b] = a
+                    closed += a == y
+                a_exp += 4 if kind == 2 else -4
+            kind = 0
+            continue
+        yield (
+            a_exp,
+            nv - n_vertices,
+            nv,
+            [(owner[e], owner[mate[e]]) for e in terminals if e < mate[e]],
+            closed,
+        )
+        # back up to the deepest crossing with a resolution left to take
+        while path:
+            kind, a_exp, closed, nv = path.pop()
+            e0, e1, e2, e3 = crossings[len(path)]
+            if kind == 0:
+                del terminals[-4:]
             else:
-                edges.append((u, v) if u <= v else (v, u))
-        yield a_exp, nv - n_vertices, nv, edges, count - len(edges)
+                # undo the joins in reverse; joined ends still name their
+                # strands' far ends
+                for x, y in ((e1, e2), (e0, e3)) if kind == 1 else ((e2, e3), (e0, e1)):
+                    mate[mate[x]] = x
+                    mate[mate[y]] = y
+            if kind < 2:
+                kind += 1
+                break
+        else:
+            return

@@ -13,6 +13,7 @@ second, which orients its ray word.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -257,6 +258,15 @@ def parse_diagram(text: str) -> GraphDiagram:
             ray_lines.append((lineno, rest[0], rest[1:]))
         else:
             raise DiagramParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
+
+    # check label counts here, where the file's own labels are still known
+    uses = Counter(t for slots in vertices + crossings for t in slots)
+    over = [t for t, n in uses.items() if n > 2]
+    if over:
+        raise DiagramParseError(f"arc label(s) used more than twice: {', '.join(over)}")
+    once = [t for t, n in uses.items() if n == 1]
+    if once:
+        raise DiagramParseError(f"arc label(s) used only once: {', '.join(once)}")
 
     labels: dict[str, int] = {}
 

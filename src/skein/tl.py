@@ -11,6 +11,7 @@ recursion needs inverses of d^2 - 1 and friends beyond the first projector.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .core import components, state_circle_counts
@@ -36,21 +37,17 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
     _, crossing_ends = g.end_ids()
     c = len(g.crossings)
     counts = state_circle_counts(len(g.arc_ends()), crossing_ends)
-    # aggregate multiplicities of (A-exponent, circle count)
-    weights: dict[tuple[int, int], int] = {}
-    for mask, circles in enumerate(counts):
-        b = bin(mask).count("1")
-        exp = c - 2 * b
-        key = (exp, circles)
-        weights[key] = weights.get(key, 0) + 1
+    # multiplicities of (B-smoothings, circle count); state mask has
+    # A-exponent c - 2 * popcount(mask)
+    weights = Counter(zip(map(int.bit_count, range(1 << c)), counts))
     total = LaurentPoly.zero()
     d_pows: dict[int, LaurentPoly] = {}
-    for (exp, circles), mult in sorted(weights.items()):
+    for (b, circles), mult in sorted(weights.items()):
         dp = d_pows.get(circles)
         if dp is None:
             dp = D_LAURENT**circles
             d_pows[circles] = dp
-        total = total + dp.scale(mult).shifted(exp)
+        total = total + dp.scale(mult).shifted(c - 2 * b)
     if g.free_circles:
         total = total * D_LAURENT**g.free_circles
     return total

@@ -100,6 +100,14 @@ def test_cli_yamada_exit_codes(tmp_path):
     assert rays.returncode == 2
 
 
+def test_cli_parse_error_names_the_file_labels(tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("X a b c d\n")
+    out = run_cli(["bracket", str(bad)])
+    assert out.returncode == 1
+    assert out.stderr.strip().endswith("arc label(s) used only once: a, b, c, d")
+
+
 def test_cli_yamada_past_key_limit_is_a_clean_error(tmp_path):
     theta = tmp_path / "theta300.graph"
     labels = [str(i) for i in range(300)]

@@ -56,6 +56,20 @@ def test_parse_errors():
         parse_diagram("O extra")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X a b c d", "arc label(s) used only once: a, b, c, d"),
+        ("V 7 7\nX 9 9 9 5\nX 5 3 3 8", "arc label(s) used more than twice: 9"),
+        ("V 10 2\nV 2", "arc label(s) used only once: 10"),
+    ],
+)
+def test_parse_errors_name_the_file_labels(text, message):
+    with pytest.raises(DiagramParseError) as err:
+        parse_diagram(text)
+    assert str(err.value) == message
+
+
 def test_parse_serialize_roundtrip_on_fixture_corpus():
     for name in fixtures.list_fixtures():
         if not name.endswith(".graph"):
