@@ -11,6 +11,14 @@ circles by their winding parities around the holes.
 Conventions: at every vertex or crossing slot the two cable ends of an arc
 are ordered counterclockwise ("first", "second"); along an arc the strand
 that is ccw-first at one end is ccw-second at the other.
+
+Cost: 2^|E| terms, one ``GraphDiagram`` each.  ``cable`` numbers the static
+part (vertex polygons and crossing grids) once per call on integer node
+ids; a term only re-pairs the four cable ends of each turnback arc and
+walks its chains and circles over int lists.  The evaluations count terms
+as integers per coefficient and circle class and touch the coefficient
+ring once per distinct key; only terms with crossings, which come from
+crossings of the input, call the bracket.
 """
 
 from __future__ import annotations
@@ -18,17 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagrams import GraphDiagram, InvalidDiagramError, reversed_ray_word
+from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
-from .rings import D, ONE, LocalizedElement, LaurentPoly, ZERO
+from .rings import D, D_LAURENT, ONE, LocalizedElement, LaurentPoly, ZERO
 from .tl import bracket
 
 #: winding contribution of each ray token: (around hole 1, around hole 2)
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
-
-_GRID_SIDES = ("W", "S", "E", "N")
 
 
 @dataclass(frozen=True)
@@ -54,186 +60,173 @@ class CabledExpansion:
     terms: tuple[CabledTerm, ...]
 
 
-def _word_sum(word: tuple[str, ...]) -> tuple[int, int]:
-    w1 = w2 = 0
-    for t in word:
-        d1, d2 = _TOKEN_WINDING[t]
-        w1 += d1
-        w2 += d2
-    return w1, w2
-
-
-def cable(
-    g: GraphDiagram,
-    insertion: Mapping[int, tuple[int, int]] | None = None,
-) -> CabledExpansion:
+def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> CabledExpansion:
     """Expand the 2-cable of ``g`` with one projector per edge.
 
-    ``insertion`` optionally overrides where the turnback of an edge class is
-    placed: it maps the least arc label of the class to (arc, split index in
-    that arc's ray word).  The placement never changes the result; a test
-    perturbs it to demonstrate that.
+    Terms come in mask order: bit k of the mask picks the turnback on the
+    k-th edge class (then on each free circle), and the term's coefficient
+    is (-1/d)^popcount(mask).
+
+    ``insertion`` optionally moves the turnback of an edge class: it maps
+    the least arc label of the class to the arc of that class that carries
+    the turnback (by default the least arc itself).  On a diagram with
+    crossings the move slides the projector through cable crossings and
+    changes the terms but not their evaluation; ``skein verify`` checks
+    that.  A key that is not the least arc of an edge class, or an arc
+    outside the key's class, raises ``InvalidDiagramError``.
     """
     for vi, slots in enumerate(g.vertices):
         if len(slots) == 0:
             raise InvalidDiagramError(f"vertex {vi} is isolated; cabling undefined")
-
-    segments_static: list[tuple[tuple, tuple, tuple[str, ...]]] = []
-
-    def jn(arc: int, end: int, sub: int) -> tuple:
-        return ("j", arc, end, sub)
-
-    def an(ci: int, grid: str, side: str) -> tuple:
-        return ("a", ci, grid, side)
-
-    # the occurrence (0 or 1) of each slot's arc is the low bit of its end id
-    vertex_ids, crossing_ids = g.end_ids()
-
-    # vertex polygons
-    for slots, ids in zip(g.vertices, vertex_ids):
-        k = len(slots)
-        slot_ends = [(a, eid & 1) for a, eid in zip(slots, ids)]
-        for i in range(k):
-            a1, e1 = slot_ends[i]
-            a2, e2 = slot_ends[(i + 1) % k]
-            segments_static.append((jn(a1, e1, 1), jn(a2, e2, 0), ()))
-
-    # crossing grids: four sub-crossings per crossing, vertical (over) cable
-    # at slots 2 and 4 of each
-    grid_crossings: list[tuple[tuple, tuple, tuple, tuple]] = []
-    for ci, (slots, ids) in enumerate(zip(g.crossings, crossing_ids)):
-        (a0, e0), (a1, e1), (a2, e2), (a3, e3) = [(a, eid & 1) for a, eid in zip(slots, ids)]
-        segments_static += [
-            (jn(a0, e0, 0), an(ci, "NW", "W"), ()),
-            (an(ci, "NW", "E"), an(ci, "NE", "W"), ()),
-            (an(ci, "NE", "E"), jn(a2, e2, 1), ()),
-            (jn(a0, e0, 1), an(ci, "SW", "W"), ()),
-            (an(ci, "SW", "E"), an(ci, "SE", "W"), ()),
-            (an(ci, "SE", "E"), jn(a2, e2, 0), ()),
-            (jn(a1, e1, 0), an(ci, "SW", "S"), ()),
-            (an(ci, "SW", "N"), an(ci, "NW", "S"), ()),
-            (an(ci, "NW", "N"), jn(a3, e3, 1), ()),
-            (jn(a1, e1, 1), an(ci, "SE", "S"), ()),
-            (an(ci, "SE", "N"), an(ci, "NE", "S"), ()),
-            (an(ci, "NE", "N"), jn(a3, e3, 0), ()),
-        ]
-        for grid in ("NW", "NE", "SW", "SE"):
-            grid_crossings.append(tuple(an(ci, grid, side) for side in _GRID_SIDES))
-
+    labels = sorted(g.arc_ends())
+    index = {a: i for i, a in enumerate(labels)}
     classes = g.edge_classes()
-    n_classes = len(classes) + g.free_circles
+    turn_arcs = [index[a] for a in _turnback_arcs(classes, insertion)]
 
+    # Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
+    # with end id e (from end_ids()) is 2e + s, so arc i owns the four
+    # junctions 4i..4i+3, and a straight strand joins n to n ^ 3, a
+    # turnback n to n ^ 1.  Above them, crossing ci has the 16 anchors
+    # n_junctions + 16ci + 4grid + side, grids ordered NW, NE, SW, SE and
+    # sides W, S, E, N: each run of 4 anchors is one cable crossing's slots.
+    n_junctions = 4 * len(labels)
+    vertex_ids, crossing_ids = g.end_ids()
+    static: list[tuple[int, int]] = []  # vertex polygons and crossing grids
+    for ids in vertex_ids:
+        k = len(ids)
+        for i in range(k):
+            static.append((2 * ids[i] + 1, 2 * ids[(i + 1) % k]))
+    for ci, (e0, e1, e2, e3) in enumerate(crossing_ids):
+        # vertical (over) cable at slots 2 and 4 of each grid crossing
+        nw, ne, sw, se = (n_junctions + 16 * ci + 4 * grid for grid in range(4))
+        static += [
+            (2 * e0, nw), (nw + 2, ne), (ne + 2, 2 * e2 + 1),
+            (2 * e0 + 1, sw), (sw + 2, se), (se + 2, 2 * e2),
+            (2 * e1, sw + 1), (sw + 3, nw + 1), (nw + 3, 2 * e3 + 1),
+            (2 * e1 + 1, se + 1), (se + 3, ne + 1), (ne + 3, 2 * e3),
+        ]
+    n_nodes = n_junctions + 16 * len(crossing_ids)
+    partner = [0] * n_nodes  # the other end of the node's static segment
+    seg_of = [0] * n_nodes  # index of the node's static segment
+    for sid, (u, v) in enumerate(static):
+        partner[u], partner[v] = v, u
+        seg_of[u] = seg_of[v] = sid
+    # chains are numbered by their first anchor in order of appearance
+    anchors = [n for seg in static for n in seg if n >= n_junctions]
+    straight = [n ^ 3 for n in range(n_junctions)]
+    # winding added when a straight strand is left at junction n: the
+    # arc's word sum from end 0, its negation from end 1; a turnback
+    # strand reads w + reverse(w) and adds nothing.  A plane diagram winds
+    # nowhere and skips the sums: on the plain 3x3 grid, whose 4096 terms
+    # are all circles, summing zeros cost 8-14% of the cable workload's
+    # throughput in three paired runs
+    winds = None
+    if g.has_rays():
+        winds = []
+        for a in labels:
+            w1 = w2 = 0
+            for t in g.ray_word(a):
+                d1, d2 = _TOKEN_WINDING[t]
+                w1 += d1
+                w2 += d2
+            winds += [(w1, w2), (w1, w2), (-w1, -w2), (-w1, -w2)]
+
+    n_classes = len(classes) + g.free_circles
+    coeffs = [ONE]
+    for _ in range(n_classes):
+        coeffs.append(coeffs[-1] * _NEG_DINV)
     terms: list[CabledTerm] = []
     for mask in range(1 << n_classes):
-        segs = list(segments_static)
-        coeff = ONE
-        extra_cycles: list[tuple[int, int]] = []
-        for bit, cls in enumerate(classes):
-            root = cls[0]
-            turn = (mask >> bit) & 1
-            if turn:
-                coeff = coeff * _NEG_DINV
-                arc_t, split = (insertion or {}).get(root, (root, 0))
-                if arc_t not in cls:
-                    raise InvalidDiagramError(
-                        f"turnback arc {arc_t} not in edge class of {root}"
-                    )
-            else:
-                arc_t, split = -1, 0
-            for a in cls:
-                w = g.ray_word(a)
-                if turn and a == arc_t:
-                    split = max(0, min(split, len(w)))
-                    near = w[:split] + reversed_ray_word(w[:split])
-                    far = reversed_ray_word(w[split:]) + w[split:]
-                    segs.append((jn(a, 0, 0), jn(a, 0, 1), near))
-                    segs.append((jn(a, 1, 0), jn(a, 1, 1), far))
-                else:
-                    segs.append((jn(a, 0, 0), jn(a, 1, 1), w))
-                    segs.append((jn(a, 0, 1), jn(a, 1, 0), w))
-        for fc in range(g.free_circles):
-            if (mask >> (len(classes) + fc)) & 1:
-                coeff = coeff * _NEG_DINV
-                extra_cycles.append((0, 0))
-            else:
-                extra_cycles.extend([(0, 0), (0, 0)])
-        diagram, windings = _assemble(segs, grid_crossings, extra_cycles)
-        terms.append(CabledTerm(coeff, diagram, windings))
+        mate = straight[:]
+        for bit, i in enumerate(turn_arcs):
+            if mask >> bit & 1:
+                n = 4 * i
+                mate[n], mate[n + 1], mate[n + 2], mate[n + 3] = n + 1, n, n + 3, n + 2
+        used = [False] * len(static)
+        chain = [0] * (n_nodes - n_junctions)
+        n_chains = 0
+        # open chains run anchor to anchor and become arcs of the cabled diagram
+        for start in anchors:
+            if used[seg_of[start]]:
+                continue
+            used[seg_of[start]] = True
+            n = partner[start]
+            while n < n_junctions:
+                m = mate[n]
+                used[seg_of[m]] = True
+                n = partner[m]
+            chain[start - n_junctions] = chain[n - n_junctions] = n_chains
+            n_chains += 1
+        # a free circle cables to two circles, or to one under its turnback
+        turned = (mask >> len(classes)).bit_count()
+        windings = [(0, 0)] * (2 * g.free_circles - turned)
+        # closed chains are circles, each walked u to v from its first static segment
+        for sid, (_u, n) in enumerate(static):
+            if used[sid]:
+                continue
+            used[sid] = True
+            w1 = w2 = 0
+            while True:
+                m = mate[n]
+                if winds is not None and m ^ n == 3:
+                    d1, d2 = winds[n]
+                    w1 += d1
+                    w2 += d2
+                s = seg_of[m]
+                if used[s]:
+                    break
+                used[s] = True
+                n = partner[m]
+            windings.append((w1, w2))
+        crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
+        diagram = GraphDiagram([], crossings, len(windings))
+        terms.append(CabledTerm(coeffs[mask.bit_count()], diagram, tuple(windings)))
     return CabledExpansion(n_classes, tuple(terms))
 
 
-def _assemble(
-    segs: list[tuple[tuple, tuple, tuple[str, ...]]],
-    grid_crossings: list[tuple],
-    extra_cycles: list[tuple[int, int]],
-) -> tuple[GraphDiagram, tuple[tuple[int, int], ...]]:
-    incident: dict[tuple, list[int]] = {}
-    for sid, (u, v, _w) in enumerate(segs):
-        incident.setdefault(u, []).append(sid)
-        incident.setdefault(v, []).append(sid)
-    for node, ids in incident.items():
-        expect = 1 if node[0] == "a" else 2
-        if len(ids) != expect:
-            raise AssertionError(f"cable node {node} has degree {len(ids)}")
-
-    used = [False] * len(segs)
-    chain_at_anchor: dict[tuple, int] = {}
-    n_chains = 0
-    # open chains run anchor-to-anchor and become arcs of the cabled diagram
-    for start, ids in incident.items():
-        if start[0] != "a" or used[ids[0]]:
-            continue
-        sid = ids[0]
-        node = start
-        while True:
-            used[sid] = True
-            u, v, _w = segs[sid]
-            node = v if node == u else u
-            if node[0] == "a":
-                chain_at_anchor[start] = n_chains
-                chain_at_anchor[node] = n_chains
-                n_chains += 1
-                break
-            e1, e2 = incident[node]
-            sid = e2 if e1 == sid else e1
-    # closed chains are circles; sum signed words along the traversal
-    windings = list(extra_cycles)
-    for sid0 in range(len(segs)):
-        if used[sid0]:
-            continue
-        w1 = w2 = 0
-        sid = sid0
-        node = segs[sid][0]
-        while not used[sid]:
-            used[sid] = True
-            u, v, w = segs[sid]
-            s1, s2 = _word_sum(w)
-            if node == u:
-                w1 += s1
-                w2 += s2
-                node = v
-            else:
-                w1 -= s1
-                w2 -= s2
-                node = u
-            e1, e2 = incident[node]
-            sid = e2 if e1 == sid else e1
-        windings.append((w1, w2))
-
-    crossings = [
-        [chain_at_anchor[anchor] for anchor in grid] for grid in grid_crossings
-    ]
-    diagram = GraphDiagram([], crossings, len(windings))
-    return diagram, tuple(windings)
+def _turnback_arcs(
+    classes: list[list[int]], insertion: Mapping[int, int] | None
+) -> list[int]:
+    """The arc of each edge class that carries its turnback: the least arc
+    unless ``insertion`` moves it."""
+    class_of = {cls[0]: cls for cls in classes}
+    arcs = {root: root for root in class_of}
+    for root, arc in (insertion or {}).items():
+        if root not in class_of:
+            raise InvalidDiagramError(
+                f"insertion key {root} is not the least arc of an edge class"
+            )
+        if arc not in class_of[root]:
+            raise InvalidDiagramError(f"turnback arc {arc} not in edge class of {root}")
+        arcs[root] = arc
+    return [arcs[cls[0]] for cls in classes]
 
 
-def phi_plane(g: GraphDiagram) -> LocalizedElement:
-    """Cabled evaluation in the plane: weighted sum of Kauffman brackets."""
+def phi_plane(
+    g: GraphDiagram, insertion: Mapping[int, int] | None = None
+) -> LocalizedElement:
+    """Cabled evaluation in the plane: weighted sum of Kauffman brackets.
+
+    Crossingless terms are counted per (coefficient, circles); terms with
+    crossings add their brackets per coefficient.  Each coefficient then
+    multiplies its sum once.  ``insertion`` is passed to ``cable``.
+    """
     if g.has_rays():
         raise InvalidDiagramError("phi_plane needs a plane diagram (found ray words)")
+    counts: dict[tuple[LocalizedElement, int], int] = {}
+    sums: dict[LocalizedElement, LaurentPoly] = {}
+    zero = LaurentPoly.zero()
+    for term in cable(g, insertion).terms:
+        if term.diagram.crossings:
+            sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram)
+        else:
+            key = (term.coeff, term.diagram.free_circles)
+            counts[key] = counts.get(key, 0) + 1
+    for (coeff, circles), mult in counts.items():
+        sums[coeff] = sums.get(coeff, zero) + (D_LAURENT**circles).scale(mult)
     total = ZERO
-    for term in cable(g).terms:
-        total = total + term.coeff * LocalizedElement(bracket(term.diagram))
+    for coeff, value in sums.items():
+        total = total + coeff * LocalizedElement(value)
     return total
 
 
@@ -257,9 +250,7 @@ def classify_cycles(windings: tuple[tuple[int, int], ...]) -> MulticurveMonomial
     return MulticurveMonomial(a, b, c, contractible)
 
 
-def phi_punctured(
-    g: GraphDiagram, insertion: Mapping[int, tuple[int, int]] | None = None
-) -> PolyXYZ:
+def phi_punctured(g: GraphDiagram) -> PolyXYZ:
     """Cabled evaluation in the 2-holed disk (annulus diagrams included).
 
     Requires a flat diagram; circles of each expansion term are classified by
@@ -268,11 +259,12 @@ def phi_punctured(
     """
     if g.crossings:
         raise InvalidDiagramError("phi_punctured needs a flat diagram (crossings present)")
-    total = PolyXYZ()
-    for term in cable(g, insertion).terms:
+    counts: dict[tuple[LocalizedElement, int, int, int, int], int] = {}
+    for term in cable(g).terms:
         m = classify_cycles(term.cycle_windings)
-        coeff = term.coeff * D**m.contractible
-        total = total + PolyXYZ.monomial(
-            (m.x_power, m.y_power, m.z_power, 0), coeff
-        )
-    return total
+        key = (term.coeff, m.x_power, m.y_power, m.z_power, m.contractible)
+        counts[key] = counts.get(key, 0) + 1
+    return PolyXYZ(
+        ((x, y, z, 0), (coeff * D**contractible).scale(mult))
+        for (coeff, x, y, z, contractible), mult in counts.items()
+    )

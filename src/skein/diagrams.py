@@ -346,12 +346,6 @@ def disjoint_union(g1: GraphDiagram, g2: GraphDiagram) -> GraphDiagram:
     )
 
 
-def reversed_ray_word(word: tuple[str, ...]) -> tuple[str, ...]:
-    """The ray word of an arc read in the opposite direction."""
-    flip = {"1+": "1-", "1-": "1+", "2+": "2-", "2-": "2+"}
-    return tuple(flip[t] for t in reversed(word))
-
-
 def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiagram:
     """Replace crossing ``index`` of a plane diagram by a smoothing or a flat
     4-valent vertex.

@@ -3,6 +3,7 @@
 import pytest
 
 from skein import fixtures
+from skein.core import state_circle_counts
 from skein.diagrams import GraphDiagram, InvalidDiagramError, mirror, parse_diagram
 from skein.rings import (
     D_LAURENT,
@@ -27,6 +28,14 @@ def test_bracket_empty_and_circles():
     assert bracket(GraphDiagram()) == LaurentPoly.from_int(1)
     assert bracket(fixtures.load_diagram("circle")) == D_LAURENT
     assert bracket(fixtures.load_diagram("two_circles")) == D_LAURENT**2
+
+
+@pytest.mark.parametrize("name", ["circle", "two_circles", "empty"])
+def test_crossingless_bracket_matches_the_state_sum(name):
+    g = GraphDiagram() if name == "empty" else fixtures.load_diagram(name)
+    # the 2^0 walk has one state; every free circle adds a factor d
+    (circles,) = state_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+    assert bracket(g) == D_LAURENT ** (circles + g.free_circles)
 
 
 def test_bracket_hopf_link():

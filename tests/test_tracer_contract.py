@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from skein import fixtures
+from skein.cabling import phi_plane
 from skein.diagrams import parse_diagram
 from skein.tl import bracket
 from skein.yamada import yamada
@@ -73,3 +74,11 @@ def test_yamada_of_a_twisted_theta_makes_3_to_the_c_flat_evaluations(c):
         lines.append(f"X {ends_r[j]} {ends_r[j + 1]} {ends_l[j + 1]} {ends_l[j]}")
     tracer = _traced(yamada, parse_diagram("\n".join(lines)), memo={})
     assert tracer.calls["yamada.dc"] == 3**c
+
+
+def test_plane_cabling_of_k4_makes_one_cable_call_and_no_bracket_calls():
+    # every cabled term of a flat diagram is crossingless: counted, not bracketed
+    tracer = _traced(phi_plane, fixtures.load_diagram("k4"))
+    assert tracer.calls["cabling.cable"] == 1
+    assert tracer.counters["cabling.terms"] == 2**6
+    assert tracer.calls["tl.bracket"] == 0
