@@ -36,16 +36,33 @@ def _dense_ranks(signatures: list) -> list[int]:
     return [order[s] for s in signatures]
 
 
-def _refine(colors: list[int], nbr: list[list[int]]) -> list[int]:
-    while True:
+def _refine(colors: list[int], count: int, nbr: list[list[int]]) -> tuple[list[int], int]:
+    """Refine the dense ranks ``colors`` (``count`` of them) by neighbor
+    colors until stable; returns the stable ranks and their number.
+
+    A round ranks each vertex by (own color, sorted neighbor colors).  As
+    the own color comes first, a round that splits no cell reproduces the
+    ranks it started from, so refining stops as soon as the number of
+    colors stays the same, or reaches one per vertex.  A vertex alone in its
+    cell keeps its place in that order whatever its neighbors' colors, so
+    its signature is its color alone.
+    """
+    n = len(colors)
+    while count < n:
+        size = [0] * count
+        for c in colors:
+            size[c] += 1
+        get = colors.__getitem__
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in nbr[v])))
-            for v in range(len(colors))
+            (c, *sorted(map(get, nb))) if size[c] > 1 else (c,) for c, nb in zip(colors, nbr)
         ]
-        new = _dense_ranks(sigs)
-        if new == colors:
-            return colors
-        colors = new
+        distinct = set(sigs)
+        if len(distinct) == count:
+            break
+        rank = {sig: i for i, sig in enumerate(sorted(distinct))}
+        colors = list(map(rank.__getitem__, sigs))
+        count = len(distinct)
+    return colors, count
 
 
 def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
@@ -57,13 +74,14 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
     Supports at most CANON_KEY_LIMIT vertices and edges; larger inputs raise
     ValueError.
     """
-    if n > CANON_KEY_LIMIT or len(edges) > CANON_KEY_LIMIT:
+    m = len(edges)
+    if n > CANON_KEY_LIMIT or m > CANON_KEY_LIMIT:
         raise ValueError(
             f"canon_key supports at most {CANON_KEY_LIMIT} vertices and "
-            f"{CANON_KEY_LIMIT} edges, got {n} and {len(edges)}"
+            f"{CANON_KEY_LIMIT} edges, got {n} and {m}"
         )
     if n == 0:
-        return bytes([0, len(edges)])
+        return bytes([0, m])
     loops = [0] * n
     nbr: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -72,26 +90,12 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
         else:
             nbr[u].append(v)
             nbr[v].append(u)
-    init = [(len(nbr[v]) + loops[v], loops[v]) for v in range(n)]
-    colors = _refine(_dense_ranks(init), nbr)
+    init = _dense_ranks([(len(nbr[v]) + loops[v], loops[v]) for v in range(n)])
+    colors, count = _refine(init, max(init) + 1, nbr)
 
-    loop_counts = [lc // 2 for lc in loops]
-    best: list[bytes | None] = [None]
-
-    def encode(perm_color: list[int]) -> bytes:
-        pairs = sorted(
-            (
-                (perm_color[u], perm_color[v])
-                if perm_color[u] <= perm_color[v]
-                else (perm_color[v], perm_color[u])
-            )
-            for u, v in edges
-        )
-        out = bytearray([n, len(pairs)])
-        for a, b in pairs:
-            out.append(a)
-            out.append(b)
-        return bytes(out)
+    tails = [u for u, _ in edges]
+    heads = [v for _, v in edges]
+    best: list[int] | None = None
 
     def twin_reps(cell: list[int]) -> list[int]:
         # vertices swapped by an automorphism fixing everything else yield
@@ -111,28 +115,42 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
                 out.append(v)
         return out
 
-    def search(colors: list[int]) -> None:
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = -1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target < 0:
-            enc = encode(colors)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+    def search(colors: list[int], count: int) -> None:
+        nonlocal best
+        if count == n:
+            # a leaf: each edge as the int a * 256 + b of its relabeled ends
+            # a <= b, whose order is the order of the encoded byte pairs
+            get = colors.__getitem__
+            pairs = sorted(
+                [
+                    a << 8 | b if a <= b else b << 8 | a
+                    for a, b in zip(map(get, tails), map(get, heads))
+                ]
+            )
+            if best is None or pairs < best:
+                best = pairs
             return
+        # the first cell of more than one vertex: ranks are dense, so the
+        # sorted colors run 0, 1, ... up to the first repeat
+        ordered = sorted(colors)
+        target = next(c for i, c in enumerate(ordered) if ordered[i + 1] == c)
         cell = [v for v in range(n) if colors[v] == target]
+        shifted = [c + 1 for c in colors]
         for v in twin_reps(cell):
-            sigs = [(0 if u == v else 1, colors[u]) for u in range(n)]
-            search(_refine(_dense_ranks(sigs), nbr))
+            # individualize v: rank 0 for v, every other rank one up
+            individual = shifted.copy()
+            individual[v] = 0
+            search(*_refine(individual, count + 1, nbr))
 
-    search(colors)
-    assert best[0] is not None
-    return best[0]
+    search(colors, count)
+    # search refers to itself through its closure cell; unbinding it frees
+    # the cycle now, not at the next garbage collection
+    search = None
+    assert best is not None
+    key = 0
+    for pair in best:
+        key = key << 16 | pair
+    return bytes((n, m)) + key.to_bytes(2 * m, "big")
 
 
 def _check_slots(n_arcs: int, *slot_lists: Sequence[Sequence[int]]) -> None:

@@ -343,20 +343,31 @@ class LocalizedElement:
 
     # -- arithmetic ---------------------------------------------------------------
 
+    def _common_denominator(
+        self, other: "LocalizedElement"
+    ) -> tuple[LaurentPoly, LaurentPoly, int]:
+        """Both numerators over d^k, k the larger d_power: only the side with
+        the lower power is multiplied, by d to the difference."""
+        a, b = self.num, other.num
+        k = self.d_power
+        gap = other.d_power - k
+        if gap > 0:
+            a = a * D_LAURENT**gap
+            k = other.d_power
+        elif gap < 0:
+            b = b * D_LAURENT**-gap
+        return a, b, k
+
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        k = max(self.d_power, other.d_power)
-        a = self.num * D_LAURENT ** (k - self.d_power)
-        b = other.num * D_LAURENT ** (k - other.d_power)
+        a, b, k = self._common_denominator(other)
         return LocalizedElement(a + b, k)
 
     def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        k = max(self.d_power, other.d_power)
-        a = self.num * D_LAURENT ** (k - self.d_power)
-        b = other.num * D_LAURENT ** (k - other.d_power)
+        a, b, k = self._common_denominator(other)
         return LocalizedElement(a - b, k)
 
     def __neg__(self) -> "LocalizedElement":

@@ -4,8 +4,12 @@ Crossings are expanded by the three-term resolution (A^4, A^-4, -d) on
 arc-end ids (:func:`skein.core.resolution_states`), without building a
 diagram per state; the crossing-free residue depends only on the abstract
 multigraph and is evaluated by deletion-contraction with a memo table keyed
-on canonical multigraph forms.  The memo lives for one call unless the
-caller passes one in.  An independent subset state sum serves as the oracle:
+on canonical multigraph forms.  The flat value W(G) is an integer Laurent
+polynomial in d, so the recursion works on integer coefficient lists and
+:func:`flat_eval` converts its result to the coefficient ring once; the
+memo values are these integer d-polynomials, opaque to callers.  The memo
+lives for one call unless the caller passes one in.  An independent subset
+state sum serves as the oracle:
 
     W(G) = sum over F subset of E of (-1/d)^{|E-F|} * d^{beta(F) + c(F)}
 
@@ -15,6 +19,7 @@ with beta the first Betti number and c the component count of (V, F).
 from __future__ import annotations
 
 import warnings
+from operator import sub
 from typing import Callable, Sequence
 
 from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
@@ -25,8 +30,6 @@ from .diagrams import resolve_crossing  # noqa: F401
 from .rings import (
     CIRCLE_FACTOR,
     D,
-    D_INV,
-    LOOP_FACTOR,
     ZERO,
     LaurentPoly,
     LocalizedElement,
@@ -39,6 +42,79 @@ _NEG_D = -D
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
 
+#: an integer Laurent polynomial in d: (lowest exponent, coefficients from
+#: it upwards); zero has no coefficients
+DPoly = tuple[int, list[int]]
+
+_D_ZERO: DPoly = (0, [])
+
+
+def _times_d_minus_inverse(p: DPoly) -> DPoly:
+    """p * (d - 1/d); multiplied by d, the same coefficients give p * (d^2 - 1)."""
+    lo, c = p
+    if not c:
+        return p
+    pad = [0, 0]
+    return lo - 1, list(map(sub, pad + c, c + pad))
+
+
+def _minus_d_inverse_times(a: DPoly, b: DPoly) -> DPoly:
+    """a - b / d, for a = W(G/e) and b = W(G-e).
+
+    No end coefficient cancels, so none is trimmed: for a connected
+    bridgeless G, W(G) = d^(|V|-|E|) F(d^2) with F the flow polynomial,
+    whose degree is |E|-|V|+1 and whose constant term is nonzero.  So W(G)
+    and W(G/e) both run from d^(|V|-|E|) to d^(|E|-|V|+2), W(G-e) / d
+    ends two powers lower, and the lowest coefficients sum to W(G)'s own.
+    """
+    la, ca = a
+    lb, cb = b
+    lb -= 1
+    if not cb:
+        return a
+    lo = min(la, lb)
+    ha = la + len(ca)
+    hb = lb + len(cb)
+    hi = max(ha, hb)
+    return lo, list(
+        map(sub, [0] * (la - lo) + ca + [0] * (hi - ha), [0] * (lb - lo) + cb + [0] * (hi - hb))
+    )
+
+
+def _times(a: DPoly, b: DPoly) -> DPoly:
+    la, ca = a
+    lb, cb = b
+    if not ca or not cb:
+        return _D_ZERO
+    out = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            out[i + j] += x * y
+    return la + lb, out
+
+
+def _to_localized(p: DPoly) -> LocalizedElement:
+    """The ring element equal to p, by Horner's rule in d = -A^2 - A^-2.
+
+    The rule runs on a dense coefficient list in x = A^2: after k steps,
+    index i holds the coefficient of x^(i - k), and a step multiplies by
+    -(x + 1/x) and adds the next coefficient at x^0.
+    """
+    lo, c = p
+    if not c:
+        return ZERO
+    if lo > 0:
+        c = [0] * lo + c
+        lo = 0
+    acc = [c[-1]]
+    pad = [0, 0]
+    for k, x in enumerate(reversed(c[:-1]), 1):
+        acc = [-(a + b) for a, b in zip(pad + acc, acc + pad)]
+        acc[k] += x
+    top = len(acc) - 1  # the exponent of x at the last index
+    num = LaurentPoly({2 * i - top: a for i, a in enumerate(acc) if a})
+    return LocalizedElement(num, -lo)
+
 
 def _first_nonloop(edges: Sequence[tuple[int, int]]) -> int:
     for i, (u, v) in enumerate(edges):
@@ -47,23 +123,27 @@ def _first_nonloop(edges: Sequence[tuple[int, int]]) -> int:
     raise AssertionError("no non-loop edge")
 
 
-def _contract(n: int, edges: tuple[tuple[int, int], ...], idx: int) -> tuple[int, tuple]:
+def _contract(n: int, edges: Sequence[tuple[int, int]], idx: int) -> tuple[int, list]:
     u, v = edges[idx]  # u < v
+    label = [*range(v), u, *range(v, n - 1)]
     out = []
     for i, (a, b) in enumerate(edges):
         if i == idx:
             continue
-        a2 = u if a == v else (a if a < v else a - 1)
-        b2 = u if b == v else (b if b < v else b - 1)
-        out.append((a2, b2) if a2 <= b2 else (b2, a2))
-    return n - 1, tuple(sorted(out))
+        a = label[a]
+        b = label[b]
+        out.append((a, b) if a <= b else (b, a))
+    out.sort()
+    return n - 1, out
 
 
-def _delete(edges: tuple[tuple[int, int], ...], idx: int) -> tuple:
-    return tuple(e for i, e in enumerate(edges) if i != idx)
+def _delete(edges: Sequence[tuple[int, int]], idx: int) -> list:
+    out = list(edges)
+    del out[idx]
+    return out
 
 
-def _components(n: int, edges: tuple[tuple[int, int], ...]):
+def _components(n: int, edges: Sequence[tuple[int, int]]):
     """Split into connected components (relabeled densely) plus the count of
     isolated vertices."""
     count, root = components(n, edges)
@@ -75,96 +155,109 @@ def _components(n: int, edges: tuple[tuple[int, int], ...]):
         verts = sorted({x for e in comp_edges for x in e})
         remap = {v: i for i, v in enumerate(verts)}
         comps.append(
-            (len(verts), tuple(sorted((remap[u], remap[v]) for u, v in comp_edges)))
+            (len(verts), sorted((remap[u], remap[v]) for u, v in comp_edges))
         )
     return comps, count - len(groups)  # components without edges are isolated vertices
 
 
-def _has_bridge(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """Bridge detection in a loop-free multigraph (parallel edges never bridge)."""
+#: outcomes of :func:`_split_or_bridge`
+SPLITS, HAS_BRIDGE, BRIDGELESS = 0, 1, 2
+
+
+def _split_or_bridge(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """One lowlink depth-first search of a loop-free multigraph with edges.
+
+    Returns SPLITS when the graph is disconnected or has an isolated vertex,
+    HAS_BRIDGE when it is connected with a bridge (parallel edges never
+    bridge), and BRIDGELESS otherwise.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     disc = [-1] * n
     low = [0] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            node, in_edge, it = stack[-1]
-            advanced = False
-            for nxt, eid in it:
-                if eid == in_edge:
-                    continue
-                if disc[nxt] == -1:
-                    disc[nxt] = low[nxt] = timer
-                    timer += 1
-                    stack.append((nxt, eid, iter(adj[nxt])))
-                    advanced = True
-                    break
-                low[node] = min(low[node], disc[nxt])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pnode = stack[-1][0]
-                    low[pnode] = min(low[pnode], low[node])
-                    if low[node] > disc[pnode]:
-                        return True
-    return False
+    disc[0] = 0
+    timer = 1
+    bridge = False
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        node, in_edge, it = stack[-1]
+        for nxt, eid in it:
+            if eid == in_edge:
+                continue
+            seen = disc[nxt]
+            if seen < 0:
+                disc[nxt] = low[nxt] = timer
+                timer += 1
+                stack.append((nxt, eid, iter(adj[nxt])))
+                break
+            if seen < low[node]:
+                low[node] = seen
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+                elif low[node] > disc[parent]:
+                    bridge = True
+    if timer < n:
+        return SPLITS
+    return HAS_BRIDGE if bridge else BRIDGELESS
 
 
 def _w_eval(
     n: int,
-    edges: tuple[tuple[int, int], ...],
-    memo: dict[bytes, LocalizedElement],
+    edges: Sequence[tuple[int, int]],
+    memo: dict[bytes, DPoly],
     picker: EdgePicker,
-) -> LocalizedElement:
+) -> DPoly:
     key = canon_key(n, edges)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    loops = sum(1 for u, v in edges if u == v)
+    rest = [e for e in edges if e[0] != e[1]]
+    loops = len(edges) - len(rest)
     if loops:
-        rest = tuple(e for e in edges if e[0] != e[1])
-        val = LOOP_FACTOR**loops * _w_eval(n, rest, memo, picker)
+        val = _w_eval(n, rest, memo, picker)
+        for _ in range(loops):
+            val = _times_d_minus_inverse(val)
     elif not edges:
-        val = D**n
+        val = (n, [1])
     else:
-        comps, isolated = _components(n, edges)
-        if isolated or len(comps) > 1:
-            val = D**isolated
+        shape = _split_or_bridge(n, edges)
+        if shape == SPLITS:
+            comps, isolated = _components(n, edges)
+            val = (isolated, [1])
             for cn, ce in comps:
-                val = val * _w_eval(cn, ce, memo, picker)
-        elif _has_bridge(n, edges):
-            val = ZERO  # a cut edge kills the value
+                val = _times(val, _w_eval(cn, ce, memo, picker))
+        elif shape == HAS_BRIDGE:
+            val = _D_ZERO  # a cut edge kills the value
         else:
             idx = picker(edges)
             if edges[idx][0] == edges[idx][1]:
                 raise ValueError("edge picker chose a loop")
             n2, contracted = _contract(n, edges, idx)
             deleted = _delete(edges, idx)
-            val = _w_eval(n2, contracted, memo, picker) - D_INV * _w_eval(
-                n, deleted, memo, picker
-            )
+            val = _w_eval(n2, contracted, memo, picker)
+            val = _minus_d_inverse_times(val, _w_eval(n, deleted, memo, picker))
     memo[key] = val
     return val
 
 
 def flat_eval(
     state: FlatState,
-    memo: dict[bytes, LocalizedElement] | None = None,
+    memo: dict[bytes, DPoly] | None = None,
     edge_picker: EdgePicker | None = None,
 ) -> LocalizedElement:
     """Evaluate a crossing-free state by deletion-contraction.
 
     Loops are removed first (factor d - 1/d each); a non-loop edge e gives
     W(G) = W(G/e) - (1/d) W(G-e); k isolated vertices are worth d^k; each
-    free circle contributes a factor d^2 - 1.  States with more than
+    free circle contributes a factor d^2 - 1.  The recursion and ``memo``
+    hold W as integer Laurent polynomials in d, opaque to callers; the
+    result is converted to a LocalizedElement once.  States with more than
     CANON_KEY_LIMIT vertices or edges exceed the memo key encoding and raise
     InvalidDiagramError.  Without ``memo`` the call uses a fresh one.
     """
@@ -176,8 +269,11 @@ def flat_eval(
     if memo is None:
         memo = {}
     picker = edge_picker or _first_nonloop
-    w = _w_eval(state.num_vertices, state.edges, memo, picker)
-    return CIRCLE_FACTOR**state.circle_count * w if state.circle_count else w
+    lo, coeffs = _w_eval(state.num_vertices, state.edges, memo, picker)
+    for _ in range(state.circle_count):
+        lo, coeffs = _times_d_minus_inverse((lo, coeffs))
+        lo += 1
+    return _to_localized((lo, coeffs))
 
 
 def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:

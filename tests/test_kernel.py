@@ -1,9 +1,10 @@
-"""The kernels: canonical-form invariance, the key encoder's limits, and the
-two state-sum walks against union-find references and an independent
-circle-count reference."""
+"""The kernels: canonical-form invariance, keys byte for byte against the
+earlier ``canon_key``, the key encoder's limits, and the two state-sum walks
+against union-find references and an independent circle-count reference."""
 
 import gc
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from skein.core import CANON_KEY_LIMIT, backend_name
 from skein.diagrams import parse_diagram
 from skein.rings import D_LAURENT, LaurentPoly
 from skein.tl import bracket
+from skein.yamada import yamada
 
 
 def random_graph(rng, n_max=9, m_max=12):
@@ -32,6 +34,16 @@ def test_canon_key_is_isomorphism_invariant():
             tuple(sorted((perm[u], perm[v]))) for u, v in edges
         )
         assert core.canon_key(n, edges) == core.canon_key(n, permuted)
+    # relabeled and reordered: several components, loops, parallel edges,
+    # isolated vertices, and graphs with large automorphism groups
+    for n, edges in random_multigraphs(1203) + _symmetric_graphs():
+        key = core.canon_key(n, edges)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+            rng.shuffle(relabeled)
+            assert core.canon_key(n, relabeled) == key
 
 
 def test_canon_key_separates_nonisomorphic():
@@ -59,6 +71,169 @@ def test_canon_key_petersen_runs_fast():
     edges = tuple(sorted(tuple(sorted(e)) for e in edges))
     key = core.canon_key(10, edges)
     assert isinstance(key, bytes) and len(key) == 2 + 2 * 15
+
+
+def random_multigraph(rng):
+    """A seeded multigraph on at most 12 vertices: up to three components,
+    with loops, parallel edges and isolated vertices."""
+    n = rng.randint(1, 12)
+    verts = list(range(n))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+    edges = []
+    for block in (verts[i:j] for i, j in zip([0, *cuts], [*cuts, n])):
+        for _ in range(rng.randint(0, len(block) + 3)):
+            u, v = sorted((rng.choice(block), rng.choice(block)))  # u == v: a loop
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((u, v))
+    rng.shuffle(edges)
+    return n, edges[:16]
+
+
+def random_multigraphs(seed, count=500):
+    rng = random.Random(seed)
+    return [random_multigraph(rng) for _ in range(count)]
+
+
+def _reference_dense_ranks(signatures):
+    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [order[s] for s in signatures]
+
+
+def _reference_refine(colors, nbr):
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in nbr[v])))
+            for v in range(len(colors))
+        ]
+        new = _reference_dense_ranks(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _reference_canon_key(n, edges):
+    """``canon_key`` as it was before its refinement stopped early: a full
+    verification round per refinement and one byte append per pair."""
+    if n == 0:
+        return bytes([0, len(edges)])
+    loops = [0] * n
+    nbr = [[] for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            loops[u] += 2
+        else:
+            nbr[u].append(v)
+            nbr[v].append(u)
+    init = [(len(nbr[v]) + loops[v], loops[v]) for v in range(n)]
+    colors = _reference_refine(_reference_dense_ranks(init), nbr)
+    best = [None]
+
+    def encode(perm_color):
+        pairs = sorted(
+            (
+                (perm_color[u], perm_color[v])
+                if perm_color[u] <= perm_color[v]
+                else (perm_color[v], perm_color[u])
+            )
+            for u, v in edges
+        )
+        out = bytearray([n, len(pairs)])
+        for a, b in pairs:
+            out.append(a)
+            out.append(b)
+        return bytes(out)
+
+    def twin_reps(cell):
+        out = []
+        for v in cell:
+            matched = False
+            for u in out:
+                if loops[u] != loops[v]:
+                    continue
+                a = sorted(x for x in nbr[u] if x != v)
+                b = sorted(x for x in nbr[v] if x != u)
+                if a == b:
+                    matched = True
+                    break
+            if not matched:
+                out.append(v)
+        return out
+
+    def search(colors):
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = -1
+        for c in sorted(counts):
+            if counts[c] > 1:
+                target = c
+                break
+        if target < 0:
+            enc = encode(colors)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+            return
+        cell = [v for v in range(n) if colors[v] == target]
+        for v in twin_reps(cell):
+            sigs = [(0 if u == v else 1, colors[u]) for u in range(n)]
+            search(_reference_refine(_reference_dense_ranks(sigs), nbr))
+
+    search(colors)
+    search = None
+    return best[0]
+
+
+def _symmetric_graphs():
+    """Graphs whose refinement leaves large cells: cycles, complete graphs,
+    the Petersen graph, disjoint copies and bouquets."""
+    out = []
+    for k in range(2, 9):
+        cycle = [(i, (i + 1) % k) for i in range(k)]
+        out.append((k, cycle))
+        out.append((2 * k, cycle + [(u + k, v + k) for u, v in cycle]))
+        out.append((k, [(i, j) for i in range(k) for j in range(i + 1, k)]))
+        out.append((1, [(0, 0)] * k))
+    petersen = (
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    )
+    out.append((10, petersen))
+    return [(n, sorted(tuple(sorted(e)) for e in edges)) for n, edges in out]
+
+
+def _fixture_flat_graphs():
+    """Every multigraph whose key the Yamada evaluation of a fixture asks
+    for: the flat residues and the graphs of their deletion-contraction.
+    The Petersen diagram's 4302 keys are left out for time."""
+    yamada_module = sys.modules["skein.yamada"]
+    seen = []
+    real = yamada_module.canon_key
+
+    def record(n, edges):
+        seen.append((n, tuple(edges)))
+        return real(n, edges)
+
+    yamada_module.canon_key = record
+    try:
+        for name in fixtures.list_fixtures():
+            if name.endswith(".graph") and name != "petersen_diagram.graph":
+                g = fixtures.load_diagram(name)
+                if not g.has_rays():
+                    yamada(g, memo={})
+    finally:
+        yamada_module.canon_key = real
+    return seen
+
+
+def test_canon_key_bytes_match_the_reference():
+    graphs = random_multigraphs(1201) + _symmetric_graphs()
+    flat = _fixture_flat_graphs()
+    assert len(flat) > 150
+    for n, edges in graphs + flat:
+        assert core.canon_key(n, edges) == _reference_canon_key(n, edges), (n, edges)
 
 
 def _reference_circles(n_arcs, crossings, mask):
@@ -248,7 +423,7 @@ def test_torus_brackets_match_the_state_sum_by_mask():
 
 def test_kernels_leave_no_reference_cycles():
     # a cycle would keep the walk's state, the 2^c counts list with it,
-    # alive until the next collection
+    # alive until the next collection; canon_key's search recurses too
     g = _torus_2(8)
     theta = fixtures.load_diagram("theta")
     gc.collect()
@@ -260,6 +435,8 @@ def test_kernels_leave_no_reference_cycles():
         partial = core.resolution_states(len(g.arc_ends()), *g.end_ids())
         next(partial)
         del partial
+        for n, edges in _symmetric_graphs():
+            core.canon_key(n, edges)
         assert gc.collect() == 0
     finally:
         gc.enable()

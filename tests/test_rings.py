@@ -98,6 +98,34 @@ def test_ring_axioms_random():
         assert a - a == ZERO
 
 
+_LP_ONE_PLUS_D = D_LAURENT + LaurentPoly({0: 1})
+
+
+def test_sums_over_mixed_d_powers_match_fractions():
+    # only the operand with the lower d_power is raised; fractions of
+    # Laurent polynomials add independently of that
+    rng = random.Random(77)
+    cases = [(_random_elem(rng), _random_elem(rng)) for _ in range(60)]
+    # sums whose numerator takes a factor d, so the result drops a power
+    cases += [
+        (LocalizedElement(_LP_ONE_PLUS_D, 1), -D_INV),
+        (-D_INV, LocalizedElement(_LP_ONE_PLUS_D, 1)),
+        (LocalizedElement(D_LAURENT + lp({0: 1}), 2), LocalizedElement(lp({0: -1}), 2)),
+        (LOOP_FACTOR, D_INV),
+        (D, LOOP_FACTOR),
+    ]
+    mixed = 0
+    for a, b in cases:
+        mixed += a.d_power != b.d_power
+        fa, fb = RationalFunction.from_localized(a), RationalFunction.from_localized(b)
+        assert RationalFunction.from_localized(a + b) == fa + fb
+        assert RationalFunction.from_localized(a - b) == fa - fb
+        assert RationalFunction.from_localized(b - a) == fb - fa
+    assert mixed >= 40
+    assert LocalizedElement(_LP_ONE_PLUS_D, 1) - D_INV == ONE
+    assert (LOOP_FACTOR + D_INV) == D and (LOOP_FACTOR + D_INV).d_power == 0
+
+
 def test_to_gfp_examples():
     ten_a6 = LocalizedElement(lp({6: 10}))
     num, dp = ten_a6.to_gfp(5)

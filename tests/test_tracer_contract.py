@@ -82,3 +82,11 @@ def test_plane_cabling_of_k4_makes_one_cable_call_and_no_bracket_calls():
     assert tracer.calls["cabling.cable"] == 1
     assert tracer.counters["cabling.terms"] == 2**6
     assert tracer.calls["tl.bracket"] == 0
+
+
+def test_petersen_yamada_keeps_its_key_and_flat_evaluation_counts():
+    # the integer flat layer does the same work: one key per recursion
+    # node, one flat evaluation per resolution state
+    tracer = _traced(yamada, fixtures.load_diagram("petersen_diagram"), memo={})
+    assert tracer.calls["core.canon_key"] == 4302
+    assert tracer.calls["yamada.dc"] == 243

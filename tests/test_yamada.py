@@ -1,4 +1,5 @@
-"""Yamada evaluation: flat states, the subset-sum oracle, diagrams, moves."""
+"""Yamada evaluation: flat states, the subset-sum oracle, diagrams, moves, and
+the integer flat layer against the LocalizedElement recursion it replaced."""
 
 import itertools
 import random
@@ -28,7 +29,18 @@ from skein.rings import (
     LaurentPoly,
     LocalizedElement,
 )
-from skein.yamada import flat_eval, flat_eval_oracle, yamada
+from skein.core import canon_key, components
+from skein.yamada import (
+    BRIDGELESS,
+    HAS_BRIDGE,
+    SPLITS,
+    _first_nonloop,
+    _split_or_bridge,
+    flat_eval,
+    flat_eval_oracle,
+    yamada,
+)
+from test_kernel import random_multigraphs
 
 
 def d_poly(coeffs, d_power=0):
@@ -262,3 +274,178 @@ def test_petersen_memo_size_is_pinned():
     memo: dict = {}
     yamada(fixtures.load_diagram("petersen_diagram"), memo=memo)
     assert len(memo) == 3044
+
+
+# -- the integer flat layer against the LocalizedElement recursion -------------
+
+
+def _reference_contract(n, edges, idx):
+    u, v = edges[idx]
+    out = []
+    for i, (a, b) in enumerate(edges):
+        if i == idx:
+            continue
+        a2 = u if a == v else (a if a < v else a - 1)
+        b2 = u if b == v else (b if b < v else b - 1)
+        out.append((a2, b2) if a2 <= b2 else (b2, a2))
+    return n - 1, tuple(sorted(out))
+
+
+def _reference_components(n, edges):
+    count, root = components(n, edges)
+    groups = {}
+    for u, v in edges:
+        groups.setdefault(root[u], []).append((u, v))
+    comps = []
+    for _, comp_edges in sorted(groups.items()):
+        verts = sorted({x for e in comp_edges for x in e})
+        remap = {v: i for i, v in enumerate(verts)}
+        comps.append((len(verts), tuple(sorted((remap[u], remap[v]) for u, v in comp_edges))))
+    return comps, count - len(groups)
+
+
+def _reference_has_bridge(n, edges):
+    adj = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    disc = [-1] * n
+    low = [0] * n
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            node, in_edge, it = stack[-1]
+            advanced = False
+            for nxt, eid in it:
+                if eid == in_edge:
+                    continue
+                if disc[nxt] == -1:
+                    disc[nxt] = low[nxt] = timer
+                    timer += 1
+                    stack.append((nxt, eid, iter(adj[nxt])))
+                    advanced = True
+                    break
+                low[node] = min(low[node], disc[nxt])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pnode = stack[-1][0]
+                    low[pnode] = min(low[pnode], low[node])
+                    if low[node] > disc[pnode]:
+                        return True
+    return False
+
+
+def _reference_w_eval(n, edges, memo, picker):
+    """Deletion-contraction on LocalizedElement values, with a union-find
+    split and a separate bridge search, as flat_eval computed it before its
+    recursion moved to integer d-polynomials."""
+    key = canon_key(n, edges)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    loops = sum(1 for u, v in edges if u == v)
+    if loops:
+        rest = tuple(e for e in edges if e[0] != e[1])
+        val = LOOP_FACTOR**loops * _reference_w_eval(n, rest, memo, picker)
+    elif not edges:
+        val = D**n
+    else:
+        comps, isolated = _reference_components(n, edges)
+        if isolated or len(comps) > 1:
+            val = D**isolated
+            for cn, ce in comps:
+                val = val * _reference_w_eval(cn, ce, memo, picker)
+        elif _reference_has_bridge(n, edges):
+            val = ZERO
+        else:
+            idx = picker(edges)
+            n2, contracted = _reference_contract(n, edges, idx)
+            deleted = tuple(e for i, e in enumerate(edges) if i != idx)
+            val = _reference_w_eval(n2, contracted, memo, picker) - D_INV * _reference_w_eval(
+                n, deleted, memo, picker
+            )
+    memo[key] = val
+    return val
+
+
+def _reference_flat_eval(state, memo):
+    w = _reference_w_eval(state.num_vertices, state.edges, memo, _first_nonloop)
+    return CIRCLE_FACTOR**state.circle_count * w
+
+
+def _corpus_states(seed):
+    rng = random.Random(seed)
+    return [
+        FlatState.make(n, edges, rng.choice((0, 0, 1, 2)))
+        for n, edges in random_multigraphs(seed)
+    ]
+
+
+def test_flat_eval_matches_the_localized_recursion():
+    reference_memo = {}
+    memo = {}
+    states = _corpus_states(1301)
+    assert {s.circle_count for s in states} == {0, 1, 2}
+    for state in states:
+        expect = _reference_flat_eval(state, reference_memo)
+        # a fresh memo and one shared by the corpus
+        assert flat_eval(state, {}) == expect
+        assert flat_eval(state, memo) == expect
+    assert len(memo) == len(reference_memo)
+
+
+def test_flat_eval_matches_the_localized_recursion_under_a_random_picker():
+    rng = random.Random(1302)
+
+    def picker(edges):
+        return rng.choice([i for i, (u, v) in enumerate(edges) if u != v])
+
+    reference_memo = {}
+    for state in _corpus_states(1303):
+        expect = _reference_flat_eval(state, reference_memo)
+        assert flat_eval(state, {}, edge_picker=picker) == expect
+
+
+def _connected_pieces(graphs):
+    """Each graph without its loops, and each of its components."""
+    out = []
+    for n, edges in graphs:
+        plain = sorted((u, v) if u <= v else (v, u) for u, v in edges if u != v)
+        if plain:
+            out.append((n, plain))
+            out.extend(_reference_components(n, plain)[0])
+    return out
+
+
+def test_split_or_bridge_matches_components_and_bridge_search():
+    pieces = _connected_pieces(random_multigraphs(1304))
+    seen = set()
+    for n, edges in pieces:
+        comps, isolated = _reference_components(n, edges)
+        if isolated or len(comps) > 1:
+            expect = SPLITS
+        elif _reference_has_bridge(n, edges):
+            expect = HAS_BRIDGE
+        else:
+            expect = BRIDGELESS
+        assert _split_or_bridge(n, edges) == expect, (n, edges)
+        seen.add(expect)
+    assert seen == {SPLITS, HAS_BRIDGE, BRIDGELESS}
+
+
+def test_flat_eval_memoizes_integer_d_polynomials_with_nonzero_ends():
+    # deletion-contraction never trims: no end coefficient cancels
+    memo = {}
+    value = flat_eval(FlatState.make(2, [(0, 1)] * 3), memo)
+    assert value == d_poly({3: 1, 1: -3, -1: 2})
+    for state in _corpus_states(1305):
+        flat_eval(state, memo)
+    for lo, coeffs in memo.values():
+        assert all(isinstance(c, int) for c in coeffs)
+        assert not coeffs or (coeffs[0] and coeffs[-1])
