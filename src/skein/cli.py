@@ -20,7 +20,7 @@ from .diagrams import (
     InvalidDiagramError,
     parse_diagram,
 )
-from .polyio import PolyFormatError, parse_poly_document, serialize_poly_document
+from .polyio import PolyFormatError, parse_poly_document, poly_document, serialize_poly_document
 from .polyxyz import PolyXYZ, mono_str
 from .rings import LocalizedElement, RingError
 from .surfaces import PHI_T_PRINTED, derive_t_squared_relation
@@ -35,9 +35,7 @@ EXIT_INVALID = 2
 
 
 class _CliInputError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """An unreadable input file; exits with EXIT_INPUT."""
 
 
 def _read_text(spec: str) -> str:
@@ -45,10 +43,10 @@ def _read_text(spec: str) -> str:
         try:
             return fixtures.fixture_path(spec[len("fixture:"):]).read_text()
         except FileNotFoundError as exc:
-            raise _CliInputError(str(exc), EXIT_INPUT) from exc
+            raise _CliInputError(str(exc)) from exc
     path = Path(spec)
     if not path.is_file():
-        raise _CliInputError(f"no such file: {spec}", EXIT_INPUT)
+        raise _CliInputError(f"no such file: {spec}")
     return path.read_text()
 
 
@@ -56,14 +54,14 @@ def _load_diagram(spec: str) -> GraphDiagram:
     try:
         return parse_diagram(_read_text(spec))
     except DiagramParseError as exc:
-        raise _CliInputError(f"{spec}: {exc}", EXIT_INPUT) from exc
+        raise _CliInputError(f"{spec}: {exc}") from exc
 
 
 def _load_poly(spec: str) -> LocalizedElement:
     try:
         return parse_poly_document(_read_text(spec))
     except PolyFormatError as exc:
-        raise _CliInputError(f"{spec}: {exc}", EXIT_INPUT) from exc
+        raise _CliInputError(f"{spec}: {exc}") from exc
 
 
 def _print_localized(value: LocalizedElement, machine: bool, label: str) -> None:
@@ -79,51 +77,34 @@ def _print_localized(value: LocalizedElement, machine: bool, label: str) -> None
 
 
 def _poly_xyz_dict(p: PolyXYZ) -> dict:
-    return {
-        mono_str(m): {"terms": [[c, e] for e, c in coeff.num.items()],
-                      "d_power": coeff.d_power}
-        for m, coeff in p.items()
-    }
+    return {mono_str(m): poly_document(coeff) for m, coeff in p.items()}
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_yamada(args: argparse.Namespace) -> int:
-    g = _load_diagram(args.file)
-    try:
-        value = yamada(g)
-    except InvalidDiagramError as exc:
-        raise _CliInputError(str(exc), EXIT_INVALID) from exc
+    value = yamada(_load_diagram(args.file))
     _print_localized(value, args.output == "machine", "Y")
     return EXIT_OK
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    g = _load_diagram(args.file)
-    try:
-        value = bracket(g)
-    except InvalidDiagramError as exc:
-        raise _CliInputError(str(exc), EXIT_INVALID) from exc
+    value = bracket(_load_diagram(args.file))
     _print_localized(LocalizedElement(value), args.output == "machine", "bracket")
     return EXIT_OK
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     g = _load_diagram(args.file)
-    try:
-        if args.surface == "plane":
-            value = phi_plane(g)
-            _print_localized(value, args.output == "machine", "phi")
-            return EXIT_OK
-        if args.surface == "annulus" and any(
-            tok[0] == "2" for word in g.ray_words.values() for tok in word
-        ):
-            raise InvalidDiagramError("the annulus has one hole; ray tokens 2+/2- name a second")
-        poly = phi_punctured(g)
-    except InvalidDiagramError as exc:
-        raise _CliInputError(str(exc), EXIT_INVALID) from exc
-
+    if args.surface == "plane":
+        _print_localized(phi_plane(g), args.output == "machine", "phi")
+        return EXIT_OK
+    if args.surface == "annulus" and any(
+        tok[0] == "2" for word in g.ray_words.values() for tok in word
+    ):
+        raise InvalidDiagramError("the annulus has one hole; ray tokens 2+/2- name a second")
+    poly = phi_punctured(g)
     is_t_like = not poly.coeff((1, 1, 1, 0)).is_zero()
     delta = poly - PHI_T_PRINTED if is_t_like else None
     if args.output == "machine":
@@ -145,22 +126,16 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_symmetry(args: argparse.Namespace) -> int:
-    try:
-        mode = Mode(args.mode)
-        if args.poly:
-            yg = _load_poly(args.poly)
-        else:
-            yg = yamada(_load_diagram(args.diagram))
-        yquot = None
-        if args.quotient_poly:
-            yquot = _load_poly(args.quotient_poly)
-        elif args.quotient_diagram:
-            yquot = yamada(_load_diagram(args.quotient_diagram))
-        report = full_report(yg, yquot, args.p, mode)
-    except RingError as exc:
-        raise _CliInputError(str(exc), EXIT_INVALID) from exc
-    except InvalidDiagramError as exc:
-        raise _CliInputError(str(exc), EXIT_INVALID) from exc
+    if args.poly:
+        yg = _load_poly(args.poly)
+    else:
+        yg = yamada(_load_diagram(args.diagram))
+    yquot = None
+    if args.quotient_poly:
+        yquot = _load_poly(args.quotient_poly)
+    elif args.quotient_diagram:
+        yquot = yamada(_load_diagram(args.quotient_diagram))
+    report = full_report(yg, yquot, args.p, Mode(args.mode))
     if args.output == "machine":
         print(json.dumps(report.to_dict()))
         return EXIT_OK
@@ -253,10 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except DiagramParseError as exc:
+    except (_CliInputError, DiagramParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InvalidDiagramError, RingError) as exc:

@@ -43,9 +43,10 @@ def parse_poly_document(text: str) -> LocalizedElement:
     return LocalizedElement(LaurentPoly(pairs), d_power)
 
 
-def serialize_poly_document(elem: LocalizedElement, indent: int | None = None) -> str:
-    doc = {
-        "terms": [[c, e] for e, c in elem.num.items()],
-        "d_power": elem.d_power,
-    }
-    return json.dumps(doc, indent=indent)
+def poly_document(elem: LocalizedElement) -> dict:
+    """The document of ``elem`` as a JSON-ready dict."""
+    return {"terms": [[c, e] for e, c in elem.num.items()], "d_power": elem.d_power}
+
+
+def serialize_poly_document(elem: LocalizedElement) -> str:
+    return json.dumps(poly_document(elem))

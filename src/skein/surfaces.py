@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polyio import poly_document
 from .polyxyz import Monomial, PolyXYZ, mono_str
 from .rings import D_INV, ONE, LocalizedElement, ZERO
 
@@ -117,13 +118,7 @@ class RelationReport:
 
     def to_dict(self) -> dict:
         def enc(coeffs: dict[Monomial, LocalizedElement]) -> dict:
-            return {
-                mono_str(m): {
-                    "terms": [[c, e] for e, c in coeffs[m].num.items()],
-                    "d_power": coeffs[m].d_power,
-                }
-                for m in sorted(coeffs)
-            }
+            return {mono_str(m): poly_document(c) for m, c in sorted(coeffs.items())}
 
         return {
             "derived": enc(self.derived),

@@ -10,15 +10,18 @@ modulus polynomial, in one of two membership modes:
 * FOLDED: exponent folding modulo an A-power modulus on denominator-free
   inputs, the literal finite quotient-ring computation.
 
-Moduli stated as d^{2p} - d^2 and d^p - d are used in their localized forms
-d^{2p-2} - 1 and d^{p-1} - 1 (d is a unit).  A failed congruence means the
-symmetry is Obstructed; a passing one is only ever Inconclusive.
+The five criteria are the rows of ``CRITERIA``; ``full_report`` runs them
+all and the ``check_*`` functions run them one at a time.  Moduli stated as
+d^{2p} - d^2 and d^p - d are used in their localized forms d^{2p-2} - 1 and
+d^{p-1} - 1 (d is a unit).  A failed congruence means the symmetry is
+Obstructed; a passing one is only ever Inconclusive.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .rings import (
     D_LAURENT,
@@ -84,6 +87,32 @@ class ModulusKind:
             return GfpLaurent(p, {self.power: 1, 0: -1})
         poly = D_LAURENT**self.power - D_LAURENT**0
         return GfpLaurent.from_laurent(poly, p)
+
+
+class Criterion(NamedTuple):
+    """An order-p criterion: the value is compared, modulo (p, modulus), with
+    the quotient value's p-th power or else with its own A -> A^-1 image."""
+
+    test_id: str
+    name: str
+    printed: Callable[[int], str]  # the modulus as the theorem states it
+    modulus: Callable[[int], ModulusKind]
+    quotient_power: bool
+
+
+#: the five criteria, in report order
+CRITERIA: tuple[Criterion, ...] = (
+    Criterion("free-symmetry", "fixed-point-free order-p symmetry (quotient power)",
+              lambda p: f"d^{2 * p} - d^2", ModulusKind.free_symmetry, True),
+    Criterion("vertex-fixing", "vertex-fixing order-p symmetry (quotient power)",
+              lambda p: f"d^{p - 1} - 1", ModulusKind.vertex_fixing, True),
+    Criterion("palindrome", "order-p symmetry (palindromy in A)",
+              lambda p: f"A^{8 * p} - 1", ModulusKind.palindrome, False),
+    Criterion("periodicity-power", "p-periodicity (quotient power, earlier criterion)",
+              lambda p: f"d^{p} - d", ModulusKind.periodic_power, True),
+    Criterion("periodicity-palindrome", "p-periodicity (palindromy, earlier criterion)",
+              lambda p: f"A^{2 * p} - 1", ModulusKind.periodic_palindrome, False),
+)
 
 
 def _strip_unit_factors(f: GfpLaurent) -> GfpLaurent:
@@ -228,80 +257,27 @@ def full_report(
     p: int,
     mode: Mode = Mode.SATURATED,
 ) -> ObstructionReport:
-    """Run every applicable congruence test and collect the verdicts.
+    """Run every criterion of :data:`CRITERIA` and collect the verdicts.
 
     D-power moduli are always decided in SATURATED mode (FOLDED folding is
-    only defined for A-power moduli); the per-test mode is recorded.
+    only defined for A-power moduli); the per-test mode is recorded.  The
+    quotient-power criteria are Skipped without a quotient.
     """
     require_prime(p)
-    d_mode = Mode.SATURATED
+    pal_diff = yg - yg.invert_variable()
+    pow_diff = None if yquot is None else yg - yquot**p
     entries: list[TestOutcome] = []
-
-    def add(
-        test_id: str,
-        name: str,
-        printed: str,
-        modulus: ModulusKind,
-        run_mode: Mode,
-        diff: LocalizedElement | None,
-    ) -> None:
-        if diff is None:
-            entries.append(
-                TestOutcome(
-                    test_id, name, printed, modulus.localized_str(),
-                    run_mode.value, Verdict.SKIPPED, None,
-                )
-            )
-            return
-        verdict, witness = _run(diff, p, modulus, run_mode)
+    for c in CRITERIA:
+        modulus = c.modulus(p)
+        run_mode = mode if modulus.base == "A" else Mode.SATURATED
+        diff = pow_diff if c.quotient_power else pal_diff
+        verdict, witness = (
+            (Verdict.SKIPPED, None) if diff is None else _run(diff, p, modulus, run_mode)
+        )
         entries.append(
             TestOutcome(
-                test_id, name, printed, modulus.localized_str(),
+                c.test_id, c.name, c.printed(p), modulus.localized_str(),
                 run_mode.value, verdict, witness,
             )
         )
-
-    pal_diff = yg - yg.invert_variable()
-    pow_diff = None if yquot is None else yg - yquot**p
-
-    add(
-        "free-symmetry",
-        "fixed-point-free order-p symmetry (quotient power)",
-        f"d^{2 * p} - d^2",
-        ModulusKind.free_symmetry(p),
-        d_mode,
-        pow_diff,
-    )
-    add(
-        "vertex-fixing",
-        "vertex-fixing order-p symmetry (quotient power)",
-        f"d^{p - 1} - 1",
-        ModulusKind.vertex_fixing(p),
-        d_mode,
-        pow_diff,
-    )
-    add(
-        "palindrome",
-        "order-p symmetry (palindromy in A)",
-        f"A^{8 * p} - 1",
-        ModulusKind.palindrome(p),
-        mode,
-        pal_diff,
-    )
-    add(
-        "periodicity-power",
-        "p-periodicity (quotient power, earlier criterion)",
-        f"d^{p} - d",
-        ModulusKind.periodic_power(p),
-        d_mode,
-        pow_diff,
-    )
-    add(
-        "periodicity-palindrome",
-        "p-periodicity (palindromy, earlier criterion)",
-        f"A^{2 * p} - 1",
-        ModulusKind.periodic_palindrome(p),
-        mode,
-        pal_diff,
-    )
     return ObstructionReport(p, mode.value, tuple(entries))

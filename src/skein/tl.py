@@ -156,7 +156,7 @@ def all_pairings(n: int) -> tuple[PlanarPairing, ...]:
 
 class TangleElement:
     """A formal linear combination of planar pairings with rational-function
-    coefficients."""
+    coefficients.  The constructor sums repeated pairings and drops zeros."""
 
     __slots__ = ("n", "_terms")
 
@@ -210,15 +210,7 @@ class TangleElement:
             return NotImplemented
         if self.n != other.n:
             raise RingError("strand-count mismatch")
-        acc = dict(self._terms)
-        for pairing, c in other._terms.items():
-            prev = acc.get(pairing)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                acc.pop(pairing, None)
-            else:
-                acc[pairing] = s
-        return TangleElement(self.n, acc)
+        return TangleElement(self.n, [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "TangleElement") -> "TangleElement":
         return self + (-other)
@@ -239,20 +231,15 @@ class TangleElement:
             return NotImplemented
         if self.n != other.n:
             raise RingError("strand-count mismatch")
-        acc: dict[PlanarPairing, RationalFunction] = {}
+        terms = []
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():
                 pairing, loops = _compose(p1, p2)
                 c = c1 * c2
                 if loops:
                     c = c * RationalFunction.from_laurent(D_LAURENT**loops)
-                prev = acc.get(pairing)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    acc.pop(pairing, None)
-                else:
-                    acc[pairing] = s
-        return TangleElement(self.n, acc)
+                terms.append((pairing, c))
+        return TangleElement(self.n, terms)
 
     def __eq__(self, other):
         if not isinstance(other, TangleElement):
@@ -273,55 +260,16 @@ def _compose(bottom: PlanarPairing, top: PlanarPairing) -> tuple[PlanarPairing, 
     """Glue bottom's top boundary to top's bottom boundary.
 
     Returns the resulting pairing on (bottom.bottom, top.top) and the number
-    of closed loops formed in the middle.  Edge-based traversal: nodes
-    0..n-1 are the result bottom, n..2n-1 the result top, 2n..3n-1 the glued
-    middle points; every middle node has exactly two incident strands.
+    of closed loops formed in the middle.  Points 0..n-1 are the result
+    bottom, n..2n-1 the result top and 2n..3n-1 the glued middle.  Each of
+    the n components holding boundary points is an arc of the result, and
+    its least point is one end of it; the other components are loops.
     """
     n = bottom.n
-    edges: list[tuple[int, int]] = []
-    incident: dict[int, list[int]] = {}
-
-    def add(u: int, v: int) -> None:
-        eid = len(edges)
-        edges.append((u, v))
-        incident.setdefault(u, []).append(eid)
-        incident.setdefault(v, []).append(eid)
-
-    for a, b in bottom.pairs:
-        add(a if a < n else 2 * n + (a - n), b if b < n else 2 * n + (b - n))
-    for a, b in top.pairs:
-        add(2 * n + a if a < n else n + (a - n), 2 * n + b if b < n else n + (b - n))
-
-    used = [False] * len(edges)
-    pairs: list[tuple[int, int]] = []
-    for start in range(2 * n):
-        eid = incident[start][0]
-        if used[eid]:
-            continue
-        node = start
-        while True:
-            used[eid] = True
-            u, v = edges[eid]
-            node = v if node == u else u
-            if node < 2 * n:
-                pairs.append((start, node))
-                break
-            e1, e2 = incident[node]
-            eid = e2 if e1 == eid else e1
-    loops = 0
-    for eid0 in range(len(edges)):
-        if used[eid0]:
-            continue
-        loops += 1
-        eid = eid0
-        node = edges[eid][0]
-        while not used[eid]:
-            used[eid] = True
-            u, v = edges[eid]
-            node = v if node == u else u
-            e1, e2 = incident[node]
-            eid = e2 if e1 == eid else e1
-    return PlanarPairing(n, pairs), loops
+    glued = [(a if a < n else a + n, b if b < n else b + n) for a, b in bottom.pairs]
+    glued += [(a + 2 * n if a < n else a, b + 2 * n if b < n else b) for a, b in top.pairs]
+    count, least = components(3 * n, glued)
+    return PlanarPairing(n, [(least[x], x) for x in range(2 * n) if least[x] != x]), count - n
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,23 @@ def test_cli_phi_pants_reports_delta():
     assert doc["value"]["x*y*z"]["terms"] == [[1, 0]]
 
 
+def test_cli_phi_machine_coefficients_parse_back():
+    from skein.cabling import phi_punctured
+    from skein.polyxyz import mono_str
+    from skein.surfaces import PHI_T_PRINTED
+
+    out = run_cli(
+        ["phi", "fixture:pants_t.graph", "--surface", "pants", "--output", "machine"]
+    )
+    doc = json.loads(out.stdout)
+    value = phi_punctured(fixtures.load_diagram("pants_t"))
+    for key, poly in (("value", value), ("delta_vs_printed_t_image", value - PHI_T_PRINTED)):
+        expected = {mono_str(m): c for m, c in poly.items()}
+        assert expected and list(doc[key]) == list(expected)
+        for name, coeff in doc[key].items():
+            assert parse_poly_document(json.dumps(coeff)) == expected[name]
+
+
 def test_cli_phi_annulus():
     out = run_cli(["phi", "fixture:annulus_core.graph", "--surface", "annulus"])
     assert out.returncode == 0

@@ -1,9 +1,11 @@
 """The t^2 relation derivation, its published comparison, and the inverse map."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from skein.polyio import parse_poly_document
 from skein.polyxyz import PolyXYZ, mono_str
 from skein.rings import D_INV, ONE, LocalizedElement
 from skein.surfaces import (
@@ -125,3 +127,13 @@ def test_printed_relation_has_thirteen_terms():
     printed = printed_t_squared_relation()
     assert len(printed) == 13
     assert {mono_str(m) for m in printed} >= {"1", "x", "y", "z", "t", "x*y*z"}
+
+
+def test_relation_report_coefficients_parse_back():
+    report = derive_t_squared_relation()
+    doc = report.to_dict()
+    for key, coeffs in (("derived", report.derived), ("printed", report.printed)):
+        expected = {mono_str(m): coeffs[m] for m in sorted(coeffs)}
+        assert list(doc[key]) == list(expected)
+        for name, coeff in doc[key].items():
+            assert parse_poly_document(json.dumps(coeff)) == expected[name]

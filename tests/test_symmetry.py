@@ -16,6 +16,7 @@ from skein.rings import (
     RingError,
 )
 from skein.symmetry import (
+    CRITERIA,
     Mode,
     ModulusKind,
     Verdict,
@@ -153,6 +154,75 @@ def test_full_report_petersen_p5():
     assert report.outcome("periodicity-palindrome").verdict is Verdict.OBSTRUCTED
     doc = report.to_dict()
     assert doc["prime"] == 5 and len(doc["tests"]) == 5
+
+
+def test_full_report_p5_names_the_moduli_in_order():
+    doc = full_report(PETERSEN, None, 5).to_dict()
+    assert [(t["test"], t["modulus"], t["modulus_localized"]) for t in doc["tests"]] == [
+        ("free-symmetry", "d^10 - d^2", "d^8 - 1"),
+        ("vertex-fixing", "d^4 - 1", "d^4 - 1"),
+        ("palindrome", "A^40 - 1", "A^40 - 1"),
+        ("periodicity-power", "d^5 - d", "d^4 - 1"),
+        ("periodicity-palindrome", "A^10 - 1", "A^10 - 1"),
+    ]
+    assert [c.test_id for c in CRITERIA] == [t["test"] for t in doc["tests"]]
+
+
+def _check_result(test_id, yg, yquot, p, mode):
+    """Verdict and witness of the check_* function behind ``test_id``.
+    check_periodic_link_style reports verdicts only: its witness is None."""
+    if test_id == "palindrome":
+        return check_palindrome(yg, p, mode)
+    if test_id == "periodicity-palindrome":
+        return check_periodic_link_style(yg, None, p, mode)[1], None
+    if yquot is None:
+        return Verdict.SKIPPED, None
+    if test_id == "periodicity-power":
+        return check_periodic_link_style(yg, yquot, p, mode)[0], None
+    check = {"free-symmetry": check_free_symmetry, "vertex-fixing": check_vertex_fixing}
+    return check[test_id](yg, yquot, p, mode)
+
+
+def _random_value(rng, d_power):
+    terms = {rng.randint(-12, 12): rng.randint(-5, 5) for _ in range(4)}
+    return LocalizedElement(LaurentPoly(terms), d_power)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_full_report_agrees_with_the_check_functions(p):
+    rng = random.Random(400 + p)
+    seen = set()
+    for trial in range(24):
+        yquot = None if trial % 4 == 0 else _random_value(rng, rng.randint(0, 1))
+        yg = _random_value(rng, trial % 3)  # d_power 1 and 2 keep a d denominator
+        if trial % 6 == 1:
+            yg = yg + yg.invert_variable()  # palindromic
+        elif trial % 6 == 5 and yquot is not None:
+            yg = yquot**p  # an exact quotient power
+        for mode in Mode:
+            try:
+                report = full_report(yg, yquot, p, mode)
+            except RingError:
+                # FOLDED is undefined on a difference with a d denominator
+                assert mode is Mode.FOLDED
+                with pytest.raises(RingError):
+                    check_palindrome(yg, p, mode)
+                with pytest.raises(RingError):
+                    check_periodic_link_style(yg, None, p, mode)
+                seen.add("undefined")
+                continue
+            for t in report.tests:
+                # D-power moduli are decided in SATURATED mode in either report
+                d_power = t.test_id in ("free-symmetry", "vertex-fixing", "periodicity-power")
+                assert t.mode_used == (Mode.SATURATED if d_power else mode).value
+                verdict, witness = _check_result(t.test_id, yg, yquot, p, Mode(t.mode_used))
+                assert t.verdict is verdict, (t.test_id, mode)
+                if witness is not None:
+                    assert t.witness == witness, (t.test_id, mode)
+                seen.add((mode, t.verdict))
+    assert "undefined" in seen
+    for mode in Mode:
+        assert {(mode, v) for v in Verdict} <= seen
 
 
 def test_full_report_with_quotient_runs_all():

@@ -16,6 +16,7 @@ from skein.rings import (
 from skein.tl import (
     PlanarPairing,
     TangleElement,
+    _compose,
     all_pairings,
     bracket,
     chebyshev_delta,
@@ -164,3 +165,78 @@ def test_bracket_warns_nothing_but_handles_disjoint_crossings():
     # two independent kinks next to a circle = (-A^3 d)^2 * d
     kink = LaurentPoly.monomial(-1, 3) * D_LAURENT
     assert bracket(g) == kink * kink * D_LAURENT
+
+
+def _reference_compose(bottom: PlanarPairing, top: PlanarPairing) -> tuple[PlanarPairing, int]:
+    """The incidence walk that ``_compose`` replaced: nodes 0..n-1 are the
+    result bottom, n..2n-1 the result top, 2n..3n-1 the glued middle points;
+    every middle node has exactly two incident strands."""
+    n = bottom.n
+    edges: list[tuple[int, int]] = []
+    incident: dict[int, list[int]] = {}
+
+    def add(u: int, v: int) -> None:
+        eid = len(edges)
+        edges.append((u, v))
+        incident.setdefault(u, []).append(eid)
+        incident.setdefault(v, []).append(eid)
+
+    for a, b in bottom.pairs:
+        add(a if a < n else 2 * n + (a - n), b if b < n else 2 * n + (b - n))
+    for a, b in top.pairs:
+        add(2 * n + a if a < n else n + (a - n), 2 * n + b if b < n else n + (b - n))
+
+    used = [False] * len(edges)
+    pairs: list[tuple[int, int]] = []
+    for start in range(2 * n):
+        eid = incident[start][0]
+        if used[eid]:
+            continue
+        node = start
+        while True:
+            used[eid] = True
+            u, v = edges[eid]
+            node = v if node == u else u
+            if node < 2 * n:
+                pairs.append((start, node))
+                break
+            e1, e2 = incident[node]
+            eid = e2 if e1 == eid else e1
+    loops = 0
+    for eid0 in range(len(edges)):
+        if used[eid0]:
+            continue
+        loops += 1
+        eid = eid0
+        node = edges[eid][0]
+        while not used[eid]:
+            used[eid] = True
+            u, v = edges[eid]
+            node = v if node == u else u
+            e1, e2 = incident[node]
+            eid = e2 if e1 == eid else e1
+    return PlanarPairing(n, pairs), loops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compose_matches_the_incidence_walk(n):
+    pairings = all_pairings(n)
+    for bottom in pairings:
+        for top in pairings:
+            assert _compose(bottom, top) == _reference_compose(bottom, top)
+
+
+def test_products_and_sums_match_the_termwise_merge():
+    u1 = TangleElement.generator(3, 1)
+    assert (u1 * (TangleElement.identity(3).scale(RF_D) - u1)).is_zero()  # U1 U1 = d U1
+    pairings = all_pairings(3)
+    x = TangleElement(3, [(q, RationalFunction.from_int(k - 2)) for k, q in enumerate(pairings)])
+    y = TangleElement(3, [(q, RationalFunction.from_int(1 - k)) for k, q in enumerate(pairings)])
+    acc: dict[PlanarPairing, RationalFunction] = {}
+    for p1, c1 in x.items():
+        for p2, c2 in y.items():
+            pairing, loops = _reference_compose(p1, p2)
+            c = c1 * c2 * RationalFunction.from_laurent(D_LAURENT**loops)
+            acc[pairing] = acc[pairing] + c if pairing in acc else c
+    assert dict((x * y).items()) == {q: c for q, c in acc.items() if not c.is_zero()}
+    assert (x + y) - y == x and (x - x).is_zero()
