@@ -12,18 +12,27 @@ Conventions: at every vertex or crossing slot the two cable ends of an arc
 are ordered counterclockwise ("first", "second"); along an arc the strand
 that is ccw-first at one end is ccw-second at the other.
 
-Cost: 2^|E| terms, one ``GraphDiagram`` each.  ``cable`` numbers the static
-part (vertex polygons and crossing grids) once per call on integer node
-ids; a term only re-pairs the four cable ends of each turnback arc and
-walks its chains and circles over int lists.  The evaluations count terms
-as integers per coefficient and circle class and touch the coefficient
-ring once per distinct key; only terms with crossings, which come from
-crossings of the input, call the bracket.
+Cost: 2^|E| terms.  ``cable`` numbers the static part (vertex polygons and
+crossing grids) once per call on integer node ids and joins the arcs that
+never carry a turnback straight once.  It then walks the projector choices
+depth first over one array of open strand ends, as the state sums of
+:mod:`skein.core` walk smoothings: a choice joins the four cable ends of its
+turnback arc and the way back undoes the joins, so a term costs O(1) joins
+plus its own output.  A join that closes a circle records the circle's
+least static segment and winding.  Terms without crossings that have equal
+windings share one diagram, built once per call; terms with crossings hold
+one diagram each, so memory grows as 2^|E| times the crossings of the
+input: ``cable(petersen_diagram)`` (2^15 terms of 80 cable crossings each)
+needs hundreds of MB.  The evaluations count terms as integers per
+coefficient and circle class and touch the coefficient ring once per
+distinct key; only terms with crossings, which come from crossings of the
+input, call the bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .diagrams import GraphDiagram, InvalidDiagramError
@@ -35,6 +44,20 @@ from .tl import bracket
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
+
+_second = itemgetter(1)
+
+
+def _pack(w1: int, w2: int) -> int:
+    """A winding as one int, so that windings add and negate as ints.
+    :func:`_unpack` inverts it while |w1| < 2^31; a circle winds at most
+    twice the number of ray tokens of the diagram."""
+    return w1 + (w2 << 32)
+
+
+def _unpack(w: int) -> tuple[int, int]:
+    w2 = (w + (1 << 31)) >> 32
+    return w - (w2 << 32), w2
 
 
 @dataclass(frozen=True)
@@ -65,7 +88,18 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
 
     Terms come in mask order: bit k of the mask picks the turnback on the
     k-th edge class (then on each free circle), and the term's coefficient
-    is (-1/d)^popcount(mask).
+    is (-1/d)^popcount(mask).  A term lists the windings of its circles,
+    first those of the free circles, then the others by least static
+    segment, each taken along that segment's u to v direction.
+
+    The terms are the leaves of one depth-first walk over the class bits,
+    the highest outermost and straight before turnback, so they come in
+    mask order.  Each open strand end holds its far end, its winding, its
+    least static segment and the direction in which it crosses it; a leaf
+    numbers the chains by first anchor from the far ends.  Terms without
+    crossings that have equal windings share one immutable diagram; terms
+    with crossings get one each (see the module docstring for the memory
+    this takes).
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -106,81 +140,117 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
             (2 * e1 + 1, se + 1), (se + 3, ne + 1), (ne + 3, 2 * e3),
         ]
     n_nodes = n_junctions + 16 * len(crossing_ids)
-    partner = [0] * n_nodes  # the other end of the node's static segment
-    seg_of = [0] * n_nodes  # index of the node's static segment
+
+    # The open strands, kept at their ends as in core.state_circle_counts:
+    # far[x] is the strand's other end, wind[x] its winding walked from x
+    # (packed, see _pack) and least[x] twice its least static segment, plus
+    # 1 when the walk from x crosses that segment from v to u.  So
+    # wind[far[x]] == -wind[x] and least[far[x]] == least[x] ^ 1, and a
+    # join keeps both.  At first every static segment is a strand.
+    far = [0] * n_nodes
+    wind = [0] * n_nodes
+    least = [0] * n_nodes
     for sid, (u, v) in enumerate(static):
-        partner[u], partner[v] = v, u
-        seg_of[u] = seg_of[v] = sid
-    # chains are numbered by their first anchor in order of appearance
-    anchors = [n for seg in static for n in seg if n >= n_junctions]
-    straight = [n ^ 3 for n in range(n_junctions)]
-    # winding added when a straight strand is left at junction n: the
-    # arc's word sum from end 0, its negation from end 1; a turnback
-    # strand reads w + reverse(w) and adds nothing.  A plane diagram winds
-    # nowhere and skips the sums: on the plain 3x3 grid, whose 4096 terms
-    # are all circles, summing zeros cost 8-14% of the cable workload's
-    # throughput in three paired runs
-    winds = None
-    if g.has_rays():
-        winds = []
-        for a in labels:
-            w1 = w2 = 0
-            for t in g.ray_word(a):
-                d1, d2 = _TOKEN_WINDING[t]
-                w1 += d1
-                w2 += d2
-            winds += [(w1, w2), (w1, w2), (-w1, -w2), (-w1, -w2)]
+        far[u], far[v] = v, u
+        least[u], least[v] = 2 * sid, 2 * sid + 1
+    # winding of a straight strand walked from end 0 to end 1 of its arc; a
+    # turnback strand reads w + reverse(w) and winds nowhere
+    arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in labels]
+    # (least static segment, winding u to v along it) of each closed circle
+    closed: list[tuple[int, tuple[int, int]]] = []
+
+    def join(p: int, q: int, w: int) -> None:
+        """Join the strands at ends p and q by a cable strand that winds w
+        from p to q."""
+        a = far[p]
+        if a == q:
+            w += wind[q]
+            closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
+            return
+        b = far[q]
+        far[a] = b
+        far[b] = a
+        w = wind[a] + w + wind[q]
+        wind[a] = w
+        wind[b] = -w
+        if least[a] < least[b]:
+            least[b] = least[a] ^ 1
+        else:
+            least[a] = least[b] ^ 1
+
+    def unjoin(p: int, q: int) -> None:
+        """Undo join(p, q, ...): p and q no longer end a strand, so they
+        still hold what their old far ends need back."""
+        a = far[p]
+        if a == q:
+            closed.pop()
+            return
+        b = far[q]
+        far[a] = p
+        far[b] = q
+        wind[a] = -wind[p]
+        wind[b] = -wind[q]
+        least[a] = least[p] ^ 1
+        least[b] = least[q] ^ 1
+
+    # arcs without a turnback are straight in every term
+    turned_arc = set(turn_arcs)
+    for i in range(len(labels)):
+        if i not in turned_arc:
+            n = 4 * i
+            join(n, n + 3, arc_wind[i])
+            join(n + 1, n + 2, arc_wind[i])
 
     n_classes = len(classes) + g.free_circles
     coeffs = [ONE]
     for _ in range(n_classes):
         coeffs.append(coeffs[-1] * _NEG_DINV)
+    # chains run anchor to anchor; they are numbered by first anchor
+    anchors = [n for seg in static for n in seg if n >= n_junctions]
+    shared: dict[tuple[tuple[int, int], ...], GraphDiagram] = {}
     terms: list[CabledTerm] = []
-    for mask in range(1 << n_classes):
-        mate = straight[:]
-        for bit, i in enumerate(turn_arcs):
-            if mask >> bit & 1:
-                n = 4 * i
-                mate[n], mate[n + 1], mate[n + 2], mate[n + 3] = n + 1, n, n + 3, n + 2
-        used = [False] * len(static)
-        chain = [0] * (n_nodes - n_junctions)
-        n_chains = 0
-        # open chains run anchor to anchor and become arcs of the cabled diagram
-        for start in anchors:
-            if used[seg_of[start]]:
-                continue
-            used[seg_of[start]] = True
-            n = partner[start]
-            while n < n_junctions:
-                m = mate[n]
-                used[seg_of[m]] = True
-                n = partner[m]
-            chain[start - n_junctions] = chain[n - n_junctions] = n_chains
-            n_chains += 1
-        # a free circle cables to two circles, or to one under its turnback
-        turned = (mask >> len(classes)).bit_count()
-        windings = [(0, 0)] * (2 * g.free_circles - turned)
-        # closed chains are circles, each walked u to v from its first static segment
-        for sid, (_u, n) in enumerate(static):
-            if used[sid]:
-                continue
-            used[sid] = True
-            w1 = w2 = 0
-            while True:
-                m = mate[n]
-                if winds is not None and m ^ n == 3:
-                    d1, d2 = winds[n]
-                    w1 += d1
-                    w2 += d2
-                s = seg_of[m]
-                if used[s]:
-                    break
-                used[s] = True
-                n = partner[m]
-            windings.append((w1, w2))
-        crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
-        diagram = GraphDiagram([], crossings, len(windings))
-        terms.append(CabledTerm(coeffs[mask.bit_count()], diagram, tuple(windings)))
+
+    def visit(bit: int, turned: int, free: int) -> None:
+        # ``free`` counts the circles the free circles have cabled to
+        if bit < 0:
+            windings = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
+            if anchors:
+                chain = [-1] * (n_nodes - n_junctions)
+                n_chains = 0
+                for x in anchors:
+                    if chain[x - n_junctions] < 0:
+                        chain[x - n_junctions] = chain[far[x] - n_junctions] = n_chains
+                        n_chains += 1
+                crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
+                diagram = GraphDiagram([], crossings, len(windings))
+            else:
+                diagram = shared.get(windings)
+                if diagram is None:
+                    diagram = shared[windings] = GraphDiagram([], [], len(windings))
+            terms.append(CabledTerm(coeffs[turned], diagram, windings))
+            return
+        if bit >= len(classes):
+            # a free circle cables to two circles, or to one under its turnback
+            visit(bit - 1, turned, free)
+            visit(bit - 1, turned + 1, free - 1)
+            return
+        n = 4 * turn_arcs[bit]
+        w = arc_wind[turn_arcs[bit]]
+        join(n, n + 3, w)
+        join(n + 1, n + 2, w)
+        visit(bit - 1, turned, free)
+        unjoin(n + 1, n + 2)
+        unjoin(n, n + 3)
+        join(n, n + 1, 0)
+        join(n + 2, n + 3, 0)
+        visit(bit - 1, turned + 1, free)
+        unjoin(n + 2, n + 3)
+        unjoin(n, n + 1)
+
+    visit(n_classes - 1, 0, 2 * g.free_circles)
+    # visit refers to itself through its closure cell; unbinding it frees
+    # the cycle now, not at the next garbage collection
+    visit = None
     return CabledExpansion(n_classes, tuple(terms))
 
 

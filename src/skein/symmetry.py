@@ -137,17 +137,19 @@ def ideal_member(
     """Decide membership of ``e`` in the ideal (p, modulus).
 
     Returns (member, witness): the witness is the reduced remainder, zero
-    exactly when the element is a member.
+    exactly when the element is a member.  FOLDED mode is defined only for
+    an A-power modulus and raises ``RingError`` for any other, whatever the
+    element, zero mod p included.
     """
     require_prime(p)
+    if mode is Mode.FOLDED and modulus.base != "A":
+        raise RingError("FOLDED mode requires an A-power modulus")
     num, d_power = e.to_gfp(p)
     if num.is_zero():
         return True, num
     if mode is Mode.FOLDED:
         if d_power:
             raise RingError("FOLDED mode requires a denominator-free element")
-        if modulus.base != "A":
-            raise RingError("FOLDED mode requires an A-power modulus")
         m = modulus.power
         folded = GfpLaurent(p, [(exp % m, c) for exp, c in num.items()])
         return folded.is_zero(), folded
@@ -243,7 +245,13 @@ def check_periodic_link_style(
 ) -> tuple[Verdict | None, Verdict]:
     """The earlier periodicity tests: quotient power modulo (p, d^p - d) and
     palindromy modulo (p, A^{2p} - 1).  The first requires a quotient input
-    and is reported as None (Skipped) without one."""
+    and is reported as None (Skipped) without one.
+
+    Both halves run in ``mode``.  The d^p - d half is undefined in FOLDED
+    mode, so with a quotient FOLDED raises ``RingError``; ``full_report``
+    decides that criterion in SATURATED mode.  Unlike the other ``check_*``
+    functions this one returns verdicts without witnesses.
+    """
     va = None
     if yquot is not None:
         va, _ = _run(yg - yquot**p, p, ModulusKind.periodic_power(p), mode)

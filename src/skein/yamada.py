@@ -326,10 +326,11 @@ def yamada(
 ) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
-    Evaluates the flat residue of each of the 3^c resolution states, sums
-    the values per (A-exponent, vertex resolutions) and multiplies each sum
-    by its weight A^e (-d)^v once.  The flat states share ``memo``, or a
-    fresh memo when none is given.
+    Evaluates the flat residue of each of the 3^c resolution states, counts
+    equal values per (A-exponent, vertex resolutions), sums each distinct
+    value times its count and multiplies each sum by its weight A^e (-d)^v
+    once.  The flat states share ``memo``, or a fresh memo when none is
+    given.
     """
     if g.has_rays():
         raise InvalidDiagramError("yamada is defined on plane diagrams (no ray words)")
@@ -341,11 +342,16 @@ def yamada(
     if memo is None:
         memo = {}
     vertex_ends, crossing_ends = g.end_ids()
-    sums: dict[tuple[int, int], LocalizedElement] = {}
+    counts: dict[tuple[int, int, LocalizedElement], int] = {}
     for a_exp, v, n, edges, circles in resolution_states(
         len(g.arc_ends()), vertex_ends, crossing_ends
     ):
         value = flat_eval(FlatState.make(n, edges, circles + g.free_circles), memo)
+        key = (a_exp, v, value)
+        counts[key] = counts.get(key, 0) + 1
+    sums: dict[tuple[int, int], LocalizedElement] = {}
+    for (a_exp, v, value), mult in counts.items():
+        value = value.scale(mult)
         key = (a_exp, v)
         sums[key] = sums[key] + value if key in sums else value
     total = ZERO

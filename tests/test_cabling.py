@@ -389,7 +389,30 @@ def test_cable_matches_the_reference_term_by_term(g):
         assert phi_punctured(g) == expect
 
 
-@pytest.mark.parametrize("g", [fixtures.load_diagram("pants_t"), parse_diagram(TWO_CROSSINGS)])
+def _with_seeded_rays(rng, g):
+    """``g`` with a seeded ray word on every arc, some of them empty."""
+    tokens = list(_TOKEN_WINDING)
+    words = {a: [rng.choice(tokens) for _ in range(rng.randrange(4))] for a in g.arc_labels()}
+    return GraphDiagram(g.vertices, g.crossings, ray_words=words)
+
+
+def _rayed_crossing_corpus():
+    """Seeded ray words, some empty, on every arc of diagrams with crossings."""
+    rng = random.Random(9)
+    corpus = [_with_seeded_rays(rng, parse_diagram(TWO_CROSSINGS)) for _ in range(3)]
+    # a twisted K4 keeps a cycle of untwisted edges, so its circles can wind
+    for text, cs in (("V 1 2 3\nV 3 2 1\n", (1, 2, 3)),
+                     ("V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", (1, 2))):
+        for c in cs:
+            for _ in range(2):
+                corpus.append(_with_seeded_rays(rng, _twisted(rng, text, c)))
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fixtures.load_diagram("pants_t"), parse_diagram(TWO_CROSSINGS), *_rayed_crossing_corpus()],
+)
 def test_cable_matches_the_reference_at_every_insertion_point(g):
     # the reference also took a split along the arc's ray word; every split
     # gives the same terms, since a turnback strand reads w + reverse(w)
@@ -400,6 +423,37 @@ def test_cable_matches_the_reference_at_every_insertion_point(g):
                 _assert_same_terms(moved, _reference_cable(g, {cls[0]: (arc, split)}))
 
 
+def test_rayed_crossing_corpus_winds_where_the_walk_joins():
+    # ray words on arcs between two crossings and on arcs that never carry a
+    # turnback wind the strands the walk joins before and inside its choices;
+    # those strands end in chains, which list no winding, while the circles,
+    # closed through vertex polygons, must keep theirs
+    inner = straight = wound = 0
+    for g in _rayed_crossing_corpus():
+        ends = g.arc_ends()
+        for cls in g.edge_classes():
+            inner += any(g.ray_word(a) and all(pos[0] == "x" for pos in ends[a]) for a in cls)
+            straight += any(g.ray_word(a) for a in cls[1:])
+        wound += any(w != (0, 0) for t in cable(g).terms for w in t.cycle_windings)
+    assert inner and straight and wound
+
+
 def test_grid_plane_evaluation_equals_yamada():
     g = _grid(3, 3)
     assert phi_plane(g) == yamada(g, memo={})
+
+
+def test_crossingless_terms_share_one_diagram_per_winding_list():
+    g = _grid(3, 3)
+    expansion = cable(g)
+    assert len(expansion.terms) == 2**12
+    diagrams = {id(t.diagram) for t in expansion.terms}
+    assert len(diagrams) == len({t.cycle_windings for t in expansion.terms})
+    for mask, term in enumerate(expansion.terms):
+        assert term.diagram.free_circles == len(term.cycle_windings)
+        assert not term.diagram.crossings
+        assert term.coeff == NEG_DINV ** bin(mask).count("1")
+    # equal winding lists, one object
+    by_windings = {}
+    for term in expansion.terms:
+        assert by_windings.setdefault(term.cycle_windings, term.diagram) is term.diagram

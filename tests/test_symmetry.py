@@ -72,6 +72,24 @@ def test_folded_mode_preconditions():
         ideal_member(ONE, 4, ModulusKind.palindrome(2))
 
 
+def test_folded_mode_rejects_a_d_power_modulus_before_the_zero_shortcut():
+    # a difference that vanishes mod p is a member of any ideal, but FOLDED
+    # is undefined for a D-power modulus whatever the difference
+    yquot = CIRCLE_FACTOR
+    yg = yquot**3
+    for modulus in (ModulusKind.vertex_fixing(3), ModulusKind.free_symmetry(3)):
+        with pytest.raises(RingError):
+            ideal_member(yg - yg, 3, modulus, Mode.FOLDED)
+        with pytest.raises(RingError):
+            ideal_member(LocalizedElement.from_int(3), 3, modulus, Mode.FOLDED)
+    for check in (check_vertex_fixing, check_free_symmetry):
+        with pytest.raises(RingError):
+            check(yg, yquot, 3, Mode.FOLDED)
+        assert check(yg, yquot, 3, Mode.SATURATED)[0] is Verdict.INCONCLUSIVE
+    with pytest.raises(RingError):
+        check_periodic_link_style(yg, yquot, 3, Mode.FOLDED)
+
+
 def test_palindrome_petersen_both_modes():
     for mode in (Mode.FOLDED, Mode.SATURATED):
         verdict, witness = check_palindrome(PETERSEN, 5, mode)
