@@ -4,14 +4,16 @@ localized coefficient ring.
 x, y, z are the curves around hole 1, hole 2 and both holes of the twice
 punctured disk; t is the extra theta-shaped generator of the graph algebra.
 Monomials are exponent 4-tuples (i, j, k, eps); the data structure is the
-free commutative polynomial ring, with no skein reduction applied.
+free commutative polynomial ring, with no skein reduction applied.  Sums and
+products hand their terms to the constructor, which collects them;
+coefficient arithmetic, powers and printing come from :mod:`skein.rings`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .rings import ZERO, LocalizedElement
+from .rings import ONE, ZERO, LocalizedElement, power, signed_sum
 
 Monomial = tuple[int, int, int, int]
 
@@ -45,10 +47,6 @@ class PolyXYZ:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def zero() -> "PolyXYZ":
-        return PolyXYZ()
-
-    @staticmethod
     def constant(c: LocalizedElement) -> "PolyXYZ":
         return PolyXYZ({(0, 0, 0, 0): c})
 
@@ -58,8 +56,6 @@ class PolyXYZ:
 
     @staticmethod
     def gen(name: str) -> "PolyXYZ":
-        from .rings import ONE
-
         idx = _VARS.index(name)
         mono = tuple(1 if i == idx else 0 for i in range(4))
         return PolyXYZ({mono: ONE})
@@ -89,17 +85,7 @@ class PolyXYZ:
     def __add__(self, other: "PolyXYZ") -> "PolyXYZ":
         if not isinstance(other, PolyXYZ):
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            prev = acc.get(mono)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-        out = PolyXYZ.__new__(PolyXYZ)
-        out._terms = acc
-        return out
+        return PolyXYZ([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "PolyXYZ") -> "PolyXYZ":
         return self + (-other)
@@ -112,20 +98,11 @@ class PolyXYZ:
     def __mul__(self, other: "PolyXYZ") -> "PolyXYZ":
         if not isinstance(other, PolyXYZ):
             return NotImplemented
-        acc: dict[Monomial, LocalizedElement] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                c = c1 * c2
-                prev = acc.get(mono)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
-        out = PolyXYZ.__new__(PolyXYZ)
-        out._terms = acc
-        return out
+        return PolyXYZ(
+            ((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3]), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     def scale(self, c: LocalizedElement) -> "PolyXYZ":
         if c.is_zero():
@@ -135,18 +112,7 @@ class PolyXYZ:
         return out
 
     def __pow__(self, n: int) -> "PolyXYZ":
-        if n < 0:
-            raise ValueError("negative power")
-        from .rings import ONE
-
-        result = PolyXYZ.constant(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, PolyXYZ.constant(ONE))
 
     def substitute(self, images: Mapping[str, "PolyXYZ"]) -> "PolyXYZ":
         """Apply the ring homomorphism sending each variable to its image."""
@@ -174,35 +140,17 @@ class PolyXYZ:
         return f"PolyXYZ({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        out = ""
-        for mono in sorted(self._terms, key=lambda m: (sum(m), m), reverse=True):
-            c = self._terms[mono]
-            body = "*".join(
-                (v if e == 1 else f"{v}^{e}") for v, e in zip(_VARS, mono) if e
-            )
-            # integers render with a bare sign; compound coefficients in parens
-            as_int = None
-            if c.d_power == 0 and len(c.num) == 1 and c.num.coeff(0):
-                as_int = c.num.coeff(0)
-            if as_int is not None:
-                sign = "-" if as_int < 0 else "+"
-                mag = abs(as_int)
-                text = body if (mag == 1 and body) else (
-                    f"{mag}*{body}" if body else str(mag)
-                )
-            else:
-                d_form = c.d_form()
-                sign = "+"
-                text = f"({d_form if d_form is not None else c})"
-                if body:
-                    text = f"{text}*{body}"
-            if not out:
-                out = f"-{text}" if sign == "-" else text
-            else:
-                out += f" {sign} {text}"
-        return out
+        monos = sorted(self._terms, key=lambda m: (sum(m), m), reverse=True)
+        return signed_sum((_coeff_factor(self._terms[m]), mono_str(m)) for m in monos)
+
+
+def _coeff_factor(c: LocalizedElement) -> int | str:
+    """An integer coefficient as itself, any other in parentheses, in d-form
+    where it has one."""
+    if c.d_power == 0 and len(c.num) == 1 and c.num.coeff(0):
+        return c.num.coeff(0)
+    d_form = c.d_form()
+    return f"({c if d_form is None else d_form})"
 
 
 def mono_str(mono: Monomial) -> str:

@@ -9,18 +9,65 @@ The rings:
 * :class:`LocalizedElement` -- Z[A^{+-1}, d^-1] with d = -A^2 - A^-2, stored
   as a Laurent numerator over a minimal power of d.
 * :class:`GfpLaurent` -- (Z/p)[A^{+-1}] with division and gcd, used by the
-  congruence obstruction tests.
+  congruence obstruction tests.  It is a :class:`LaurentPoly` of residues
+  1..p-1: its ring operations are integer ones followed by reduction mod p,
+  a ring homomorphism, so every result is exact.
 * :class:`RationalFunction` -- reduced fractions of Laurent polynomials,
   needed only for Temperley-Lieb projector coefficients beyond the first.
+
+``LaurentPoly``'s sum, difference and product are the one hand-written
+sparse kernel; :func:`power` and :func:`signed_sum` serve every ring here
+and in :mod:`skein.polyxyz`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from math import gcd
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 
 class RingError(ValueError):
     """Raised for invalid ring operations (division by zero, composite p)."""
+
+
+_R = TypeVar("_R")
+
+
+def power(base: _R, n: int, one: _R) -> _R:
+    """``base**n`` for n >= 0 by repeated squaring; ``one`` is the ring's unit."""
+    if n < 0:
+        raise RingError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def signed_sum(terms: Iterable[tuple[int | str, str]]) -> str:
+    """Print (coefficient, monomial) pairs as a sum in the given order.
+
+    A coefficient is an integer, printed as its sign and magnitude, or an
+    already printed factor, which counts as positive.  Unit magnitudes and
+    the constant monomial ``"1"`` are left out of products; no terms print
+    as ``"0"``.
+    """
+    out = ""
+    for c, mono in terms:
+        neg = isinstance(c, int) and c < 0
+        mag = str(abs(c)) if isinstance(c, int) else c
+        text = mono if mag == "1" else mag if mono == "1" else f"{mag}*{mono}"
+        if not out:
+            out = f"-{text}" if neg else text
+        else:
+            out = f"{out} {'-' if neg else '+'} {text}"
+    return out or "0"
+
+
+def _power_str(var: str, e: int) -> str:
+    return "1" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +129,6 @@ class LaurentPoly:
         if not self._terms:
             raise RingError("zero polynomial has no exponent range")
         return max(self._terms)
-
-    def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, c)
-        return g
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -171,16 +210,7 @@ class LaurentPoly:
         return out
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise RingError("negative power of a Laurent polynomial")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, _LP_ONE)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit A^k."""
@@ -245,21 +275,8 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        terms = sorted(self._terms.items(), reverse=True)
+        return signed_sum((c, _power_str("A", e)) for e, c in terms)
 
 
 _LP_ZERO = LaurentPoly.__new__(LaurentPoly)
@@ -324,10 +341,6 @@ class LocalizedElement:
     @staticmethod
     def from_int(n: int) -> "LocalizedElement":
         return LocalizedElement(LaurentPoly.from_int(n))
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "LocalizedElement":
-        return LocalizedElement(p)
 
     @staticmethod
     def d_to_the(k: int) -> "LocalizedElement":
@@ -426,21 +439,8 @@ class LocalizedElement:
         ind = self.to_d_laurent()
         if ind is None:
             return None
-        if not ind:
-            return "0"
-        parts: list[str] = []
-        for e, c in sorted(ind.items(), reverse=True):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "d" if e == 1 else f"d^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        terms = sorted(ind.items(), reverse=True)
+        return signed_sum((c, _power_str("d", e)) for e, c in terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalizedElement):
@@ -480,7 +480,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all inputs below 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -513,24 +513,29 @@ def require_prime(p: int) -> int:
 
 
 class GfpLaurent:
-    """A Laurent polynomial with coefficients in GF(p), p prime."""
+    """A Laurent polynomial with coefficients in GF(p), p prime.
 
-    __slots__ = ("p", "_terms")
+    Stored as a :class:`LaurentPoly` of residues 1..p-1.  Arithmetic is the
+    integer arithmetic of those polynomials followed by reduction mod p;
+    results reuse the operands' p, so primality is checked only where a p
+    enters from outside.
+    """
+
+    __slots__ = ("p", "_poly")
 
     def __init__(self, p: int, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         require_prime(p)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for e, c in items:
-            c %= p
-            if c:
-                s = (acc.get(e, 0) + c) % p
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
+        self._set(p, LaurentPoly(terms))
+
+    def _set(self, p: int, poly: LaurentPoly) -> "GfpLaurent":
+        residues = {e: c % p for e, c in poly._terms.items()}
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_poly", LaurentPoly(residues))
+        return self
+
+    def _with(self, poly: LaurentPoly) -> "GfpLaurent":
+        """``poly`` reduced into this polynomial's field."""
+        return GfpLaurent.__new__(GfpLaurent)._set(self.p, poly)
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("GfpLaurent is immutable")
@@ -539,28 +544,26 @@ class GfpLaurent:
     def from_laurent(poly: LaurentPoly, p: int) -> "GfpLaurent":
         return GfpLaurent(p, poly._terms)
 
-    @staticmethod
-    def monomial(p: int, coeff: int, exp: int) -> "GfpLaurent":
-        return GfpLaurent(p, {exp: coeff})
-
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._poly.is_zero()
 
     def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
+        return self._poly.coeff(exp)
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items()))
+        return self._poly.items()
 
     def min_exp(self) -> int:
-        if not self._terms:
-            raise RingError("zero polynomial has no exponent range")
-        return min(self._terms)
+        return self._poly.min_exp()
 
     def max_exp(self) -> int:
-        if not self._terms:
-            raise RingError("zero polynomial has no exponent range")
-        return max(self._terms)
+        return self._poly.max_exp()
+
+    def __len__(self) -> int:
+        return len(self._poly)
+
+    def __bool__(self) -> bool:
+        return bool(self._poly)
 
     def _require_same_field(self, other: "GfpLaurent") -> None:
         if self.p != other.p:
@@ -568,80 +571,38 @@ class GfpLaurent:
 
     def __add__(self, other: "GfpLaurent") -> "GfpLaurent":
         self._require_same_field(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (acc.get(e, 0) + c) % self.p
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return GfpLaurent(self.p, acc)
+        return self._with(self._poly + other._poly)
 
     def __sub__(self, other: "GfpLaurent") -> "GfpLaurent":
         self._require_same_field(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (acc.get(e, 0) - c) % self.p
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return GfpLaurent(self.p, acc)
+        return self._with(self._poly - other._poly)
 
     def __neg__(self) -> "GfpLaurent":
-        return GfpLaurent(self.p, {e: -c for e, c in self._terms.items()})
+        return self._with(-self._poly)
 
     def __mul__(self, other: "GfpLaurent") -> "GfpLaurent":
         self._require_same_field(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = (acc.get(e, 0) + c1 * c2) % self.p
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return GfpLaurent(self.p, acc)
+        return self._with(self._poly * other._poly)
 
     def __pow__(self, n: int) -> "GfpLaurent":
-        if n < 0:
-            raise RingError("negative power of a GF(p) polynomial")
-        result = GfpLaurent(self.p, {0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self._with(_LP_ONE))
 
     def shifted(self, k: int) -> "GfpLaurent":
-        return GfpLaurent(self.p, {e + k: c for e, c in self._terms.items()})
+        return self._with(self._poly.shifted(k))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GfpLaurent):
             return NotImplemented
-        return self.p == other.p and self._terms == other._terms
+        return self.p == other.p and self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash((self.p, tuple(sorted(self._terms.items()))))
+        return hash((self.p, self._poly))
 
     def __repr__(self) -> str:
-        return f"GfpLaurent(p={self.p}, {self._terms})"
+        return f"GfpLaurent(p={self.p}, {self._poly})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*A" if c != 1 else "A")
-            else:
-                parts.append(f"{c}*A^{e}" if c != 1 else f"A^{e}")
-        return " + ".join(parts)
+        return str(self._poly)
 
 
 def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
@@ -655,14 +616,13 @@ def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
     if f.is_zero():
         raise RingError("division by the zero polynomial")
     if a.is_zero():
-        zero = GfpLaurent(a.p, {})
-        return zero, zero
+        return a, a
     p = a.p
     # lift negative exponents only; positive ranges stay put so that the
     # remainder is genuinely reduced below deg f
     sa, sf = min(a.min_exp(), 0), min(f.min_exp(), 0)
-    rem = {e - sa: c for e, c in a._terms.items()}
-    div = {e - sf: c for e, c in f._terms.items()}
+    rem = {e - sa: c for e, c in a._poly._terms.items()}
+    div = {e - sf: c for e, c in f._poly._terms.items()}
     df = max(div)
     inv_lead = pow(div[df], p - 2, p)
     quot: dict[int, int] = {}
@@ -677,25 +637,22 @@ def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
                 rem[k] = s
             elif k in rem:
                 del rem[k]
-    q = GfpLaurent(p, quot).shifted(sa - sf)
-    r = GfpLaurent(p, rem).shifted(sa)
-    return q, r
+    q = LaurentPoly(quot).shifted(sa - sf)
+    return a._with(q), a._with(LaurentPoly(rem).shifted(sa))
 
 
 def gfp_gcd(a: GfpLaurent, b: GfpLaurent) -> GfpLaurent:
     """Monic gcd in GF(p)[A], normalized to nonnegative exponents with a
     nonzero constant term (units A^k are divided out)."""
     a._require_same_field(b)
-    p = a.p
     x, y = a, b
     while not y.is_zero():
         _, r = gfp_divrem(x, y)
         x, y = y, r
     if x.is_zero():
         return x
-    x = x.shifted(-x.min_exp())
-    inv_lead = pow(x.coeff(x.max_exp()), p - 2, p)
-    return GfpLaurent(p, {e: c * inv_lead % p for e, c in x._terms.items()})
+    inv_lead = pow(x.coeff(x.max_exp()), a.p - 2, a.p)
+    return x._with(x._poly.shifted(-x.min_exp()).scale(inv_lead))
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +661,7 @@ def gfp_gcd(a: GfpLaurent, b: GfpLaurent) -> GfpLaurent:
 
 
 def _poly_primitive_part(terms: dict[int, int]) -> tuple[dict[int, int], int]:
-    from math import gcd
-
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
+    g = gcd(*terms.values())
     if g in (0, 1):
         return dict(terms), g or 1
     return {e: c // g for e, c in terms.items()}, g
@@ -737,8 +690,6 @@ def _poly_pseudo_rem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _poly_gcd_z(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Gcd of primitive integer polynomials via the primitive Euclidean scheme."""
-    from math import gcd as igcd
-
     if not a:
         out, _ = _poly_primitive_part(b)
     elif not b:
@@ -751,7 +702,7 @@ def _poly_gcd_z(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             r = _poly_pseudo_rem(x, y)
             x, y = y, r
         x, _ = _poly_primitive_part(x)
-        c = igcd(ca, cb)
+        c = gcd(ca, cb)
         out = {e: v * c for e, v in x.items()} if c != 1 else x
     if out and out[max(out)] < 0:
         out = {e: -c for e, c in out.items()}
@@ -788,13 +739,7 @@ class RationalFunction:
             assert num_poly is not None and den_poly is not None
             num_terms = dict(num_poly._terms)
             den_terms = dict(den_poly._terms)
-        from math import gcd as igcd
-
-        c = 0
-        for v in num_terms.values():
-            c = igcd(c, v)
-        for v in den_terms.values():
-            c = igcd(c, v)
+        c = gcd(*num_terms.values(), *den_terms.values())
         if c > 1:
             num_terms = {e: v // c for e, v in num_terms.items()}
             den_terms = {e: v // c for e, v in den_terms.items()}
@@ -867,14 +812,7 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inverse() ** (-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, RF_ONE)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -898,6 +836,5 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-RF_ZERO = RationalFunction.from_int(0)
 RF_ONE = RationalFunction.from_int(1)
 RF_D = RationalFunction.from_laurent(D_LAURENT)

@@ -179,7 +179,7 @@ class TestOutcome:
             "mode": self.mode_used,
             "verdict": self.verdict.value,
             "witness_terms": (
-                [[c, e] for e, c in self.witness.items()] if self.witness else []
+                [] if self.witness is None else [[c, e] for e, c in self.witness.items()]
             ),
         }
 

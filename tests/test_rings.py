@@ -206,6 +206,58 @@ def test_gfp_gcd_coprime_with_loop_power_modulus():
     assert g == GfpLaurent(3, {0: 1})
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_reduction_mod_p_is_a_ring_homomorphism(p):
+    # GfpLaurent computes in Z[A^{+-1}] and reduces; reducing first must agree
+    rng = random.Random(p)
+
+    def rand():
+        span = 3 * p
+        return LaurentPoly(
+            {rng.randint(-6, 6): rng.randint(-span, span) for _ in range(rng.randint(0, 5))}
+        )
+
+    def red(poly):
+        return GfpLaurent.from_laurent(poly, p)
+
+    for _ in range(40):
+        a, b = rand(), rand()
+        n, k = rng.randint(0, 5), rng.randint(-7, 7)
+        assert red(a + b) == red(a) + red(b)
+        assert red(a - b) == red(a) - red(b)
+        assert red(-a) == -red(a)
+        assert red(a * b) == red(a) * red(b)
+        assert red(a**n) == red(a) ** n
+        assert red(a.shifted(k)) == red(a).shifted(k)
+
+
+def test_zero_gfp_polynomial_is_falsy():
+    assert not GfpLaurent(5, {})
+    assert not GfpLaurent(5, {3: 10, -1: 5})
+    assert len(GfpLaurent(5, {3: 10})) == 0
+    one = GfpLaurent(5, {0: 6})
+    assert one and len(one) == 1
+    assert not (one - one) and len(one * one - one) == 0
+
+
+def test_gfp_results_reuse_the_checked_prime(monkeypatch):
+    import skein.rings as rings
+
+    a = GfpLaurent(7, {3: 2, -1: 4, 0: 1})
+    b = GfpLaurent(7, {1: 1, 0: 3})
+    calls = []
+    monkeypatch.setattr(rings, "is_prime", lambda n: calls.append(n) or True)
+    results = [a + b, a - b, -a, a * b, a**9, a.shifted(-4), gfp_gcd(a, b * b)]
+    results += gfp_divrem(a * a, b)
+    assert calls == []
+    assert all(r.p == 7 for r in results)
+    monkeypatch.undo()
+    with pytest.raises(RingError):
+        GfpLaurent(4, {0: 1})
+    with pytest.raises(RingError):
+        GfpLaurent.from_laurent(D_LAURENT, 9)
+
+
 def test_primality():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**31 - 1)

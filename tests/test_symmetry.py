@@ -279,3 +279,30 @@ def test_witness_reduction_matches_mode():
     verdict, witness = check_palindrome(PETERSEN, 5, Mode.FOLDED)
     assert verdict is Verdict.OBSTRUCTED
     assert all(0 <= e < 40 for e, _ in witness.items())
+
+
+def test_full_report_checks_its_prime_a_bounded_number_of_times(monkeypatch):
+    # GF(p) arithmetic reuses the checked p: the count no longer grows with
+    # the length of the division chains, which grows with p
+    import skein.rings as rings
+
+    calls = []
+    is_prime = rings.is_prime
+    monkeypatch.setattr(rings, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    counts = {}
+    for p in (3, 41):
+        calls.clear()
+        full_report(PETERSEN, PETERSEN, p)
+        counts[p] = len(calls)
+        assert set(calls) == {p}
+    assert counts[3] == counts[41] <= 21
+
+
+def test_zero_witnesses_are_falsy_and_print_no_terms():
+    report = full_report(CIRCLE_FACTOR, CIRCLE_FACTOR, 3)
+    for t in report.tests:
+        assert t.verdict is Verdict.INCONCLUSIVE
+        assert t.witness is not None and not t.witness
+    assert all(t["witness_terms"] == [] for t in report.to_dict()["tests"])
+    skipped = full_report(PETERSEN, None, 3).outcome("free-symmetry")
+    assert skipped.witness is None and skipped.to_dict()["witness_terms"] == []
