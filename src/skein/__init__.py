@@ -49,10 +49,6 @@ from .symmetry import (
     ModulusKind,
     ObstructionReport,
     Verdict,
-    check_free_symmetry,
-    check_palindrome,
-    check_periodic_link_style,
-    check_vertex_fixing,
     full_report,
     ideal_member,
 )
@@ -75,12 +71,10 @@ __all__ = [
     "MulticurveMonomial", "ONE", "ObstructionReport", "PlanarPairing",
     "PolyXYZ", "RationalFunction", "RelationReport", "Resolution", "RingError",
     "TangleElement", "Verdict", "ZERO", "all_pairings", "annulus_phi_powers",
-    "backend_name", "bracket", "cable", "check_free_symmetry",
-    "check_palindrome", "check_periodic_link_style", "check_vertex_fixing",
-    "derive_t_squared_relation", "disjoint_union", "flat_eval",
-    "flat_eval_oracle", "full_report", "gfp_divrem", "gfp_gcd", "ideal_member",
-    "is_prime", "jones_wenzl", "markov_trace", "mirror", "parse_diagram",
-    "parse_poly_document", "phi_plane", "phi_punctured", "resolve_crossing",
-    "serialize_diagram", "serialize_poly_document", "to_flat_state",
-    "verify_psi_phi", "yamada",
+    "backend_name", "bracket", "cable", "derive_t_squared_relation",
+    "disjoint_union", "flat_eval", "flat_eval_oracle", "full_report",
+    "gfp_divrem", "gfp_gcd", "ideal_member", "is_prime", "jones_wenzl",
+    "markov_trace", "mirror", "parse_diagram", "parse_poly_document",
+    "phi_plane", "phi_punctured", "resolve_crossing", "serialize_diagram",
+    "serialize_poly_document", "to_flat_state", "verify_psi_phi", "yamada",
 ]

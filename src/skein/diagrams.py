@@ -188,10 +188,6 @@ class GraphDiagram:
             if any(p[0] == "v" for a in cls for p in ends[a])
         )
 
-    def edge_excess(self) -> int:
-        """#edges - #vertices of the underlying abstract graph."""
-        return self.num_edges() - len(self.vertices)
-
     # -- equality ----------------------------------------------------------------
 
     def _norm_crossings(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -306,10 +302,7 @@ def serialize_diagram(g: GraphDiagram) -> str:
 
 def normalize_labels(g: GraphDiagram) -> GraphDiagram:
     """Relabel arcs densely by first appearance in scan order."""
-    mapping: dict[int, int] = {}
-    for _pos, a in g._slot_scan():
-        if a not in mapping:
-            mapping[a] = len(mapping)
+    mapping = {a: i for i, a in enumerate(g.arc_labels())}
     return GraphDiagram(
         [[mapping[a] for a in slots] for slots in g.vertices],
         [[mapping[a] for a in slots] for slots in g.crossings],

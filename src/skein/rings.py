@@ -624,11 +624,15 @@ def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
     rem = {e - sa: c for e, c in a._poly._terms.items()}
     div = {e - sf: c for e, c in f._poly._terms.items()}
     df = max(div)
-    inv_lead = pow(div[df], p - 2, p)
+    inv_lead = pow(div.pop(df), p - 2, p)
     quot: dict[int, int] = {}
-    while rem and max(rem) >= df:
-        dr = max(rem)
-        c = rem[dr] * inv_lead % p
+    # one pass down the remainder's degrees: each leading term is popped and
+    # cancelled against the divisor's lower terms
+    for dr in range(max(rem), df - 1, -1):
+        lead = rem.pop(dr, 0)
+        if not lead:
+            continue
+        c = lead * inv_lead % p
         quot[dr - df] = c
         for e, cd in div.items():
             k = e + dr - df
@@ -761,10 +765,6 @@ class RationalFunction:
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RationalFunction":
         return RationalFunction(p)
-
-    @staticmethod
-    def from_localized(x: LocalizedElement) -> "RationalFunction":
-        return RationalFunction(x.num, D_LAURENT**x.d_power)
 
     # -- queries ----------------------------------------------------------------
 

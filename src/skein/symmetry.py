@@ -10,11 +10,12 @@ modulus polynomial, in one of two membership modes:
 * FOLDED: exponent folding modulo an A-power modulus on denominator-free
   inputs, the literal finite quotient-ring computation.
 
-The five criteria are the rows of ``CRITERIA``; ``full_report`` runs them
-all and the ``check_*`` functions run them one at a time.  Moduli stated as
-d^{2p} - d^2 and d^p - d are used in their localized forms d^{2p-2} - 1 and
-d^{p-1} - 1 (d is a unit).  A failed congruence means the symmetry is
-Obstructed; a passing one is only ever Inconclusive.
+The five criteria are the rows of ``CRITERIA``, and ``full_report`` is the one
+entry point: it runs every row, and ``full_report(...).outcome(test_id)`` gives
+one criterion's verdict and witness.  Moduli stated as d^{2p} - d^2 and
+d^p - d are used in their localized forms d^{2p-2} - 1 and d^{p-1} - 1 (d is
+a unit).  A failed congruence means the symmetry is Obstructed; a passing one
+is only ever Inconclusive.
 """
 
 from __future__ import annotations
@@ -58,27 +59,6 @@ class ModulusKind:
         if self.power < 1:
             raise ValueError("power must be positive")
 
-    # constructor helpers for the five theorem moduli
-    @staticmethod
-    def free_symmetry(p: int) -> "ModulusKind":
-        return ModulusKind("D", 2 * p - 2)  # localized form of d^{2p} - d^2
-
-    @staticmethod
-    def vertex_fixing(p: int) -> "ModulusKind":
-        return ModulusKind("D", p - 1)
-
-    @staticmethod
-    def palindrome(p: int) -> "ModulusKind":
-        return ModulusKind("A", 8 * p)
-
-    @staticmethod
-    def periodic_power(p: int) -> "ModulusKind":
-        return ModulusKind("D", p - 1)  # localized form of d^p - d
-
-    @staticmethod
-    def periodic_palindrome(p: int) -> "ModulusKind":
-        return ModulusKind("A", 2 * p)
-
     def localized_str(self) -> str:
         return f"{'A' if self.base == 'A' else 'd'}^{self.power} - 1"
 
@@ -103,15 +83,15 @@ class Criterion(NamedTuple):
 #: the five criteria, in report order
 CRITERIA: tuple[Criterion, ...] = (
     Criterion("free-symmetry", "fixed-point-free order-p symmetry (quotient power)",
-              lambda p: f"d^{2 * p} - d^2", ModulusKind.free_symmetry, True),
+              lambda p: f"d^{2 * p} - d^2", lambda p: ModulusKind("D", 2 * p - 2), True),
     Criterion("vertex-fixing", "vertex-fixing order-p symmetry (quotient power)",
-              lambda p: f"d^{p - 1} - 1", ModulusKind.vertex_fixing, True),
+              lambda p: f"d^{p - 1} - 1", lambda p: ModulusKind("D", p - 1), True),
     Criterion("palindrome", "order-p symmetry (palindromy in A)",
-              lambda p: f"A^{8 * p} - 1", ModulusKind.palindrome, False),
+              lambda p: f"A^{8 * p} - 1", lambda p: ModulusKind("A", 8 * p), False),
     Criterion("periodicity-power", "p-periodicity (quotient power, earlier criterion)",
-              lambda p: f"d^{p} - d", ModulusKind.periodic_power, True),
+              lambda p: f"d^{p} - d", lambda p: ModulusKind("D", p - 1), True),
     Criterion("periodicity-palindrome", "p-periodicity (palindromy, earlier criterion)",
-              lambda p: f"A^{2 * p} - 1", ModulusKind.periodic_palindrome, False),
+              lambda p: f"A^{2 * p} - 1", lambda p: ModulusKind("A", 2 * p), False),
 )
 
 
@@ -204,61 +184,6 @@ class ObstructionReport:
         }
 
 
-def _run(
-    diff: LocalizedElement, p: int, modulus: ModulusKind, mode: Mode
-) -> tuple[Verdict, GfpLaurent]:
-    member, witness = ideal_member(diff, p, modulus, mode)
-    return (Verdict.INCONCLUSIVE if member else Verdict.OBSTRUCTED), witness
-
-
-def check_palindrome(
-    yg: LocalizedElement, p: int, mode: Mode = Mode.SATURATED
-) -> tuple[Verdict, GfpLaurent]:
-    """Necessary condition for any order-p symmetry: the value is congruent
-    to its A -> A^-1 image modulo (p, A^{8p} - 1)."""
-    diff = yg - yg.invert_variable()
-    return _run(diff, p, ModulusKind.palindrome(p), mode)
-
-
-def check_free_symmetry(
-    yg: LocalizedElement, yquot: LocalizedElement, p: int, mode: Mode = Mode.SATURATED
-) -> tuple[Verdict, GfpLaurent]:
-    """Fixed-point-free order-p symmetry: value congruent to the p-th power
-    of the quotient value modulo (p, d^{2p} - d^2)."""
-    diff = yg - yquot**p
-    return _run(diff, p, ModulusKind.free_symmetry(p), mode)
-
-
-def check_vertex_fixing(
-    yg: LocalizedElement, yquot: LocalizedElement, p: int, mode: Mode = Mode.SATURATED
-) -> tuple[Verdict, GfpLaurent]:
-    """Vertex-fixing order-p symmetry: same congruence modulo (p, d^{p-1} - 1)."""
-    diff = yg - yquot**p
-    return _run(diff, p, ModulusKind.vertex_fixing(p), mode)
-
-
-def check_periodic_link_style(
-    yg: LocalizedElement,
-    yquot: LocalizedElement | None,
-    p: int,
-    mode: Mode = Mode.SATURATED,
-) -> tuple[Verdict | None, Verdict]:
-    """The earlier periodicity tests: quotient power modulo (p, d^p - d) and
-    palindromy modulo (p, A^{2p} - 1).  The first requires a quotient input
-    and is reported as None (Skipped) without one.
-
-    Both halves run in ``mode``.  The d^p - d half is undefined in FOLDED
-    mode, so with a quotient FOLDED raises ``RingError``; ``full_report``
-    decides that criterion in SATURATED mode.  Unlike the other ``check_*``
-    functions this one returns verdicts without witnesses.
-    """
-    va = None
-    if yquot is not None:
-        va, _ = _run(yg - yquot**p, p, ModulusKind.periodic_power(p), mode)
-    vb, _ = _run(yg - yg.invert_variable(), p, ModulusKind.periodic_palindrome(p), mode)
-    return va, vb
-
-
 def full_report(
     yg: LocalizedElement,
     yquot: LocalizedElement | None,
@@ -279,9 +204,11 @@ def full_report(
         modulus = c.modulus(p)
         run_mode = mode if modulus.base == "A" else Mode.SATURATED
         diff = pow_diff if c.quotient_power else pal_diff
-        verdict, witness = (
-            (Verdict.SKIPPED, None) if diff is None else _run(diff, p, modulus, run_mode)
-        )
+        if diff is None:
+            verdict, witness = Verdict.SKIPPED, None
+        else:
+            member, witness = ideal_member(diff, p, modulus, run_mode)
+            verdict = Verdict.INCONCLUSIVE if member else Verdict.OBSTRUCTED
         entries.append(
             TestOutcome(
                 c.test_id, c.name, c.printed(p), modulus.localized_str(),

@@ -27,7 +27,7 @@ from skein.rings import (
     LocalizedElement,
 )
 from skein.surfaces import derive_t_squared_relation, verify_psi_phi
-from skein.symmetry import Verdict, check_free_symmetry, check_vertex_fixing
+from skein.symmetry import Verdict, full_report
 from skein.tl import TangleElement, bracket, chebyshev_delta, jones_wenzl, markov_trace
 from skein.verify import SUITE_NAMES, run_suites
 from skein.yamada import flat_eval, flat_eval_oracle, yamada
@@ -213,11 +213,13 @@ def test_criterion_08_generator_images():
 
 def test_criterion_09_congruence_positive_controls():
     for p in (3, 5, 7):
-        assert check_free_symmetry(CIRCLE_FACTOR, CIRCLE_FACTOR, p)[0] is Verdict.INCONCLUSIVE
+        report = full_report(CIRCLE_FACTOR, CIRCLE_FACTOR, p)
+        assert report.outcome("free-symmetry").verdict is Verdict.INCONCLUSIVE
     for k, p in ((1, 3), (1, 5), (2, 3)):
         yg = LOOP_FACTOR ** (k * p - 1) * CIRCLE_FACTOR
         yq = LOOP_FACTOR ** (k - 1) * CIRCLE_FACTOR
-        assert check_vertex_fixing(yg, yq, p)[0] is Verdict.INCONCLUSIVE
+        report = full_report(yg, yq, p)
+        assert report.outcome("vertex-fixing").verdict is Verdict.INCONCLUSIVE
     print("PASS criterion 9: circle and bouquet positive controls all Inconclusive")
 
 

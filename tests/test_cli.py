@@ -219,6 +219,57 @@ def test_cli_symmetry_with_quotient_and_diagram_inputs(tmp_path):
     assert by_id["vertex-fixing"]["verdict"] == "Inconclusive"
 
 
+THETA_OVER_CIRCLE_P5_TEXT = """\
+order-p symmetry obstructions for p = 5 (mode: saturated)
+  [Obstructed  ] free-symmetry: fixed-point-free order-p symmetry (quotient power)  modulo (p, d^10 - d^2) = (p, d^8 - 1)
+      witness: A^8 + A^6 + A^4 + 2*A^2 + 2 + 2*A^-2 + A^-4 + A^-6 + A^-8
+  [Obstructed  ] vertex-fixing: vertex-fixing order-p symmetry (quotient power)  modulo (p, d^4 - 1)
+      witness: 3*A^-8 + 4*A^-10 + 2*A^-12 + 2*A^-14 + 2*A^-16 + 2*A^-18 + 4*A^-20 + 3*A^-22
+  [Inconclusive] palindrome: order-p symmetry (palindromy in A)  modulo (p, A^40 - 1)
+  [Obstructed  ] periodicity-power: p-periodicity (quotient power, earlier criterion)  modulo (p, d^5 - d) = (p, d^4 - 1)
+      witness: 3*A^-8 + 4*A^-10 + 2*A^-12 + 2*A^-14 + 2*A^-16 + 2*A^-18 + 4*A^-20 + 3*A^-22
+  [Inconclusive] periodicity-palindrome: p-periodicity (palindromy, earlier criterion)  modulo (p, A^10 - 1)
+"""
+
+_POWER_WITNESS = [[3, -22], [4, -20], [2, -18], [2, -16], [2, -14], [2, -12], [4, -10], [3, -8]]
+
+THETA_OVER_CIRCLE_P5_MACHINE = {
+    "prime": 5,
+    "mode": "saturated",
+    "tests": [
+        {"test": "free-symmetry", "name": "fixed-point-free order-p symmetry (quotient power)",
+         "modulus": "d^10 - d^2", "modulus_localized": "d^8 - 1", "mode": "saturated",
+         "verdict": "Obstructed",
+         "witness_terms": [[1, -8], [1, -6], [1, -4], [2, -2], [2, 0], [2, 2], [1, 4], [1, 6],
+                           [1, 8]]},
+        {"test": "vertex-fixing", "name": "vertex-fixing order-p symmetry (quotient power)",
+         "modulus": "d^4 - 1", "modulus_localized": "d^4 - 1", "mode": "saturated",
+         "verdict": "Obstructed", "witness_terms": _POWER_WITNESS},
+        {"test": "palindrome", "name": "order-p symmetry (palindromy in A)",
+         "modulus": "A^40 - 1", "modulus_localized": "A^40 - 1", "mode": "saturated",
+         "verdict": "Inconclusive", "witness_terms": []},
+        {"test": "periodicity-power", "name": "p-periodicity (quotient power, earlier criterion)",
+         "modulus": "d^5 - d", "modulus_localized": "d^4 - 1", "mode": "saturated",
+         "verdict": "Obstructed", "witness_terms": _POWER_WITNESS},
+        {"test": "periodicity-palindrome", "name": "p-periodicity (palindromy, earlier criterion)",
+         "modulus": "A^10 - 1", "modulus_localized": "A^10 - 1", "mode": "saturated",
+         "verdict": "Inconclusive", "witness_terms": []},
+    ],
+}
+
+
+def test_cli_symmetry_obstructed_quotient_power_rows_print_their_witnesses():
+    args = ["symmetry", "--diagram", "fixture:theta.graph",
+            "--quotient-diagram", "fixture:circle.graph", "--p", "5"]
+    out = run_cli(args)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == THETA_OVER_CIRCLE_P5_TEXT
+
+    out = run_cli([*args, "--output", "machine"])
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == json.dumps(THETA_OVER_CIRCLE_P5_MACHINE) + "\n"
+
+
 def test_cli_symmetry_quotient_options_are_exclusive():
     out = run_cli(
         ["symmetry", "--p", "3", "--poly", "fixture:petersen.poly",

@@ -117,10 +117,12 @@ def test_sums_over_mixed_d_powers_match_fractions():
     mixed = 0
     for a, b in cases:
         mixed += a.d_power != b.d_power
-        fa, fb = RationalFunction.from_localized(a), RationalFunction.from_localized(b)
-        assert RationalFunction.from_localized(a + b) == fa + fb
-        assert RationalFunction.from_localized(a - b) == fa - fb
-        assert RationalFunction.from_localized(b - a) == fb - fa
+        fa, fb, fsum, fdiff, fflip = (
+            RationalFunction(x.num, D_LAURENT**x.d_power) for x in (a, b, a + b, a - b, b - a)
+        )
+        assert fsum == fa + fb
+        assert fdiff == fa - fb
+        assert fflip == fb - fa
     assert mixed >= 40
     assert LocalizedElement(_LP_ONE_PLUS_D, 1) - D_INV == ONE
     assert (LOOP_FACTOR + D_INV) == D and (LOOP_FACTOR + D_INV).d_power == 0
@@ -184,6 +186,55 @@ def test_gfp_divrem_identity_random():
             continue
         q, r = gfp_divrem(a, f)
         assert q * f + r == a
+
+
+def _reference_gfp_divrem(a, f):
+    """Division with remainder as ``gfp_divrem`` computed it before its single
+    downward pass: ``max(rem)`` is taken twice per quotient term."""
+    p = a.p
+    if a.is_zero():
+        return a, a
+    sa, sf = min(a.min_exp(), 0), min(f.min_exp(), 0)
+    rem = {e - sa: c for e, c in a.items()}
+    div = {e - sf: c for e, c in f.items()}
+    df = max(div)
+    inv_lead = pow(div[df], p - 2, p)
+    quot = {}
+    while rem and max(rem) >= df:
+        dr = max(rem)
+        c = rem[dr] * inv_lead % p
+        quot[dr - df] = c
+        for e, cd in div.items():
+            k = e + dr - df
+            s = (rem.get(k, 0) - c * cd) % p
+            if s:
+                rem[k] = s
+            elif k in rem:
+                del rem[k]
+    q = GfpLaurent(p, {e + sa - sf: c for e, c in quot.items()})
+    return q, GfpLaurent(p, {e + sa: c for e, c in rem.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 41, 1000003])
+def test_gfp_divrem_matches_the_rescanning_reference(p):
+    rng = random.Random(600 + p)
+
+    def poly(lo, hi, n):
+        return GfpLaurent(p, {rng.randint(lo, hi): rng.randrange(p) for _ in range(n)})
+
+    negative = lower = 0
+    for _ in range(300):
+        a = poly(-10, 14, rng.randint(0, 8))
+        f = poly(-6, 9, rng.randint(1, 4))
+        if f.is_zero():
+            continue
+        if not a.is_zero():
+            negative += a.min_exp() < 0 or f.min_exp() < 0
+            lower += a.max_exp() < f.max_exp()
+        q, r = gfp_divrem(a, f)
+        assert (q, r) == _reference_gfp_divrem(a, f)
+        assert q.p == r.p == p
+    assert negative >= 50 and lower >= 20
 
 
 def test_gfp_divrem_zero_divisor_rejected():

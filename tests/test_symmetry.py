@@ -20,10 +20,6 @@ from skein.symmetry import (
     Mode,
     ModulusKind,
     Verdict,
-    check_free_symmetry,
-    check_palindrome,
-    check_periodic_link_style,
-    check_vertex_fixing,
     full_report,
     ideal_member,
 )
@@ -32,18 +28,20 @@ PETERSEN = fixtures.load_poly("petersen")
 
 
 def test_theorem_modulus_mapping():
-    assert ModulusKind.free_symmetry(5) == ModulusKind("D", 8)
-    assert ModulusKind.vertex_fixing(5) == ModulusKind("D", 4)
-    assert ModulusKind.palindrome(5) == ModulusKind("A", 40)
-    assert ModulusKind.periodic_power(5) == ModulusKind("D", 4)
-    assert ModulusKind.periodic_palindrome(5) == ModulusKind("A", 10)
+    assert {c.test_id: c.modulus(5) for c in CRITERIA} == {
+        "free-symmetry": ModulusKind("D", 8),
+        "vertex-fixing": ModulusKind("D", 4),
+        "palindrome": ModulusKind("A", 40),
+        "periodicity-power": ModulusKind("D", 4),
+        "periodicity-palindrome": ModulusKind("A", 10),
+    }
 
 
 def test_ideal_member_frobenius_identity():
     # (d^2-1)^p - (d^2-1) lies in (p, d^{2p-2} - 1)
     for p in (3, 5, 7):
         e = CIRCLE_FACTOR**p - CIRCLE_FACTOR
-        member, witness = ideal_member(e, p, ModulusKind.free_symmetry(p))
+        member, witness = ideal_member(e, p, ModulusKind("D", 2 * p - 2))
         assert member and witness.is_zero()
 
 
@@ -52,24 +50,24 @@ def test_ideal_member_unit_fold():
         e = LocalizedElement(LaurentPoly.monomial(1, 8 * p + 1)) - LocalizedElement(
             LaurentPoly.monomial(1, 1)
         )
-        assert ideal_member(e, p, ModulusKind.palindrome(p), Mode.FOLDED)[0]
-        assert ideal_member(e, p, ModulusKind.palindrome(p), Mode.SATURATED)[0]
+        assert ideal_member(e, p, ModulusKind("A", 8 * p), Mode.FOLDED)[0]
+        assert ideal_member(e, p, ModulusKind("A", 8 * p), Mode.SATURATED)[0]
 
 
 def test_ideal_member_loop_factor_identity():
     # (d - 1/d)^p d^p - (d - 1/d)^p d = (d - 1/d)^p d (d^{p-1} - 1)
     p = 3
     e = LOOP_FACTOR**p * (LocalizedElement.d_to_the(p) - LocalizedElement.d_to_the(1))
-    assert ideal_member(e, p, ModulusKind.periodic_power(p))[0]
+    assert ideal_member(e, p, ModulusKind("D", p - 1))[0]
 
 
 def test_folded_mode_preconditions():
     with pytest.raises(RingError):
-        ideal_member(LOOP_FACTOR, 3, ModulusKind.palindrome(3), Mode.FOLDED)
+        ideal_member(LOOP_FACTOR, 3, ModulusKind("A", 24), Mode.FOLDED)
     with pytest.raises(RingError):
-        ideal_member(ONE, 3, ModulusKind.vertex_fixing(3), Mode.FOLDED)
+        ideal_member(ONE, 3, ModulusKind("D", 2), Mode.FOLDED)
     with pytest.raises(RingError):
-        ideal_member(ONE, 4, ModulusKind.palindrome(2))
+        ideal_member(ONE, 4, ModulusKind("A", 16))
 
 
 def test_folded_mode_rejects_a_d_power_modulus_before_the_zero_shortcut():
@@ -77,28 +75,30 @@ def test_folded_mode_rejects_a_d_power_modulus_before_the_zero_shortcut():
     # is undefined for a D-power modulus whatever the difference
     yquot = CIRCLE_FACTOR
     yg = yquot**3
-    for modulus in (ModulusKind.vertex_fixing(3), ModulusKind.free_symmetry(3)):
+    for modulus in (ModulusKind("D", 2), ModulusKind("D", 4)):
         with pytest.raises(RingError):
             ideal_member(yg - yg, 3, modulus, Mode.FOLDED)
         with pytest.raises(RingError):
             ideal_member(LocalizedElement.from_int(3), 3, modulus, Mode.FOLDED)
-    for check in (check_vertex_fixing, check_free_symmetry):
-        with pytest.raises(RingError):
-            check(yg, yquot, 3, Mode.FOLDED)
-        assert check(yg, yquot, 3, Mode.SATURATED)[0] is Verdict.INCONCLUSIVE
-    with pytest.raises(RingError):
-        check_periodic_link_style(yg, yquot, 3, Mode.FOLDED)
+    # full_report decides the D-power rows in SATURATED mode whatever the
+    # caller's mode, and records that
+    for mode in Mode:
+        report = full_report(yg, yquot, 3, mode)
+        for test_id in ("free-symmetry", "vertex-fixing", "periodicity-power"):
+            t = report.outcome(test_id)
+            assert t.mode_used == "saturated"
+            assert t.verdict is Verdict.INCONCLUSIVE
 
 
 def test_palindrome_petersen_both_modes():
     for mode in (Mode.FOLDED, Mode.SATURATED):
-        verdict, witness = check_palindrome(PETERSEN, 5, mode)
-        assert verdict is Verdict.OBSTRUCTED
-        assert not witness.is_zero()
+        t = full_report(PETERSEN, None, 5, mode).outcome("palindrome")
+        assert t.verdict is Verdict.OBSTRUCTED
+        assert not t.witness.is_zero()
     # modes agree at p = 3 as well (the computed verdict; see the ledger for
     # the discrepancy with the published example)
-    v_folded, _ = check_palindrome(PETERSEN, 3, Mode.FOLDED)
-    v_sat, _ = check_palindrome(PETERSEN, 3, Mode.SATURATED)
+    v_folded = full_report(PETERSEN, None, 3, Mode.FOLDED).outcome("palindrome").verdict
+    v_sat = full_report(PETERSEN, None, 3, Mode.SATURATED).outcome("palindrome").verdict
     assert v_folded == v_sat
 
 
@@ -118,19 +118,19 @@ def test_palindrome_spot_check_folded_coefficients():
 
 def test_palindromic_input_inconclusive():
     for p in (2, 3, 5, 7):
-        verdict, witness = check_palindrome(CIRCLE_FACTOR, p)
-        assert verdict is Verdict.INCONCLUSIVE and witness.is_zero()
+        t = full_report(CIRCLE_FACTOR, None, p).outcome("palindrome")
+        assert t.verdict is Verdict.INCONCLUSIVE and t.witness.is_zero()
 
 
 def test_free_symmetry_positive_controls():
     for p in (3, 5, 7):
-        verdict, _ = check_free_symmetry(CIRCLE_FACTOR, CIRCLE_FACTOR, p)
-        assert verdict is Verdict.INCONCLUSIVE
+        t = full_report(CIRCLE_FACTOR, CIRCLE_FACTOR, p).outcome("free-symmetry")
+        assert t.verdict is Verdict.INCONCLUSIVE
 
 
 def test_free_symmetry_exact_power_is_trivially_inconclusive():
     yq = LOOP_FACTOR * CIRCLE_FACTOR
-    assert check_free_symmetry(yq**3, yq, 3)[0] is Verdict.INCONCLUSIVE
+    assert full_report(yq**3, yq, 3).outcome("free-symmetry").verdict is Verdict.INCONCLUSIVE
 
 
 def test_free_symmetry_squared_circle_is_member():
@@ -140,27 +140,32 @@ def test_free_symmetry_squared_circle_is_member():
     prod = -(CIRCLE_FACTOR * (LocalizedElement.d_to_the(4) - ONE))
     num3 = (diff - prod).to_gfp(3)[0]
     assert num3.is_zero()
-    assert check_free_symmetry(CIRCLE_FACTOR**2, CIRCLE_FACTOR, 3)[0] is Verdict.INCONCLUSIVE
+    t = full_report(CIRCLE_FACTOR**2, CIRCLE_FACTOR, 3).outcome("free-symmetry")
+    assert t.verdict is Verdict.INCONCLUSIVE
 
 
 def test_vertex_fixing_bouquet_controls():
     for k, p in ((1, 3), (1, 5), (2, 3)):
         yg = LOOP_FACTOR ** (k * p - 1) * CIRCLE_FACTOR
         yq = LOOP_FACTOR ** (k - 1) * CIRCLE_FACTOR
-        assert check_vertex_fixing(yg, yq, p)[0] is Verdict.INCONCLUSIVE
+        assert full_report(yg, yq, p).outcome("vertex-fixing").verdict is Verdict.INCONCLUSIVE
 
 
 def test_vertex_fixing_negative_control():
-    assert check_vertex_fixing(CIRCLE_FACTOR, ONE, 3)[0] is Verdict.OBSTRUCTED
+    t = full_report(CIRCLE_FACTOR, ONE, 3).outcome("vertex-fixing")
+    assert t.verdict is Verdict.OBSTRUCTED
 
 
 def test_periodic_link_style():
-    va, vb = check_periodic_link_style(CIRCLE_FACTOR, CIRCLE_FACTOR, 7)
-    assert va is Verdict.INCONCLUSIVE and vb is Verdict.INCONCLUSIVE
-    va, vb = check_periodic_link_style(PETERSEN, None, 5)
-    assert va is None and vb is Verdict.OBSTRUCTED
-    va, vb = check_periodic_link_style(ONE, ONE, 5)
-    assert va is Verdict.INCONCLUSIVE and vb is Verdict.INCONCLUSIVE
+    def verdicts(yg, yquot, p):
+        report = full_report(yg, yquot, p)
+        ids = ("periodicity-power", "periodicity-palindrome")
+        return tuple(report.outcome(test_id).verdict for test_id in ids)
+
+    inconclusive = (Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE)
+    assert verdicts(CIRCLE_FACTOR, CIRCLE_FACTOR, 7) == inconclusive
+    assert verdicts(PETERSEN, None, 5) == (Verdict.SKIPPED, Verdict.OBSTRUCTED)
+    assert verdicts(ONE, ONE, 5) == inconclusive
 
 
 def test_full_report_petersen_p5():
@@ -186,19 +191,19 @@ def test_full_report_p5_names_the_moduli_in_order():
     assert [c.test_id for c in CRITERIA] == [t["test"] for t in doc["tests"]]
 
 
-def _check_result(test_id, yg, yquot, p, mode):
-    """Verdict and witness of the check_* function behind ``test_id``.
-    check_periodic_link_style reports verdicts only: its witness is None."""
-    if test_id == "palindrome":
-        return check_palindrome(yg, p, mode)
-    if test_id == "periodicity-palindrome":
-        return check_periodic_link_style(yg, None, p, mode)[1], None
-    if yquot is None:
-        return Verdict.SKIPPED, None
-    if test_id == "periodicity-power":
-        return check_periodic_link_style(yg, yquot, p, mode)[0], None
-    check = {"free-symmetry": check_free_symmetry, "vertex-fixing": check_vertex_fixing}
-    return check[test_id](yg, yquot, p, mode)
+def _reference_checks(yg, yquot, p):
+    """The five congruences as the theorems state them, in report order:
+    (test id, the difference, the localized modulus, decided in SATURATED
+    mode).  A quotient-power difference is None without a quotient."""
+    power = None if yquot is None else yg - yquot**p
+    mirror = yg - yg.invert_variable()
+    return (
+        ("free-symmetry", power, ModulusKind("D", 2 * p - 2), True),  # d^{2p} - d^2
+        ("vertex-fixing", power, ModulusKind("D", p - 1), True),
+        ("palindrome", mirror, ModulusKind("A", 8 * p), False),
+        ("periodicity-power", power, ModulusKind("D", p - 1), True),  # d^p - d
+        ("periodicity-palindrome", mirror, ModulusKind("A", 2 * p), False),
+    )
 
 
 def _random_value(rng, d_power):
@@ -221,22 +226,27 @@ def test_full_report_agrees_with_the_check_functions(p):
             try:
                 report = full_report(yg, yquot, p, mode)
             except RingError:
-                # FOLDED is undefined on a difference with a d denominator
+                # FOLDED is undefined on a difference with a d denominator:
+                # every A-power row of the reference raises too
                 assert mode is Mode.FOLDED
-                with pytest.raises(RingError):
-                    check_palindrome(yg, p, mode)
-                with pytest.raises(RingError):
-                    check_periodic_link_style(yg, None, p, mode)
+                for _, diff, modulus, saturated in _reference_checks(yg, yquot, p):
+                    if not saturated:
+                        with pytest.raises(RingError):
+                            ideal_member(diff, p, modulus, mode)
                 seen.add("undefined")
                 continue
-            for t in report.tests:
-                # D-power moduli are decided in SATURATED mode in either report
-                d_power = t.test_id in ("free-symmetry", "vertex-fixing", "periodicity-power")
-                assert t.mode_used == (Mode.SATURATED if d_power else mode).value
-                verdict, witness = _check_result(t.test_id, yg, yquot, p, Mode(t.mode_used))
-                assert t.verdict is verdict, (t.test_id, mode)
-                if witness is not None:
-                    assert t.witness == witness, (t.test_id, mode)
+            checks = _reference_checks(yg, yquot, p)
+            for t, (test_id, diff, modulus, saturated) in zip(report.tests, checks, strict=True):
+                run_mode = Mode.SATURATED if saturated else mode
+                if diff is None:
+                    verdict, witness = Verdict.SKIPPED, None
+                else:
+                    member, witness = ideal_member(diff, p, modulus, run_mode)
+                    verdict = Verdict.INCONCLUSIVE if member else Verdict.OBSTRUCTED
+                assert t.test_id == test_id
+                assert t.mode_used == run_mode.value, (test_id, mode)
+                assert t.verdict is verdict, (test_id, mode)
+                assert t.witness == witness, (test_id, mode)
                 seen.add((mode, t.verdict))
     assert "undefined" in seen
     for mode in Mode:
@@ -257,8 +267,8 @@ def test_membership_monotonicity():
     # members of (p, d^{2p-2}-1) are members of (p, d^{p-1}-1)
     rng = random.Random(31)
     for p in (3, 5):
-        big = ModulusKind.free_symmetry(p)
-        small = ModulusKind.vertex_fixing(p)
+        big = ModulusKind("D", 2 * p - 2)
+        small = ModulusKind("D", p - 1)
         modulus_elem = LocalizedElement.d_to_the(2 * p - 2) - ONE
         for _ in range(50):
             terms = {rng.randint(-4, 4): rng.randint(-6, 6) for _ in range(3)}
@@ -276,9 +286,9 @@ def test_frobenius_consistency_gfp():
 
 
 def test_witness_reduction_matches_mode():
-    verdict, witness = check_palindrome(PETERSEN, 5, Mode.FOLDED)
-    assert verdict is Verdict.OBSTRUCTED
-    assert all(0 <= e < 40 for e, _ in witness.items())
+    t = full_report(PETERSEN, None, 5, Mode.FOLDED).outcome("palindrome")
+    assert t.verdict is Verdict.OBSTRUCTED
+    assert all(0 <= e < 40 for e, _ in t.witness.items())
 
 
 def test_full_report_checks_its_prime_a_bounded_number_of_times(monkeypatch):
