@@ -15,11 +15,15 @@ The two state sums are depth-first walks over the arc-end ids of
 :meth:`GraphDiagram.end_ids`.  They keep the open strands in a mate array
 (``mate[e]`` is the far end of the strand ending at arc end e, initially
 e ^ 1), join strands at each smoothing and undo the join on the way back,
-so a state costs O(1) work instead of a union-find over all arc ends.
+so a step costs O(1) work instead of a union-find over all arc ends.  The
+bracket walk also walks the inner half of the crossings once per distinct
+pairing of the strands that enter it, and copies that block of counts for
+every other outer state with the same pairing and closed circles.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 #: largest vertex or edge count :func:`canon_key` can encode (one byte each)
@@ -173,7 +177,19 @@ def state_circle_counts(
     2^len(crossings).
 
     The walk takes crossing c-1 outermost and A before B, which visits the
-    states in mask order, and holds one int per state.
+    states in mask order.  It splits the crossings at k = c // 2.  Once the
+    outer crossings c-1 .. k are smoothed, the 2^k counts of the inner
+    states, a contiguous block of the result, depend only on the circles
+    closed so far and on how the open strands pair the boundary ends: the
+    ends of inner crossings k-1 .. 0 whose arcs lead to an outer crossing.
+    Every other inner end lies on an arc between inner crossings, whose
+    strand no outer join touches.  A per-call dict keyed by ``(closed,
+    mate at the boundary ends)`` records where each block starts; the walk
+    descends into the inner crossings only for a key it has not met, and
+    otherwise copies the recorded block.  The result holds 2^c ints; the
+    dict holds at most 2^(c-k) entries, one per outer state, and is freed
+    on return.  With k <= 1 the inner block is the leaf crossing, which
+    costs less than its key.
     """
     _check_slots(n_arcs, crossings)
     if not crossings:
@@ -181,16 +197,35 @@ def state_circle_counts(
     mate = [e ^ 1 for e in range(2 * n_arcs)]
     counts: list[int] = []
     append = counts.append
+    extend = counts.extend
+    k = len(crossings) // 2
+    top = k - 1
+    size = 1 << k
+    inner = {e for ends in crossings[:k] for e in ends}
+    boundary = sorted(e for e in inner if e ^ 1 not in inner)
+    boundary_mates = itemgetter(*boundary) if boundary else lambda _: ()
+    setdefault = {}.setdefault
+    # per crossing, its A- then its B-smoothing as the pairs (x, y), (z, w)
+    # of ends it joins
+    smoothings = [((e0, e1, e2, e3), (e0, e3, e1, e2)) for e0, e1, e2, e3 in crossings]
+    l0, l1, _, l3 = crossings[0]
 
     def visit(i: int, closed: int) -> None:
-        e0, e1, e2, e3 = crossings[i]
         if i == 0:
-            # only these four ends are still open, paired by two strands
-            m = mate[e0]
-            append(closed + 1 + (m == e1))
-            append(closed + 1 + (m == e3))
+            # only the four ends of crossing 0 are still open, paired by two
+            # strands
+            m = mate[l0]
+            append(closed + 1 + (m == l1))
+            append(closed + 1 + (m == l3))
             return
-        for x, y, z, w in ((e0, e1, e2, e3), (e0, e3, e1, e2)):
+        if i == top:
+            # a block recorded earlier is complete: the walk left its subtree
+            n = len(counts)
+            start = setdefault((closed, boundary_mates(mate)), n)
+            if start != n:
+                extend(counts[start : start + size])
+                return
+        for x, y, z, w in smoothings[i]:
             # joining the two ends of one strand (a == y) closes a circle
             # and leaves mate as it was
             a = mate[x]

@@ -652,6 +652,12 @@ def gfp_gcd(a: GfpLaurent, b: GfpLaurent) -> GfpLaurent:
     x, y = a, b
     while not y.is_zero():
         _, r = gfp_divrem(x, y)
+        # each step must lower the degree in gfp_divrem's shifted sense, or
+        # the loop would never end
+        if not r.is_zero() and (
+            r.max_exp() - min(r.min_exp(), 0) >= y.max_exp() - min(y.min_exp(), 0)
+        ):
+            raise RingError("gfp_divrem did not lower the degree")
         x, y = y, r
     if x.is_zero():
         return x

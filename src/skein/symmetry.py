@@ -108,7 +108,12 @@ def _strip_unit_factors(f: GfpLaurent) -> GfpLaurent:
         q, r = gfp_divrem(f, g)
         if not r.is_zero():  # pragma: no cover - gcd divides exactly
             raise RingError("gcd division left a remainder")
-        f = q.shifted(-q.min_exp())
+        q = q.shifted(-q.min_exp())
+        # g has positive degree, so dividing by it must lower f's, or the
+        # loop would never end
+        if q.max_exp() >= f.max_exp():
+            raise RingError("gfp_divrem did not lower the degree")
+        f = q
 
 
 def ideal_member(

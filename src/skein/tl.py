@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import add
 
 from .core import components, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
@@ -36,13 +37,23 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
     _, crossing_ends = g.end_ids()
     c = len(g.crossings)
-    counts = state_circle_counts(len(g.arc_ends()), crossing_ends)
-    # multiplicities of (B-smoothings, circle count); state mask has
-    # A-exponent c - 2 * popcount(mask)
-    weights = Counter(zip(map(int.bit_count, range(1 << c)), counts))
+    n_arcs = len(g.arc_ends())
+    counts = state_circle_counts(n_arcs, crossing_ends)
+    # multiplicities of (B-smoothings, circle count), packed as one int
+    # (popcount(mask) << shift) + circles; every circle holds an arc, so
+    # circles <= n_arcs < 1 << shift.  State mask has A-exponent
+    # c - 2 * popcount(mask).
+    shift = n_arcs.bit_length()
+    one_b = 1 << shift
+    packed_b = [0]
+    for _ in range(c):
+        packed_b += [x + one_b for x in packed_b]
+    weights = Counter(map(add, packed_b, counts))
+    low = one_b - 1
     total = LaurentPoly.zero()
     d_pows: dict[int, LaurentPoly] = {}
-    for (b, circles), mult in sorted(weights.items()):
+    for key, mult in sorted(weights.items()):
+        b, circles = key >> shift, key & low
         dp = d_pows.get(circles)
         if dp is None:
             dp = D_LAURENT**circles

@@ -5,6 +5,7 @@ against union-find references and an independent circle-count reference."""
 import gc
 import random
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -398,6 +399,121 @@ def test_state_circle_counts_against_reference():
         assert counts == [
             _reference_circles(n_arcs, crossings, mask) for mask in range(1 << len(crossings))
         ]
+
+
+def _reference_state_circle_counts(n_arcs, crossings):
+    """``state_circle_counts`` as it was before it split the crossings: the
+    depth-first walk visits every one of the 2^c leaves."""
+    core._check_slots(n_arcs, crossings)
+    if not crossings:
+        return [0]
+    mate = [e ^ 1 for e in range(2 * n_arcs)]
+    counts = []
+    append = counts.append
+
+    def visit(i, closed):
+        e0, e1, e2, e3 = crossings[i]
+        if i == 0:
+            m = mate[e0]
+            append(closed + 1 + (m == e1))
+            append(closed + 1 + (m == e3))
+            return
+        for x, y, z, w in ((e0, e1, e2, e3), (e0, e3, e1, e2)):
+            a = mate[x]
+            b = mate[y]
+            mate[a] = b
+            mate[b] = a
+            p = mate[z]
+            q = mate[w]
+            mate[p] = q
+            mate[q] = p
+            visit(i - 1, closed + (a == y) + (p == w))
+            mate[p] = z
+            mate[q] = w
+            mate[a] = x
+            mate[b] = y
+
+    visit(len(crossings) - 1, 0)
+    visit = None
+    return counts
+
+
+def _reference_bracket(g):
+    """The bracket state sum over the reference walk's counts, assembled per
+    (B-smoothings, circles) pair as ``bracket`` did before it packed them."""
+    c = len(g.crossings)
+    counts = _reference_state_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+    total = LaurentPoly.zero()
+    for (b, circles), mult in Counter(zip(map(int.bit_count, range(1 << c)), counts)).items():
+        total = total + (D_LAURENT**circles).scale(mult).shifted(c - 2 * b)
+    return total * D_LAURENT**g.free_circles
+
+
+def _braid_closure(rng, strands, length, generators=None, shuffle=False):
+    """The closure of a seeded braid word on ``strands`` strands, read bottom
+    to top over the generator indices ``generators`` (all by default).  A
+    strand that no letter touches closes into a free circle; ``shuffle``
+    lists the crossings in a random order."""
+    generators = range(strands - 1) if generators is None else generators
+    bottom = list(range(strands))
+    top = list(bottom)
+    crossings = []
+    for label in range(strands, strands + 2 * length, 2):
+        i = rng.choice(generators)
+        bl, br = top[i], top[i + 1]
+        tl, tr = label, label + 1
+        top[i], top[i + 1] = tl, tr
+        # either strand on top; slots counterclockwise from bottom right
+        crossings.append((br, tr, tl, bl) if rng.random() < 0.5 else (tr, tl, bl, br))
+    close = dict(zip(top, bottom))
+    if shuffle:
+        rng.shuffle(crossings)
+    lines = ["X " + " ".join(str(close.get(a, a)) for a in x) for x in crossings]
+    lines += ["O"] * sum(t == b for t, b in zip(top, bottom))
+    return parse_diagram("\n".join(lines))
+
+
+def _kernel_args(g):
+    return len(g.arc_ends()), g.end_ids()[1]
+
+
+def _random_link_ends(rng, c):
+    n_arcs, _, crossings = _random_diagram(rng, c)
+    return n_arcs, crossings
+
+
+def test_split_walk_matches_the_reference_walk():
+    rng = random.Random(1212)
+    # c = 0 .. 3: an inner block of k = 0 or 1 crossings
+    small = [_random_link_ends(rng, c) for c in (0, 1, 2, 3) for _ in range(8)]
+    small += [_kernel_args(parse_diagram(t)) for t in EDGE_CASES if "V" not in t]
+    # braid closures, whose outer states share most boundary pairings
+    braids = [_braid_closure(rng, s, c) for c in range(12, 17) for s in (2, 3, 4)]
+    # free circles: strands that no generator touches
+    braids += [_braid_closure(rng, 5, c, generators=(1, 2)) for c in (12, 13)]
+    assert sum(g.free_circles for g in braids) == 4
+    # shuffled crossing order and random pairings: few or no shared pairings
+    shuffled = [
+        _kernel_args(_braid_closure(rng, s, c, shuffle=True)) for c in (12, 13, 14) for s in (3, 4)
+    ]
+    shuffled += [_random_link_ends(rng, c) for c in (12, 13, 14)]
+    for n_arcs, crossings in small + [_kernel_args(g) for g in braids] + shuffled:
+        counts = core.state_circle_counts(n_arcs, crossings)
+        assert counts == _reference_state_circle_counts(n_arcs, crossings)
+        if len(crossings) <= 13:
+            # the union-find reference rebuilds all arc ends per state
+            assert counts == _union_find_circle_counts(n_arcs, crossings)
+    for g in braids:
+        assert bracket(g) == _reference_bracket(g)
+
+
+def test_bracket_packs_circle_counts_past_any_fixed_width():
+    # twelve disjoint kinks: the A-state has 24 circles, two per crossing
+    g = parse_diagram("\n".join(f"X {2 * i} {2 * i} {2 * i + 1} {2 * i + 1}" for i in range(12)))
+    assert max(core.state_circle_counts(*_kernel_args(g))) == 24
+    # one kink: A d^2 from its A-state, A^-1 d from its B-state
+    kink = (D_LAURENT**2).shifted(1) + D_LAURENT.shifted(-1)
+    assert bracket(g) == kink**12 == _reference_bracket(g)
 
 
 def test_resolution_states_against_reference():

@@ -186,6 +186,9 @@ def test_gfp_divrem_identity_random():
             continue
         q, r = gfp_divrem(a, f)
         assert q * f + r == a
+        # deg r < deg f once a's and f's negative exponents are lifted
+        if not r.is_zero():
+            assert r.max_exp() - min(a.min_exp(), 0) < f.max_exp() - min(f.min_exp(), 0)
 
 
 def _reference_gfp_divrem(a, f):

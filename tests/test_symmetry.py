@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skein import fixtures
+from skein import fixtures, rings, symmetry
 from skein.rings import (
     CIRCLE_FACTOR,
     D_LAURENT,
@@ -316,3 +316,33 @@ def test_zero_witnesses_are_falsy_and_print_no_terms():
     assert all(t["witness_terms"] == [] for t in report.to_dict()["tests"])
     skipped = full_report(PETERSEN, None, 3).outcome("free-symmetry")
     assert skipped.witness is None and skipped.to_dict()["witness_terms"] == []
+
+
+def _stuck_division(result):
+    """A ``gfp_divrem`` stand-in that never lowers the degree; past 100 calls
+    it fails the test rather than let a loop with no bound run on."""
+    calls = []
+
+    def divrem(a, f):
+        calls.append(1)
+        assert len(calls) < 100, "a division loop kept going without progress"
+        return result(a)
+
+    return divrem
+
+
+def test_division_loops_raise_when_a_step_does_not_lower_the_degree(monkeypatch):
+    zero = GfpLaurent(5, {})
+    # the dividend handed back as the remainder
+    dividend_as_remainder = _stuck_division(lambda a: (zero, a))
+    monkeypatch.setattr(rings, "gfp_divrem", dividend_as_remainder)
+    monkeypatch.setattr(symmetry, "gfp_divrem", dividend_as_remainder)
+    with pytest.raises(RingError, match="did not lower the degree"):
+        rings.gfp_gcd(GfpLaurent(5, {8: 1, 0: -1}), GfpLaurent(5, {4: 1, 0: 1}))
+    with pytest.raises(RingError, match="did not lower the degree"):
+        symmetry._strip_unit_factors(GfpLaurent(5, {8: 1, 0: -1}))
+    # an exact division by the gcd that hands back the dividend as quotient
+    monkeypatch.undo()
+    monkeypatch.setattr(symmetry, "gfp_divrem", _stuck_division(lambda a: (a, zero)))
+    with pytest.raises(RingError, match="did not lower the degree"):
+        symmetry._strip_unit_factors(GfpLaurent(5, {8: 1, 0: -1}))
