@@ -31,6 +31,7 @@ input, call the bracket.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
@@ -112,10 +113,9 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     for vi, slots in enumerate(g.vertices):
         if len(slots) == 0:
             raise InvalidDiagramError(f"vertex {vi} is isolated; cabling undefined")
-    labels = sorted(g.arc_ends())
-    index = {a: i for i, a in enumerate(labels)}
+    arcs = g.arcs
     classes = g.edge_classes()
-    turn_arcs = [index[a] for a in _turnback_arcs(classes, insertion)]
+    turn_arcs = [bisect_left(arcs, a) for a in _turnback_arcs(classes, insertion)]
 
     # Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
     # with end id e (from end_ids()) is 2e + s, so arc i owns the four
@@ -123,7 +123,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     # turnback n to n ^ 1.  Above them, crossing ci has the 16 anchors
     # n_junctions + 16ci + 4grid + side, grids ordered NW, NE, SW, SE and
     # sides W, S, E, N: each run of 4 anchors is one cable crossing's slots.
-    n_junctions = 4 * len(labels)
+    n_junctions = 4 * g.num_arcs
     vertex_ids, crossing_ids = g.end_ids()
     static: list[tuple[int, int]] = []  # vertex polygons and crossing grids
     for ids in vertex_ids:
@@ -155,7 +155,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         least[u], least[v] = 2 * sid, 2 * sid + 1
     # winding of a straight strand walked from end 0 to end 1 of its arc; a
     # turnback strand reads w + reverse(w) and winds nowhere
-    arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in labels]
+    arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
     # (least static segment, winding u to v along it) of each closed circle
     closed: list[tuple[int, tuple[int, int]]] = []
 
@@ -195,7 +195,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
 
     # arcs without a turnback are straight in every term
     turned_arc = set(turn_arcs)
-    for i in range(len(labels)):
+    for i in range(g.num_arcs):
         if i not in turned_arc:
             n = 4 * i
             join(n, n + 3, arc_wind[i])

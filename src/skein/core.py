@@ -12,7 +12,8 @@ build step and has no compiled backend.
   resolution states of a diagram, the outer loop of the Yamada state sum.
 
 The two state sums are depth-first walks over the arc-end ids of
-:meth:`GraphDiagram.end_ids`.  They keep the open strands in a mate array
+:meth:`GraphDiagram.end_ids`, numbered as the :mod:`skein.diagrams` module
+docstring states.  They keep the open strands in a mate array
 (``mate[e]`` is the far end of the strand ending at arc end e, initially
 e ^ 1), join strands at each smoothing and undo the join on the way back,
 so a step costs O(1) work instead of a union-find over all arc ends.  The

@@ -8,13 +8,20 @@ and optional ray words for diagrams drawn in a disk with marked holes.
 Every arc label occurs exactly twice across all slots; an arc's direction
 runs from its first occurrence (in vertex-then-crossing scan order) to its
 second, which orients its ray word.
+
+Arc-end numbering, made once when a diagram is built and read by every
+walk: arc i is the i-th label in increasing order; its end at its first
+occurrence in scan order has id 2i, the other 2i + 1.  So end e belongs to
+arc e >> 1, and e ^ 1 is the arc's other end.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .core import components, resolution_states
@@ -56,9 +63,11 @@ class FlatState:
 
 
 class GraphDiagram:
-    """Immutable PD-style diagram of a spatial graph or link."""
+    """Immutable PD-style diagram of a spatial graph or link: ``arcs`` holds
+    its arc labels in increasing order, ``num_arcs`` counts them and
+    :meth:`end_ids` numbers their ends as the module docstring states."""
 
-    __slots__ = ("vertices", "crossings", "free_circles", "_rays", "_ends")
+    __slots__ = ("vertices", "crossings", "free_circles", "_rays", "arcs", "num_arcs", "_end_ids")
 
     def __init__(
         self,
@@ -78,10 +87,44 @@ class GraphDiagram:
         if free_circles < 0:
             raise DiagramParseError("free_circles must be nonnegative")
         object.__setattr__(self, "free_circles", free_circles)
-        rays = tuple(sorted((a, tuple(w)) for a, w in (ray_words or {}).items()))
+
+        uses: dict[int, int] = {}
+        for slots in (*self.vertices, *xs):
+            for a in slots:
+                n = uses.get(a, 0)
+                if n == 2:
+                    raise DiagramParseError(f"arc label {a} used more than twice")
+                uses[a] = n + 1
+        once = sorted(a for a, n in uses.items() if n == 1)
+        if once:
+            missing = ", ".join(str(a) for a in once)
+            raise DiagramParseError(f"arc label(s) used only once: {missing}")
+        arcs = tuple(sorted(uses))
+        # the id of each label's next end: 2i at its first use, then 2i + 1
+        next_id = {a: 2 * i for i, a in enumerate(arcs)}
+
+        def ids(slots: tuple[int, ...]) -> tuple[int, ...]:
+            out = []
+            for a in slots:
+                e = next_id[a]
+                next_id[a] = e + 1
+                out.append(e)
+            return tuple(out)
+
+        end_ids = (tuple(map(ids, self.vertices)), tuple(map(ids, xs)))
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "num_arcs", len(arcs))
+        object.__setattr__(self, "_end_ids", end_ids)
+
+        rays = dict(sorted((a, tuple(w)) for a, w in (ray_words or {}).items()))
+        for a in rays:
+            if a not in uses:
+                raise DiagramParseError(f"ray word on unknown arc {a}")
+        for w in rays.values():
+            for tok in w:
+                if tok not in RAY_TOKENS:
+                    raise DiagramParseError(f"bad ray token {tok!r}")
         object.__setattr__(self, "_rays", rays)
-        object.__setattr__(self, "_ends", None)
-        self._validate()
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("GraphDiagram is immutable")
@@ -89,104 +132,43 @@ class GraphDiagram:
     # -- basic structure -------------------------------------------------------
 
     @property
-    def ray_words(self) -> dict[int, tuple[str, ...]]:
-        return dict(self._rays)
+    def ray_words(self) -> Mapping[int, tuple[str, ...]]:
+        """Read-only view of the ray words, by increasing arc label."""
+        return MappingProxyType(self._rays)
 
     def ray_word(self, arc: int) -> tuple[str, ...]:
-        return dict(self._rays).get(arc, ())
+        return self._rays.get(arc, ())
 
     def has_rays(self) -> bool:
         return bool(self._rays)
 
     def arc_labels(self) -> list[int]:
-        seen = []
-        found = set()
-        for slots in list(self.vertices) + [list(x) for x in self.crossings]:
-            for a in slots:
-                if a not in found:
-                    found.add(a)
-                    seen.append(a)
-        return seen
-
-    def _slot_scan(self):
-        """Yield (position, arc) over all slots; position = (kind, index, slot)."""
-        for vi, slots in enumerate(self.vertices):
-            for si, a in enumerate(slots):
-                yield ("v", vi, si), a
-        for ci, slots in enumerate(self.crossings):
-            for si, a in enumerate(slots):
-                yield ("x", ci, si), a
-
-    def arc_ends(self) -> dict[int, tuple[tuple, tuple]]:
-        """Map arc -> (position of end 0, position of end 1) in scan order."""
-        if self._ends is not None:
-            return self._ends
-        firsts: dict[int, tuple] = {}
-        ends: dict[int, tuple[tuple, tuple]] = {}
-        for pos, a in self._slot_scan():
-            if a in ends:
-                raise DiagramParseError(f"arc label {a} used more than twice")
-            if a in firsts:
-                ends[a] = (firsts.pop(a), pos)
-            else:
-                firsts[a] = pos
-        if firsts:
-            missing = ", ".join(str(a) for a in sorted(firsts))
-            raise DiagramParseError(f"arc label(s) used only once: {missing}")
-        object.__setattr__(self, "_ends", ends)
-        return ends
-
-    def _validate(self) -> None:
-        ends = self.arc_ends()
-        for a, _w in self._rays:
-            if a not in ends:
-                raise DiagramParseError(f"ray word on unknown arc {a}")
-        for _a, w in self._rays:
-            for tok in w:
-                if tok not in RAY_TOKENS:
-                    raise DiagramParseError(f"bad ray token {tok!r}")
+        """Arc labels in order of first appearance: those of the even end
+        ids in scan order."""
+        arcs, (vertex_ids, crossing_ids) = self.arcs, self._end_ids
+        return [arcs[e >> 1] for ids in (*vertex_ids, *crossing_ids) for e in ids if not e & 1]
 
     def end_ids(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Arc-end ids of every slot, as (vertex slots, crossing slots): arc
-        i (dense index in label order) has id 2*i at its first occurrence in
-        scan order and 2*i + 1 at its second."""
-        ends = self.arc_ends()
-        index = {a: i for i, a in enumerate(sorted(ends))}
-
-        def ids(kind: str, k: int, slots: Sequence[int]) -> tuple[int, ...]:
-            return tuple(
-                2 * index[a] + (ends[a][0] != (kind, k, si)) for si, a in enumerate(slots)
-            )
-
-        return (
-            tuple(ids("v", vi, slots) for vi, slots in enumerate(self.vertices)),
-            tuple(ids("x", ci, slots) for ci, slots in enumerate(self.crossings)),
-        )
+        """Arc-end ids of every slot, as (vertex slots, crossing slots); see
+        the module docstring for the numbering."""
+        return self._end_ids
 
     def edge_classes(self) -> list[list[int]]:
         """Arcs grouped into the edges of the underlying abstract graph
         (strands merged through crossings); each class sorted, classes
         ordered by least arc label."""
-        labels = sorted(self.arc_ends())
-        index = {a: i for i, a in enumerate(labels)}
-        through = [
-            (index[x], index[y]) for a, b, c, d in self.crossings for x, y in ((a, c), (b, d))
-        ]
-        _count, root = components(len(labels), through)
+        through = [(ids[s] >> 1, ids[s + 2] >> 1) for ids in self._end_ids[1] for s in (0, 1)]
+        _count, root = components(self.num_arcs, through)
         groups: dict[int, list[int]] = {}
-        for a in labels:
-            groups.setdefault(root[index[a]], []).append(a)
+        for i, a in enumerate(self.arcs):
+            groups.setdefault(root[i], []).append(a)
         return list(groups.values())
 
     def num_edges(self) -> int:
         """Edges of the underlying abstract graph: edge classes with an arc
         end at a vertex (the others are closed link components)."""
-        ends = self.arc_ends()
-        return sum(
-            1
-            for cls in self.edge_classes()
-            if any(p[0] == "v" for a in cls for p in ends[a])
-        )
+        at_vertex = {a for slots in self.vertices for a in slots}
+        return sum(1 for cls in self.edge_classes() if not at_vertex.isdisjoint(cls))
 
     # -- equality ----------------------------------------------------------------
 
@@ -209,13 +191,13 @@ class GraphDiagram:
 
     def __hash__(self) -> int:
         return hash(
-            (self.vertices, self._norm_crossings(), self.free_circles, self._rays)
+            (self.vertices, self._norm_crossings(), self.free_circles, tuple(self._rays.items()))
         )
 
     def __repr__(self) -> str:
         return (
             f"GraphDiagram(vertices={self.vertices}, crossings={self.crossings}, "
-            f"free_circles={self.free_circles}, ray_words={dict(self._rays)})"
+            f"free_circles={self.free_circles}, ray_words={self._rays})"
         )
 
 
@@ -302,12 +284,15 @@ def serialize_diagram(g: GraphDiagram) -> str:
 
 def normalize_labels(g: GraphDiagram) -> GraphDiagram:
     """Relabel arcs densely by first appearance in scan order."""
-    mapping = {a: i for i, a in enumerate(g.arc_labels())}
+    rank = [0] * g.num_arcs  # new label of each arc
+    for r, a in enumerate(g.arc_labels()):
+        rank[bisect_left(g.arcs, a)] = r
+    vertex_ids, crossing_ids = g.end_ids()
     return GraphDiagram(
-        [[mapping[a] for a in slots] for slots in g.vertices],
-        [[mapping[a] for a in slots] for slots in g.crossings],
+        [[rank[e >> 1] for e in ids] for ids in vertex_ids],
+        [[rank[e >> 1] for e in ids] for ids in crossing_ids],
         g.free_circles,
-        {mapping[a]: w for a, w in g.ray_words.items()},
+        {rank[bisect_left(g.arcs, a)]: w for a, w in g.ray_words.items()},
     )
 
 
@@ -327,8 +312,7 @@ def mirror(g: GraphDiagram) -> GraphDiagram:
 
 
 def disjoint_union(g1: GraphDiagram, g2: GraphDiagram) -> GraphDiagram:
-    labels1 = g1.arc_labels()
-    shift = (max(labels1) + 1) if labels1 else 0
+    shift = g1.arcs[-1] + 1 if g1.arcs else 0
     rays = dict(g1.ray_words)
     rays.update({a + shift: w for a, w in g2.ray_words.items()})
     return GraphDiagram(
@@ -352,21 +336,21 @@ def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiag
         raise InvalidDiagramError("resolve_crossing is defined on plane diagrams (no ray words)")
     if not (0 <= index < len(g.crossings)):
         raise InvalidDiagramError(f"no crossing with index {index}")
-    slots = g.crossings[index]
-    crossings = [x for i, x in enumerate(g.crossings) if i != index]
     if kind is Resolution.VERTEX:
+        slots = g.crossings[index]
+        crossings = [x for i, x in enumerate(g.crossings) if i != index]
         return normalize_labels(GraphDiagram(g.vertices + (slots,), crossings, g.free_circles))
     pairs = ((0, 1), (2, 3)) if kind is Resolution.SMOOTH_A else ((0, 3), (1, 2))
-    labels = sorted(g.arc_ends())
-    dense = {a: i for i, a in enumerate(labels)}
-    joins = [(dense[slots[s1]], dense[slots[s2]]) for s1, s2 in pairs]
-    count, root = components(len(labels), joins)
+    vertex_ids, crossing_ids = g.end_ids()
+    ids = crossing_ids[index]
+    joins = [(ids[s1] >> 1, ids[s2] >> 1) for s1, s2 in pairs]
+    count, root = components(g.num_arcs, joins)
     # a join that merges no two strands closes a free circle
-    free = g.free_circles + len(joins) - (len(labels) - count)
+    free = g.free_circles + len(joins) - (g.num_arcs - count)
     return normalize_labels(
         GraphDiagram(
-            [[root[dense[a]] for a in v] for v in g.vertices],
-            [[root[dense[a]] for a in x] for x in crossings],
+            [[root[e >> 1] for e in v] for v in vertex_ids],
+            [[root[e >> 1] for e in x] for i, x in enumerate(crossing_ids) if i != index],
             free,
         )
     )
@@ -378,5 +362,5 @@ def to_flat_state(g: GraphDiagram) -> FlatState:
     if g.crossings:
         raise InvalidDiagramError("diagram still has crossings")
     vertex_ends, _ = g.end_ids()
-    ((_, _, n, edges, circles),) = resolution_states(len(g.arc_ends()), vertex_ends, ())
+    ((_, _, n, edges, circles),) = resolution_states(g.num_arcs, vertex_ends, ())
     return FlatState.make(n, edges, circles + g.free_circles)

@@ -37,7 +37,7 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
     _, crossing_ends = g.end_ids()
     c = len(g.crossings)
-    n_arcs = len(g.arc_ends())
+    n_arcs = g.num_arcs
     counts = state_circle_counts(n_arcs, crossing_ends)
     # multiplicities of (B-smoothings, circle count), packed as one int
     # (popcount(mask) << shift) + circles; every circle holds an arc, so

@@ -321,9 +321,7 @@ def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
     return CIRCLE_FACTOR**state.circle_count * total if state.circle_count else total
 
 
-def yamada(
-    g: GraphDiagram, memo: dict[bytes, LocalizedElement] | None = None
-) -> LocalizedElement:
+def yamada(g: GraphDiagram, memo: dict[bytes, DPoly] | None = None) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
     Evaluates the flat residue of each of the 3^c resolution states, counts
@@ -343,9 +341,7 @@ def yamada(
         memo = {}
     vertex_ends, crossing_ends = g.end_ids()
     counts: dict[tuple[int, int, LocalizedElement], int] = {}
-    for a_exp, v, n, edges, circles in resolution_states(
-        len(g.arc_ends()), vertex_ends, crossing_ends
-    ):
+    for a_exp, v, n, edges, circles in resolution_states(g.num_arcs, vertex_ends, crossing_ends):
         value = flat_eval(FlatState.make(n, edges, circles + g.free_circles), memo)
         key = (a_exp, v, value)
         counts[key] = counts.get(key, 0) + 1

@@ -1,5 +1,7 @@
 """Diagram parsing, validation and elementary transformations."""
 
+import random
+
 import pytest
 
 from skein import fixtures
@@ -10,6 +12,7 @@ from skein.diagrams import (
     Resolution,
     disjoint_union,
     mirror,
+    normalize_labels,
     parse_diagram,
     resolve_crossing,
     serialize_diagram,
@@ -158,3 +161,134 @@ def test_vertex_line_without_labels_is_isolated_vertex():
     assert g.vertices == ((),) and g.free_circles == 1
     state = to_flat_state(g)
     assert state.num_vertices == 1 and not state.edges
+
+
+# -- the arc-end numbering ------------------------------------------------------
+
+
+def _reference_end_ids(g):
+    """The positional derivation the stored numbering replaced: the
+    (kind, index, slot) positions of each arc's two ends in scan order, then
+    id 2*i at the first end and 2*i + 1 at the second, i the label's rank."""
+    scan = [
+        (("v", vi, si), a) for vi, slots in enumerate(g.vertices) for si, a in enumerate(slots)
+    ] + [
+        (("x", ci, si), a) for ci, slots in enumerate(g.crossings) for si, a in enumerate(slots)
+    ]
+    firsts, ends = {}, {}
+    for pos, a in scan:
+        if a in firsts:
+            ends[a] = (firsts.pop(a), pos)
+        else:
+            firsts[a] = pos
+    index = {a: i for i, a in enumerate(sorted(ends))}
+
+    def ids(kind, k, slots):
+        return tuple(2 * index[a] + (ends[a][0] != (kind, k, si)) for si, a in enumerate(slots))
+
+    return (
+        tuple(ids("v", vi, slots) for vi, slots in enumerate(g.vertices)),
+        tuple(ids("x", ci, slots) for ci, slots in enumerate(g.crossings)),
+    )
+
+
+def _reference_arc_labels(g):
+    """Arc labels by first appearance, vertex slots before crossing slots."""
+    seen = []
+    for slots in (*g.vertices, *g.crossings):
+        for a in slots:
+            if a not in seen:
+                seen.append(a)
+    return seen
+
+
+def _seeded_diagram(rng, rays):
+    """A diagram (not necessarily planar) with labels drawn unsorted from a
+    sparse range, some vertices of degree 0 to 4 and some crossings."""
+    degrees = [rng.randrange(5) for _ in range(rng.randrange(4))]
+    n_crossings = rng.randrange(5)
+    if sum(degrees) % 2:
+        degrees.append(1)
+    arcs = rng.sample(range(3, 1000, 7), (sum(degrees) + 4 * n_crossings) // 2)
+    slots = arcs * 2
+    rng.shuffle(slots)
+    vertices = []
+    for k in degrees:
+        vertices.append(slots[:k])
+        slots = slots[k:]
+    crossings = [slots[i : i + 4] for i in range(0, len(slots), 4)]
+    words = {}
+    if rays:
+        for a in rng.sample(arcs, len(arcs) // 2):
+            words[a] = [rng.choice(("1+", "1-", "2+", "2-")) for _ in range(rng.randrange(3))]
+    return GraphDiagram(vertices, crossings, rng.randrange(2), words)
+
+
+def _numbering_corpus():
+    graphs = [
+        fixtures.load_diagram(name[: -len(".graph")])
+        for name in fixtures.list_fixtures()
+        if name.endswith(".graph")
+    ]
+    rng = random.Random(1301)
+    for _ in range(40):
+        g = _seeded_diagram(rng, rays=rng.random() < 0.5)
+        h = _seeded_diagram(rng, rays=rng.random() < 0.5)
+        graphs += [g, mirror(g), disjoint_union(g, h), normalize_labels(g)]
+        if not g.has_rays():
+            graphs += [resolve_crossing(g, i, kind) for i in range(len(g.crossings))
+                       for kind in Resolution]
+    return graphs
+
+
+def test_stored_numbering_matches_the_positional_derivation():
+    graphs = _numbering_corpus()
+    assert any(g.arcs and g.arcs != tuple(range(g.num_arcs)) for g in graphs)
+    for g in graphs:
+        assert g.end_ids() == _reference_end_ids(g)
+        assert g.arcs == tuple(sorted(set(_reference_arc_labels(g))))
+        assert g.num_arcs == len(g.arcs)
+
+
+def test_arc_labels_keep_first_appearance_order():
+    assert GraphDiagram([[9, 4]], [[4, 2, 9, 2]]).arc_labels() == [9, 4, 2]
+    for g in _numbering_corpus():
+        first = _reference_arc_labels(g)
+        assert g.arc_labels() == first
+        rank = {a: i for i, a in enumerate(first)}
+        assert normalize_labels(g) == GraphDiagram(
+            [[rank[a] for a in slots] for slots in g.vertices],
+            [[rank[a] for a in slots] for slots in g.crossings],
+            g.free_circles,
+            {rank[a]: w for a, w in g.ray_words.items()},
+        )
+
+
+@pytest.mark.parametrize(
+    "vertices, crossings, rays, message",
+    [
+        ([[5, 5, 8]], [], None, "arc label(s) used only once: 8"),
+        ([[7, 3]], [[3, 7, 9, 2]], None, "arc label(s) used only once: 2, 9"),
+        ([[1, 2, 2, 2, 1, 1]], [], None, "arc label 2 used more than twice"),
+        ([[4, 4]], [[6, 4, 6, 6]], None, "arc label 4 used more than twice"),
+        ([[4, 4]], [], {5: ["1+"]}, "ray word on unknown arc 5"),
+        ([[4, 4]], [], {4: ["3+"]}, "bad ray token '3+'"),
+    ],
+)
+def test_constructor_rejects_bad_labels_without_the_parser(vertices, crossings, rays, message):
+    with pytest.raises(DiagramParseError) as err:
+        GraphDiagram(vertices, crossings, 0, rays)
+    assert str(err.value) == message
+
+
+def test_ray_words_are_stored_once_and_read_only():
+    g = parse_diagram("V 1 2\nV 2 1\nRAY 2 2- 1+\nRAY 1 1+")
+    assert repr(g) == (
+        "GraphDiagram(vertices=((0, 1), (1, 0)), crossings=(), free_circles=0, "
+        "ray_words={0: ('1+',), 1: ('2-', '1+')})"
+    )
+    assert g.ray_word(1) == ("2-", "1+") and g.ray_word(5) == ()
+    assert dict(g.ray_words) == {0: ("1+",), 1: ("2-", "1+")}
+    with pytest.raises(TypeError):
+        g.ray_words[0] = ()
+    assert hash(g) == hash(GraphDiagram(g.vertices, g.crossings, 0, {1: "2- 1+".split(), 0: ["1+"]}))

@@ -392,7 +392,7 @@ def test_state_circle_counts_against_reference():
         cases.append((n_arcs, crossings))
     for g in _diagrams(10):
         if not g.vertices:
-            cases.append((len(g.arc_ends()), g.end_ids()[1]))
+            cases.append((g.num_arcs, g.end_ids()[1]))
     for n_arcs, crossings in cases:
         counts = core.state_circle_counts(n_arcs, crossings)
         assert counts == _union_find_circle_counts(n_arcs, crossings)
@@ -442,7 +442,7 @@ def _reference_bracket(g):
     """The bracket state sum over the reference walk's counts, assembled per
     (B-smoothings, circles) pair as ``bracket`` did before it packed them."""
     c = len(g.crossings)
-    counts = _reference_state_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+    counts = _reference_state_circle_counts(g.num_arcs, g.end_ids()[1])
     total = LaurentPoly.zero()
     for (b, circles), mult in Counter(zip(map(int.bit_count, range(1 << c)), counts)).items():
         total = total + (D_LAURENT**circles).scale(mult).shifted(c - 2 * b)
@@ -474,7 +474,7 @@ def _braid_closure(rng, strands, length, generators=None, shuffle=False):
 
 
 def _kernel_args(g):
-    return len(g.arc_ends()), g.end_ids()[1]
+    return g.num_arcs, g.end_ids()[1]
 
 
 def _random_link_ends(rng, c):
@@ -520,7 +520,7 @@ def test_resolution_states_against_reference():
     rng = random.Random(7)
     cases = [_random_diagram(rng, rng.randint(0, 5), 2 * rng.randint(0, 4)) for _ in range(60)]
     for g in _diagrams(6):
-        cases.append((len(g.arc_ends()), *g.end_ids()))
+        cases.append((g.num_arcs, *g.end_ids()))
     for n_arcs, vertices, crossings in cases:
         states = core.resolution_states(n_arcs, vertices, crossings)
         assert _sorted_edges(states) == _union_find_resolution_states(n_arcs, vertices, crossings)
@@ -529,7 +529,7 @@ def test_resolution_states_against_reference():
 def test_torus_brackets_match_the_state_sum_by_mask():
     for k in range(1, 11):
         g = _torus_2(k)
-        counts = _union_find_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+        counts = _union_find_circle_counts(g.num_arcs, g.end_ids()[1])
         expect = LaurentPoly.zero()
         for mask, circles in enumerate(counts):
             b = bin(mask).count("1")
@@ -545,10 +545,10 @@ def test_kernels_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        core.state_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+        core.state_circle_counts(g.num_arcs, g.end_ids()[1])
         for diagram in (g, theta):
-            list(core.resolution_states(len(diagram.arc_ends()), *diagram.end_ids()))
-        partial = core.resolution_states(len(g.arc_ends()), *g.end_ids())
+            list(core.resolution_states(diagram.num_arcs, *diagram.end_ids()))
+        partial = core.resolution_states(g.num_arcs, *g.end_ids())
         next(partial)
         del partial
         for n, edges in _symmetric_graphs():

@@ -35,7 +35,7 @@ def test_bracket_empty_and_circles():
 def test_crossingless_bracket_matches_the_state_sum(name):
     g = GraphDiagram() if name == "empty" else fixtures.load_diagram(name)
     # the 2^0 walk has one state; every free circle adds a factor d
-    (circles,) = state_circle_counts(len(g.arc_ends()), g.end_ids()[1])
+    (circles,) = state_circle_counts(g.num_arcs, g.end_ids()[1])
     assert bracket(g) == D_LAURENT ** (circles + g.free_circles)
 
 
