@@ -165,6 +165,14 @@ def _check_slots(n_arcs: int, *slot_lists: Sequence[Sequence[int]]) -> None:
         raise ValueError("every arc-end id must appear in exactly one slot")
 
 
+def inner_crossings(c: int) -> int:
+    """How many of c crossings :func:`state_circle_counts` walks as its
+    inner half: k = c // 2.  State ``mask = hi * 2^k + lo`` then has its
+    inner crossings k-1 .. 0 in ``lo``, and the 2^k states sharing ``hi``
+    are one contiguous block of the result."""
+    return c // 2
+
+
 def state_circle_counts(
     n_arcs: int, crossings: Sequence[tuple[int, int, int, int]]
 ) -> list[int]:
@@ -178,19 +186,19 @@ def state_circle_counts(
     2^len(crossings).
 
     The walk takes crossing c-1 outermost and A before B, which visits the
-    states in mask order.  It splits the crossings at k = c // 2.  Once the
-    outer crossings c-1 .. k are smoothed, the 2^k counts of the inner
-    states, a contiguous block of the result, depend only on the circles
-    closed so far and on how the open strands pair the boundary ends: the
-    ends of inner crossings k-1 .. 0 whose arcs lead to an outer crossing.
-    Every other inner end lies on an arc between inner crossings, whose
-    strand no outer join touches.  A per-call dict keyed by ``(closed,
-    mate at the boundary ends)`` records where each block starts; the walk
-    descends into the inner crossings only for a key it has not met, and
-    otherwise copies the recorded block.  The result holds 2^c ints; the
-    dict holds at most 2^(c-k) entries, one per outer state, and is freed
-    on return.  With k <= 1 the inner block is the leaf crossing, which
-    costs less than its key.
+    states in mask order.  It splits the crossings at k =
+    ``inner_crossings(c)``.  Once the outer crossings c-1 .. k are smoothed,
+    the 2^k counts of the inner states, a contiguous block of the result,
+    depend only on the circles closed so far and on how the open strands
+    pair the boundary ends: the ends of inner crossings k-1 .. 0 whose arcs
+    lead to an outer crossing.  Every other inner end lies on an arc between
+    inner crossings, whose strand no outer join touches.  A per-call dict
+    keyed by ``(closed, mate at the boundary ends)`` records where each
+    block starts; the walk descends into the inner crossings only for a key
+    it has not met, and otherwise copies the recorded block.  The result
+    holds 2^c ints; the dict holds at most 2^(c-k) entries, one per outer
+    state, and is freed on return.  With k <= 1 the inner block is the leaf
+    crossing, which costs less than its key.
     """
     _check_slots(n_arcs, crossings)
     if not crossings:
@@ -199,7 +207,7 @@ def state_circle_counts(
     counts: list[int] = []
     append = counts.append
     extend = counts.extend
-    k = len(crossings) // 2
+    k = inner_crossings(len(crossings))
     top = k - 1
     size = 1 << k
     inner = {e for ends in crossings[:k] for e in ends}

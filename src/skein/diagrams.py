@@ -336,23 +336,28 @@ def resolve_crossing(g: GraphDiagram, index: int, kind: Resolution) -> GraphDiag
         raise InvalidDiagramError("resolve_crossing is defined on plane diagrams (no ray words)")
     if not (0 <= index < len(g.crossings)):
         raise InvalidDiagramError(f"no crossing with index {index}")
-    if kind is Resolution.VERTEX:
-        slots = g.crossings[index]
-        crossings = [x for i, x in enumerate(g.crossings) if i != index]
-        return normalize_labels(GraphDiagram(g.vertices + (slots,), crossings, g.free_circles))
-    pairs = ((0, 1), (2, 3)) if kind is Resolution.SMOOTH_A else ((0, 3), (1, 2))
     vertex_ids, crossing_ids = g.end_ids()
     ids = crossing_ids[index]
-    joins = [(ids[s1] >> 1, ids[s2] >> 1) for s1, s2 in pairs]
+    if kind is Resolution.VERTEX:
+        vertex_ids += (ids,)
+        joins = []
+    else:
+        pairs = ((0, 1), (2, 3)) if kind is Resolution.SMOOTH_A else ((0, 3), (1, 2))
+        joins = [(ids[s1] >> 1, ids[s2] >> 1) for s1, s2 in pairs]
     count, root = components(g.num_arcs, joins)
     # a join that merges no two strands closes a free circle
     free = g.free_circles + len(joins) - (g.num_arcs - count)
-    return normalize_labels(
-        GraphDiagram(
-            [[root[e >> 1] for e in v] for v in vertex_ids],
-            [[root[e >> 1] for e in x] for i, x in enumerate(crossing_ids) if i != index],
-            free,
-        )
+    # label the joined arcs densely by first appearance in scan order, as
+    # normalize_labels would
+    rank: dict[int, int] = {}
+    return GraphDiagram(
+        [[rank.setdefault(root[e >> 1], len(rank)) for e in v] for v in vertex_ids],
+        [
+            [rank.setdefault(root[e >> 1], len(rank)) for e in x]
+            for i, x in enumerate(crossing_ids)
+            if i != index
+        ],
+        free,
     )
 
 

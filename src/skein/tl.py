@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import comb
 from operator import add
 
-from .core import components, state_circle_counts
+from .core import components, inner_crossings, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .rings import (
     D_LAURENT,
@@ -32,36 +33,59 @@ from .rings import (
 
 
 def bracket(g: GraphDiagram) -> LaurentPoly:
-    """State-sum Kauffman bracket; requires a link diagram (no flat vertices)."""
+    """State-sum Kauffman bracket; requires a link diagram (no flat vertices).
+
+    A state with b B-smoothings and n circles, free circles included,
+    weighs A^(c - 2b) d^n.  The weights are counted by block.  With k =
+    ``inner_crossings(c)``, the walk's own split, state ``mask = hi * 2^k +
+    lo``, and the 2^k counts sharing ``hi`` form one contiguous block of
+    :func:`state_circle_counts`; the walk copies whole blocks, so most are
+    equal.  Every count is at most n_arcs = 2c, which is below 256 for any
+    c whose 2^c list fits in memory, so the counts are one ``bytes`` and
+    each block a slice of it.  The pairs (block, B-smoothings of ``hi``)
+    are counted; each distinct block gets one histogram of (B-smoothings
+    of ``lo``, circles), added in shifted by the B-smoothings of ``hi``.
+    Equal blocks have equal histograms, so the sum does not depend on how
+    many blocks repeat.  Each histogram entry goes into integer
+    A-coefficients through d^n = (-1)^n sum_j C(n, j) A^(2n - 4j), and one
+    polynomial is built at the end.
+    """
     if g.vertices:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
     _, crossing_ends = g.end_ids()
     c = len(g.crossings)
-    n_arcs = g.num_arcs
-    counts = state_circle_counts(n_arcs, crossing_ends)
-    # multiplicities of (B-smoothings, circle count), packed as one int
-    # (popcount(mask) << shift) + circles; every circle holds an arc, so
-    # circles <= n_arcs < 1 << shift.  State mask has A-exponent
-    # c - 2 * popcount(mask).
-    shift = n_arcs.bit_length()
-    one_b = 1 << shift
-    packed_b = [0]
-    for _ in range(c):
-        packed_b += [x + one_b for x in packed_b]
-    weights = Counter(map(add, packed_b, counts))
-    low = one_b - 1
-    total = LaurentPoly.zero()
-    d_pows: dict[int, LaurentPoly] = {}
-    for key, mult in sorted(weights.items()):
-        b, circles = key >> shift, key & low
-        dp = d_pows.get(circles)
-        if dp is None:
-            dp = D_LAURENT**circles
-            d_pows[circles] = dp
-        total = total + dp.scale(mult).shifted(c - 2 * b)
-    if g.free_circles:
-        total = total * D_LAURENT**g.free_circles
-    return total
+    k = inner_crossings(c)
+    size = 1 << k
+    counts = bytes(state_circle_counts(g.num_arcs, crossing_ends))
+    blocks = (counts[i : i + size] for i in range(0, len(counts), size))
+    pairs = Counter(zip(map(int.bit_count, range(1 << (c - k))), blocks))
+    # multiplicities of (B-smoothings, circles), packed as (b << 8) + circles
+    lo_b = [b << 8 for b in map(int.bit_count, range(size))]
+    histograms: dict[bytes, Counter] = {}
+    weights: dict[int, int] = {}
+    for (hi_b, block), mult in pairs.items():
+        hist = histograms.get(block)
+        if hist is None:
+            hist = histograms[block] = Counter(map(add, lo_b, block))
+        shift = hi_b << 8
+        for key, m in hist.items():
+            key += shift
+            weights[key] = weights.get(key, 0) + m * mult
+    coeffs: dict[int, int] = {}
+    for key, mult in weights.items():
+        n = (key & 255) + g.free_circles
+        if n & 1:
+            mult = -mult
+        top = c - 2 * (key >> 8) + 2 * n
+        for j, binom in enumerate(_binomial_row(n)):
+            e = top - 4 * j
+            coeffs[e] = coeffs.get(e, 0) + mult * binom
+    return LaurentPoly(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    return tuple(comb(n, j) for j in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

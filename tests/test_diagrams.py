@@ -5,6 +5,7 @@ import random
 import pytest
 
 from skein import fixtures
+from skein.core import components
 from skein.diagrams import (
     DiagramParseError,
     GraphDiagram,
@@ -262,6 +263,49 @@ def test_arc_labels_keep_first_appearance_order():
             g.free_circles,
             {rank[a]: w for a, w in g.ray_words.items()},
         )
+
+
+def _reference_resolve_crossing(g, index, kind):
+    """``resolve_crossing`` in its two-step form: a diagram labelled by the
+    joined arcs' union-find roots, relabelled by ``normalize_labels``."""
+    if kind is Resolution.VERTEX:
+        crossings = [x for i, x in enumerate(g.crossings) if i != index]
+        return normalize_labels(
+            GraphDiagram(g.vertices + (g.crossings[index],), crossings, g.free_circles)
+        )
+    pairs = ((0, 1), (2, 3)) if kind is Resolution.SMOOTH_A else ((0, 3), (1, 2))
+    vertex_ids, crossing_ids = g.end_ids()
+    ids = crossing_ids[index]
+    joins = [(ids[s1] >> 1, ids[s2] >> 1) for s1, s2 in pairs]
+    count, root = components(g.num_arcs, joins)
+    free = g.free_circles + len(joins) - (g.num_arcs - count)
+    return normalize_labels(
+        GraphDiagram(
+            [[root[e >> 1] for e in v] for v in vertex_ids],
+            [[root[e >> 1] for e in x] for i, x in enumerate(crossing_ids) if i != index],
+            free,
+        )
+    )
+
+
+def test_resolve_crossing_matches_the_two_step_reference():
+    graphs = [
+        g
+        for g in (fixtures.load_diagram(n) for n in fixtures.list_fixtures() if n.endswith(".graph"))
+        if not g.has_rays()
+    ]
+    rng = random.Random(1402)
+    graphs += [_seeded_diagram(rng, rays=False) for _ in range(200)]
+    resolved = 0
+    for g in graphs:
+        for i in range(len(g.crossings)):
+            for kind in Resolution:
+                out = resolve_crossing(g, i, kind)
+                assert serialize_diagram(out) == serialize_diagram(
+                    _reference_resolve_crossing(g, i, kind)
+                )
+                resolved += 1
+    assert resolved > 1000
 
 
 @pytest.mark.parametrize(

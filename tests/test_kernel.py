@@ -12,9 +12,9 @@ import pytest
 
 from skein import core, fixtures
 from skein.core import CANON_KEY_LIMIT, backend_name
-from skein.diagrams import parse_diagram
-from skein.rings import D_LAURENT, LaurentPoly
-from skein.tl import bracket
+from skein.diagrams import GraphDiagram, parse_diagram
+from skein.rings import D_LAURENT, LaurentPoly, RationalFunction
+from skein.tl import TangleElement, bracket, markov_trace
 from skein.yamada import yamada
 
 
@@ -449,28 +449,40 @@ def _reference_bracket(g):
     return total * D_LAURENT**g.free_circles
 
 
-def _braid_closure(rng, strands, length, generators=None, shuffle=False):
-    """The closure of a seeded braid word on ``strands`` strands, read bottom
-    to top over the generator indices ``generators`` (all by default).  A
-    strand that no letter touches closes into a free circle; ``shuffle``
-    lists the crossings in a random order."""
+def _braid_word(rng, strands, length, generators=None):
+    """A seeded braid word of ``length`` letters (i, sign) over the
+    generator indices ``generators`` (all by default).  Sign +1 puts the
+    strand from bottom left on top, -1 the one from bottom right."""
     generators = range(strands - 1) if generators is None else generators
+    return [(rng.choice(generators), 1 if rng.random() < 0.5 else -1) for _ in range(length)]
+
+
+def _word_closure(strands, word, rng=None):
+    """The closure of a braid word on ``strands`` strands, read bottom to
+    top.  A strand that no letter touches closes into a free circle; with
+    ``rng`` the crossings are listed in a random order."""
     bottom = list(range(strands))
     top = list(bottom)
     crossings = []
-    for label in range(strands, strands + 2 * length, 2):
-        i = rng.choice(generators)
+    for label, (i, sign) in zip(range(strands, strands + 2 * len(word), 2), word):
         bl, br = top[i], top[i + 1]
         tl, tr = label, label + 1
         top[i], top[i + 1] = tl, tr
-        # either strand on top; slots counterclockwise from bottom right
-        crossings.append((br, tr, tl, bl) if rng.random() < 0.5 else (tr, tl, bl, br))
+        # slots counterclockwise from bottom right
+        crossings.append((br, tr, tl, bl) if sign > 0 else (tr, tl, bl, br))
     close = dict(zip(top, bottom))
-    if shuffle:
+    if rng is not None:
         rng.shuffle(crossings)
     lines = ["X " + " ".join(str(close.get(a, a)) for a in x) for x in crossings]
     lines += ["O"] * sum(t == b for t, b in zip(top, bottom))
     return parse_diagram("\n".join(lines))
+
+
+def _braid_closure(rng, strands, length, generators=None, shuffle=False):
+    """The closure of a seeded braid word; ``shuffle`` lists the crossings
+    in a random order."""
+    word = _braid_word(rng, strands, length, generators)
+    return _word_closure(strands, word, rng if shuffle else None)
 
 
 def _kernel_args(g):
@@ -514,6 +526,73 @@ def test_bracket_packs_circle_counts_past_any_fixed_width():
     # one kink: A d^2 from its A-state, A^-1 d from its B-state
     kink = (D_LAURENT**2).shifted(1) + D_LAURENT.shifted(-1)
     assert bracket(g) == kink**12 == _reference_bracket(g)
+
+
+def _distinct_block_ratio(g):
+    """Distinct blocks of 2^k counts over all blocks, k the walk's split."""
+    counts = core.state_circle_counts(*_kernel_args(g))
+    size = 1 << core.inner_crossings(len(g.crossings))
+    blocks = [tuple(counts[i : i + size]) for i in range(0, len(counts), size)]
+    return len(set(blocks)) / len(blocks)
+
+
+def test_bracket_assembly_matches_the_reference_sum():
+    rng = random.Random(1404)
+    # c = 0 .. 3, where a block holds one or two counts, and odd c, where
+    # the outer half is the larger
+    small = [_braid_closure(rng, s, c) for c in (0, 1, 2, 3) for s in (2, 3, 4) for _ in range(3)]
+    odd = [_braid_closure(rng, s, c) for c in (5, 7, 9, 11, 13) for s in (2, 3, 4)]
+    assert {len(g.crossings) for g in small} == {0, 1, 2, 3}
+    # free circles together with crossings
+    free = [_braid_closure(rng, 6, c, generators=(1, 2, 3)) for c in (1, 2, 5, 8, 11)]
+    free += [_braid_closure(rng, 3, c, generators=(0,)) for c in (3, 4)]
+    assert all(g.free_circles and g.crossings for g in free)
+    # shuffled crossing orders and random pairings: few blocks repeat
+    shuffled = [_braid_closure(rng, s, c, shuffle=True) for c in (10, 13, 14) for s in (3, 4)]
+    for c in (6, 9, 12, 13):
+        _, crossings = _random_link_ends(rng, c)
+        shuffled.append(GraphDiagram([], [[e >> 1 for e in x] for x in crossings]))
+    assert max(_distinct_block_ratio(g) for g in shuffled) > 0.9
+    for g in small + odd + free + shuffled:
+        assert bracket(g) == _reference_bracket(g)
+
+
+def _tl_trace(strands, word):
+    """Markov trace of a braid word in the Temperley-Lieb algebra: letter
+    (i, +1) is A + A^-1 U_(i+1), its mirror (i, -1) is A^-1 + A U_(i+1),
+    and the word is stacked bottom to top."""
+    one = TangleElement.identity(strands)
+    acc = one
+    for i, sign in word:
+        a = RationalFunction.from_laurent(LaurentPoly.monomial(1, sign))
+        a_inv = RationalFunction.from_laurent(LaurentPoly.monomial(1, -sign))
+        acc = acc * (one.scale(a) + TangleElement.generator(strands, i + 1).scale(a_inv))
+    return markov_trace(acc).as_laurent()
+
+
+def test_trace_convention_matches_the_state_sum_by_mask():
+    # one kink (-A^(+-3) d) and the Hopf link, of either sign: the union-find
+    # state sum by mask fixes which smoothing of a letter is worth A
+    for n in (1, 2):
+        for sign in (1, -1):
+            g = _word_closure(2, [(0, sign)] * n)
+            counts = _union_find_circle_counts(g.num_arcs, g.end_ids()[1])
+            expect = LaurentPoly.zero()
+            for mask, circles in enumerate(counts):
+                expect = expect + (D_LAURENT**circles).shifted(n - 2 * mask.bit_count())
+            assert _tl_trace(2, [(0, sign)] * n) == expect == bracket(g)
+            if n == 1:
+                assert expect == D_LAURENT.shifted(3 * sign).scale(-1)
+
+
+def test_bracket_equals_the_temperley_lieb_trace():
+    for n in range(1, 21):
+        assert bracket(_torus_2(n)) == _tl_trace(2, [(0, 1)] * n)
+    rng = random.Random(1405)
+    for c in range(1, 17):
+        for _ in range(2):
+            word = _braid_word(rng, 3, c)
+            assert bracket(_word_closure(3, word)) == _tl_trace(3, word)
 
 
 def test_resolution_states_against_reference():
