@@ -18,20 +18,28 @@ never carry a turnback straight once.  It then walks the projector choices
 depth first over one array of open strand ends, as the state sums of
 :mod:`skein.core` walk smoothings: a choice joins the four cable ends of its
 turnback arc and the way back undoes the joins, so a term costs O(1) joins
-plus its own output.  A join that closes a circle records the circle's
-least static segment and winding.  Terms without crossings that have equal
-windings share one diagram, built once per call; terms with crossings hold
-one diagram each, so memory grows as 2^|E| times the crossings of the
-input: ``cable(petersen_diagram)`` (2^15 terms of 80 cable crossings each)
-needs hundreds of MB.  The evaluations count terms as integers per
-coefficient and circle class and touch the coefficient ring once per
-distinct key; only terms with crossings, which come from crossings of the
-input, call the bracket.
+plus its own output.  When some arc's ray word winds, a join also carries
+the strands' windings and least static segments, and a join that closes a
+circle records both.  When none winds (plane diagrams, and ray words such
+as ``1+ 1-`` that sum to 0) every circle winds (0, 0), so their order
+cannot matter: the walk keeps only the far ends and the number of closed
+circles.  Crossingless terms are shared: one term object per (turnbacks,
+windings) and one diagram per winding list, built once per call, so the
+2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
+crossings hold one diagram each, so memory grows as 2^|E| times the
+crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 80
+cable crossings each) needs hundreds of MB.  The evaluations tally terms by
+object identity, then count them as integers per coefficient and circle
+class, so a coefficient is hashed and a winding list classified once per
+distinct term and the coefficient ring is touched once per distinct key;
+only terms with crossings, which come from crossings of the input, call the
+bracket.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
@@ -95,12 +103,16 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
 
     The terms are the leaves of one depth-first walk over the class bits,
     the highest outermost and straight before turnback, so they come in
-    mask order.  Each open strand end holds its far end, its winding, its
-    least static segment and the direction in which it crosses it; a leaf
-    numbers the chains by first anchor from the far ends.  Terms without
-    crossings that have equal windings share one immutable diagram; terms
-    with crossings get one each (see the module docstring for the memory
-    this takes).
+    mask order.  Each open strand end holds its far end and, when some arc
+    winds, its winding, its least static segment and the direction in which
+    it crosses it; when no arc winds every circle winds (0, 0), so the walk
+    counts circles instead (exact: joins only add windings, and all are 0).
+    A leaf numbers the chains by first anchor from the far ends.  Terms
+    without crossings are shared: equal (coefficient, windings) give one
+    immutable term object and equal windings one diagram, so ``terms`` has
+    2^|E| entries but, on a flat diagram, only as many distinct objects as
+    (turnbacks, windings) pairs.  Terms with crossings get one object each
+    (see the module docstring for the memory this takes).
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -142,56 +154,86 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     n_nodes = n_junctions + 16 * len(crossing_ids)
 
     # The open strands, kept at their ends as in core.state_circle_counts:
-    # far[x] is the strand's other end, wind[x] its winding walked from x
-    # (packed, see _pack) and least[x] twice its least static segment, plus
-    # 1 when the walk from x crosses that segment from v to u.  So
-    # wind[far[x]] == -wind[x] and least[far[x]] == least[x] ^ 1, and a
-    # join keeps both.  At first every static segment is a strand.
+    # far[x] is the strand's other end.  When some arc winds, wind[x] is the
+    # strand's winding walked from x (packed, see _pack) and least[x] twice
+    # its least static segment, plus 1 when the walk from x crosses that
+    # segment from v to u.  So wind[far[x]] == -wind[x] and least[far[x]] ==
+    # least[x] ^ 1, and a join keeps both.  At first every static segment is
+    # a strand.
     far = [0] * n_nodes
-    wind = [0] * n_nodes
-    least = [0] * n_nodes
-    for sid, (u, v) in enumerate(static):
+    for u, v in static:
         far[u], far[v] = v, u
-        least[u], least[v] = 2 * sid, 2 * sid + 1
     # winding of a straight strand walked from end 0 to end 1 of its arc; a
     # turnback strand reads w + reverse(w) and winds nowhere
     arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
+    winds = any(arc_wind)
     # (least static segment, winding u to v along it) of each closed circle
+    # when some arc winds; when none does, only their number
     closed: list[tuple[int, tuple[int, int]]] = []
+    n_closed = 0
 
-    def join(p: int, q: int, w: int) -> None:
-        """Join the strands at ends p and q by a cable strand that winds w
-        from p to q."""
-        a = far[p]
-        if a == q:
-            w += wind[q]
-            closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
-            return
-        b = far[q]
-        far[a] = b
-        far[b] = a
-        w = wind[a] + w + wind[q]
-        wind[a] = w
-        wind[b] = -w
-        if least[a] < least[b]:
-            least[b] = least[a] ^ 1
-        else:
-            least[a] = least[b] ^ 1
+    if winds:
+        wind = [0] * n_nodes
+        least = [0] * n_nodes
+        for sid, (u, v) in enumerate(static):
+            least[u], least[v] = 2 * sid, 2 * sid + 1
 
-    def unjoin(p: int, q: int) -> None:
-        """Undo join(p, q, ...): p and q no longer end a strand, so they
-        still hold what their old far ends need back."""
-        a = far[p]
-        if a == q:
-            closed.pop()
-            return
-        b = far[q]
-        far[a] = p
-        far[b] = q
-        wind[a] = -wind[p]
-        wind[b] = -wind[q]
-        least[a] = least[p] ^ 1
-        least[b] = least[q] ^ 1
+        def join(p: int, q: int, w: int) -> None:
+            """Join the strands at ends p and q by a cable strand that winds w
+            from p to q."""
+            a = far[p]
+            if a == q:
+                w += wind[q]
+                closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
+                return
+            b = far[q]
+            far[a] = b
+            far[b] = a
+            w = wind[a] + w + wind[q]
+            wind[a] = w
+            wind[b] = -w
+            if least[a] < least[b]:
+                least[b] = least[a] ^ 1
+            else:
+                least[a] = least[b] ^ 1
+
+        def unjoin(p: int, q: int) -> None:
+            """Undo join(p, q, ...): p and q no longer end a strand, so they
+            still hold what their old far ends need back."""
+            a = far[p]
+            if a == q:
+                closed.pop()
+                return
+            b = far[q]
+            far[a] = p
+            far[b] = q
+            wind[a] = -wind[p]
+            wind[b] = -wind[q]
+            least[a] = least[p] ^ 1
+            least[b] = least[q] ^ 1
+
+    else:
+        # every strand winds 0, so every circle winds (0, 0) in any order
+
+        def join(p: int, q: int, w: int) -> None:
+            nonlocal n_closed
+            a = far[p]
+            if a == q:
+                n_closed += 1
+                return
+            b = far[q]
+            far[a] = b
+            far[b] = a
+
+        def unjoin(p: int, q: int) -> None:
+            nonlocal n_closed
+            a = far[p]
+            if a == q:
+                n_closed -= 1
+                return
+            b = far[q]
+            far[a] = p
+            far[b] = q
 
     # arcs without a turnback are straight in every term
     turned_arc = set(turn_arcs)
@@ -207,14 +249,22 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         coeffs.append(coeffs[-1] * _NEG_DINV)
     # chains run anchor to anchor; they are numbered by first anchor
     anchors = [n for seg in static for n in seg if n >= n_junctions]
-    shared: dict[tuple[tuple[int, int], ...], GraphDiagram] = {}
+    # crossingless terms, one per (turnbacks, circles), and their diagrams,
+    # one per circles; circles are the winding list, or their number when
+    # no arc winds
+    shared_terms: dict[tuple[int, object], CabledTerm] = {}
+    shared_diagrams: dict[object, GraphDiagram] = {}
     terms: list[CabledTerm] = []
 
     def visit(bit: int, turned: int, free: int) -> None:
         # ``free`` counts the circles the free circles have cabled to
         if bit < 0:
-            windings = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
+            if winds:
+                circles = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
+            else:
+                circles = free + n_closed
             if anchors:
+                windings = circles if winds else ((0, 0),) * circles
                 chain = [-1] * (n_nodes - n_junctions)
                 n_chains = 0
                 for x in anchors:
@@ -223,11 +273,18 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
                         n_chains += 1
                 crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
                 diagram = GraphDiagram([], crossings, len(windings))
-            else:
-                diagram = shared.get(windings)
+                terms.append(CabledTerm(coeffs[turned], diagram, windings))
+                return
+            term = shared_terms.get((turned, circles))
+            if term is None:
+                windings = circles if winds else ((0, 0),) * circles
+                diagram = shared_diagrams.get(circles)
                 if diagram is None:
-                    diagram = shared[windings] = GraphDiagram([], [], len(windings))
-            terms.append(CabledTerm(coeffs[turned], diagram, windings))
+                    diagram = shared_diagrams[circles] = GraphDiagram([], [], len(windings))
+                term = shared_terms[turned, circles] = CabledTerm(
+                    coeffs[turned], diagram, windings
+                )
+            terms.append(term)
             return
         if bit >= len(classes):
             # a free circle cables to two circles, or to one under its turnback
@@ -272,26 +329,36 @@ def _turnback_arcs(
     return [arcs[cls[0]] for cls in classes]
 
 
+def _tally(terms: tuple[CabledTerm, ...]) -> list[tuple[CabledTerm, int]]:
+    """Each distinct term object of ``terms`` with the number of times it
+    occurs, counted by identity: no coefficient or diagram is hashed."""
+    by_id = dict(zip(map(id, terms), terms))
+    return [(by_id[i], mult) for i, mult in Counter(map(id, terms)).items()]
+
+
 def phi_plane(
     g: GraphDiagram, insertion: Mapping[int, int] | None = None
 ) -> LocalizedElement:
     """Cabled evaluation in the plane: weighted sum of Kauffman brackets.
 
-    Crossingless terms are counted per (coefficient, circles); terms with
-    crossings add their brackets per coefficient.  Each coefficient then
-    multiplies its sum once.  ``insertion`` is passed to ``cable``.
+    Terms are tallied per distinct term object, which ``cable`` shares
+    among crossingless terms.  Crossingless terms are then counted per
+    (coefficient, circles) and terms with crossings, one object each, add
+    their brackets per coefficient, so a coefficient is hashed once per
+    distinct term.  Each coefficient then multiplies its sum once.
+    ``insertion`` is passed to ``cable``.
     """
     if g.has_rays():
         raise InvalidDiagramError("phi_plane needs a plane diagram (found ray words)")
     counts: dict[tuple[LocalizedElement, int], int] = {}
     sums: dict[LocalizedElement, LaurentPoly] = {}
     zero = LaurentPoly.zero()
-    for term in cable(g, insertion).terms:
+    for term, mult in _tally(cable(g, insertion).terms):
         if term.diagram.crossings:
-            sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram)
+            sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram).scale(mult)
         else:
             key = (term.coeff, term.diagram.free_circles)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + mult
     for (coeff, circles), mult in counts.items():
         sums[coeff] = sums.get(coeff, zero) + (D_LAURENT**circles).scale(mult)
     total = ZERO
@@ -325,15 +392,17 @@ def phi_punctured(g: GraphDiagram) -> PolyXYZ:
 
     Requires a flat diagram; circles of each expansion term are classified by
     their winding parities into x (hole 1), y (hole 2), z (both) or a factor
-    d for contractible ones.
+    d for contractible ones.  Terms are tallied per distinct term object
+    first, so each winding list is classified, and each coefficient hashed,
+    once per distinct term, not once per term.
     """
     if g.crossings:
         raise InvalidDiagramError("phi_punctured needs a flat diagram (crossings present)")
     counts: dict[tuple[LocalizedElement, int, int, int, int], int] = {}
-    for term in cable(g).terms:
+    for term, mult in _tally(cable(g).terms):
         m = classify_cycles(term.cycle_windings)
         key = (term.coeff, m.x_power, m.y_power, m.z_power, m.contractible)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + mult
     return PolyXYZ(
         ((x, y, z, 0), (coeff * D**contractible).scale(mult))
         for (coeff, x, y, z, contractible), mult in counts.items()

@@ -1,6 +1,7 @@
 """The edge-doubling map: expansion structure, plane and punctured evaluation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -353,7 +354,19 @@ def _reference_corpus():
             for k in range(2):
                 corpus.append((f"twisted_{base}_c{c}_{k}", _twisted(rng, text, c)))
     corpus += [("grid2x3", _grid(2, 3)), ("grid3x3", _grid(3, 3))]
+    # both sides of the walk's winding selection on rayed flat diagrams: ray
+    # words that all sum to 0, and one ray that winds (hole 1 in the inner
+    # face at outer edge 1)
+    k4 = fixtures.load_diagram("k4")
+    corpus += [("k4_cancelling_rays", _with_cancelling_rays(k4)),
+               ("k4_one_ray", GraphDiagram(k4.vertices, ray_words={1: ["1+"]}))]
     return [pytest.param(g, id=name) for name, g in corpus]
+
+
+def _with_cancelling_rays(g):
+    """``g`` with the ray word ``1+ 1-``, which winds nowhere, on every arc."""
+    words = {a: ["1+", "1-"] for a in g.arc_labels()}
+    return GraphDiagram(g.vertices, g.crossings, g.free_circles, ray_words=words)
 
 
 def _term_fields(expansion):
@@ -387,6 +400,18 @@ def test_cable_matches_the_reference_term_by_term(g):
                 (m.x_power, m.y_power, m.z_power, 0), t.coeff * D**m.contractible
             )
         assert phi_punctured(g) == expect
+
+
+def _flat_plane_fixtures():
+    graphs = [(n[: -len(".graph")], fixtures.load_diagram(n))
+              for n in fixtures.list_fixtures() if n.endswith(".graph")]
+    return [pytest.param(g, id=name) for name, g in graphs
+            if not g.crossings and not g.has_rays()]
+
+
+@pytest.mark.parametrize("g", _flat_plane_fixtures())
+def test_cancelling_ray_words_leave_the_punctured_evaluation_unchanged(g):
+    assert phi_punctured(_with_cancelling_rays(g)) == phi_punctured(g)
 
 
 def _with_seeded_rays(rng, g):
@@ -457,3 +482,18 @@ def test_crossingless_terms_share_one_diagram_per_winding_list():
     by_windings = {}
     for term in expansion.terms:
         assert by_windings.setdefault(term.cycle_windings, term.diagram) is term.diagram
+    # equal coefficients and winding lists, one term object
+    by_value = {}
+    for term in expansion.terms:
+        assert by_value.setdefault((term.coeff, term.cycle_windings), term) is term
+    assert len({id(t) for t in expansion.terms}) == len(by_value) == 22
+    # so the expansion holds 4096 references, not 4096 terms
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        expansion = cable(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(expansion.terms) == 2**12
+    assert retained < 200_000
