@@ -12,8 +12,9 @@ The rings:
   congruence obstruction tests.  It is a :class:`LaurentPoly` of residues
   1..p-1: its ring operations are integer ones followed by reduction mod p,
   a ring homomorphism, so every result is exact.
-* :class:`RationalFunction` -- reduced fractions of Laurent polynomials,
-  needed only for Temperley-Lieb projector coefficients beyond the first.
+* :class:`RationalFunction` -- Z[A^{+-1}] localized at the cyclotomic
+  polynomials Phi_m(A), for Temperley-Lieb projector coefficients: a
+  Laurent numerator over a product of Phi_m, normalized by exact division.
 
 ``LaurentPoly``'s sum, difference and product are the one hand-written
 sparse kernel; :func:`power` and :func:`signed_sum` serve every ring here
@@ -22,7 +23,9 @@ and in :mod:`skein.polyxyz`.
 
 from __future__ import annotations
 
-from math import gcd
+from collections import Counter
+from functools import lru_cache
+from math import isqrt, prod
 from typing import Iterable, Iterator, Mapping, TypeVar
 
 
@@ -473,11 +476,13 @@ LOOP_FACTOR = D - D_INV
 # Primality
 # ---------------------------------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13: bases up to 41 decide every n below it (Sorenson & Webster 2017)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all inputs below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all n < psi_13 ~ 3.3e24."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -502,6 +507,8 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> int:
+    if p >= _PSI_13:
+        raise RingError(f"p must be below {_PSI_13}, where the primality test is exact; got {p}")
     if not is_prime(p):
         raise RingError(f"p must be prime, got {p}")
     return p
@@ -666,98 +673,84 @@ def gfp_gcd(a: GfpLaurent, b: GfpLaurent) -> GfpLaurent:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions (fractions of Laurent polynomials)
+# Rational functions with cyclotomic denominators
 # ---------------------------------------------------------------------------
 
 
-def _poly_primitive_part(terms: dict[int, int]) -> tuple[dict[int, int], int]:
-    g = gcd(*terms.values())
-    if g in (0, 1):
-        return dict(terms), g or 1
-    return {e: c // g for e, c in terms.items()}, g
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> LaurentPoly:
+    """Phi_m(A): A^m - 1 divided exactly by Phi_k for each proper divisor k."""
+    poly = LaurentPoly({m: 1, 0: -1})
+    for k in range(1, m):
+        if m % k == 0:
+            poly = poly.exact_div(_cyclotomic(k))
+    return poly
 
 
-def _poly_pseudo_rem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    # pseudo-remainder of integer polynomials (nonnegative exponents)
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        lr = rem[dr]
-        # multiply remainder by lb so the leading term cancels exactly
-        rem = {e: c * lb for e, c in rem.items()}
-        for e, c in b.items():
-            k = e + dr - db
-            s = rem.get(k, 0) - lr * c
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-        rem, _ = _poly_primitive_part(rem)
-    return rem
+@lru_cache(maxsize=None)
+def _totient(m: int) -> int:
+    """Euler's phi(m), the degree of Phi_m, by the least prime factor p of m."""
+    if m == 1:
+        return 1
+    p = next((q for q in range(2, isqrt(m) + 1) if m % q == 0), m)
+    return (p if m // p % p == 0 else p - 1) * _totient(m // p)
 
 
-def _poly_gcd_z(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Gcd of primitive integer polynomials via the primitive Euclidean scheme."""
-    if not a:
-        out, _ = _poly_primitive_part(b)
-    elif not b:
-        out, _ = _poly_primitive_part(a)
-    else:
-        pa, ca = _poly_primitive_part(a)
-        pb, cb = _poly_primitive_part(b)
-        x, y = pa, pb
-        while y:
-            r = _poly_pseudo_rem(x, y)
-            x, y = y, r
-        x, _ = _poly_primitive_part(x)
-        c = gcd(ca, cb)
-        out = {e: v * c for e, v in x.items()} if c != 1 else x
-    if out and out[max(out)] < 0:
-        out = {e: -c for e, c in out.items()}
-    return out
+def _cyclotomic_factors(poly: LaurentPoly) -> tuple[LaurentPoly, Counter]:
+    """Write poly as u * prod Phi_m^k with u = +-A^j; return (1/u, {m: k}).
+
+    Trial division runs over the m with phi(m) at most the degree left, all
+    below twice its square as phi(m) >= sqrt(m/2); other factors raise.
+    """
+    if poly.is_zero():
+        raise RingError("zero denominator")
+    low = poly.min_exp()
+    rest = poly.shifted(-low)
+    exps: Counter = Counter()
+    m = 1
+    while (deg := rest.max_exp()) and m <= 2 * deg * deg:
+        q = rest.exact_div(_cyclotomic(m)) if _totient(m) <= deg else None
+        if q is None:
+            m += 1
+        else:
+            rest, exps[m] = q, exps[m] + 1
+    if rest not in (_LP_ONE, -_LP_ONE):
+        raise RingError(f"{poly} is not a unit times cyclotomic polynomials")
+    return LaurentPoly.monomial(rest.coeff(0), -low), exps
+
+
+def _phi_product(exps: Counter) -> LaurentPoly:
+    return prod((_cyclotomic(m) ** k for m, k in exps.items()), start=_LP_ONE)
 
 
 class RationalFunction:
-    """A reduced fraction of Laurent polynomials in A.
+    """num / prod Phi_m(A)^k: Z[A^{+-1}] localized at the cyclotomics Phi_m,
+    which holds every Temperley-Lieb projector coefficient.
 
-    Canonical form: the denominator is an ordinary polynomial with a nonzero
-    constant term and positive leading coefficient, shares no content or
-    polynomial factor with the numerator; unit powers of A live in the
-    numerator.
+    Canonical form: no Phi_m of the denominator divides the numerator, which
+    holds the unit powers of A.  A divisor (the ``den`` argument, ``inverse``,
+    ``/``) must be +-A^j prod Phi_m^k; any other (A + 2, say) raises RingError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_phi")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
-        if den.is_zero():
-            raise RingError("zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "num", _LP_ZERO)
-            object.__setattr__(self, "den", _LP_ONE)
-            return
-        shift = den.min_exp()
-        num = num.shifted(-shift)
-        den_terms = {e - shift: c for e, c in den._terms.items()}
-        num_shift = num.min_exp()
-        num_terms = {e - num_shift: c for e, c in num._terms.items()}
-        g = _poly_gcd_z(num_terms, den_terms)
-        if g and (len(g) > 1 or max(g) > 0 or g.get(0) not in (1, -1)):
-            num_poly = LaurentPoly(num_terms).exact_div(LaurentPoly(g))
-            den_poly = LaurentPoly(den_terms).exact_div(LaurentPoly(g))
-            assert num_poly is not None and den_poly is not None
-            num_terms = dict(num_poly._terms)
-            den_terms = dict(den_poly._terms)
-        c = gcd(*num_terms.values(), *den_terms.values())
-        if c > 1:
-            num_terms = {e: v // c for e, v in num_terms.items()}
-            den_terms = {e: v // c for e, v in den_terms.items()}
-        if den_terms[max(den_terms)] < 0:
-            num_terms = {e: -v for e, v in num_terms.items()}
-            den_terms = {e: -v for e, v in den_terms.items()}
-        object.__setattr__(self, "num", LaurentPoly(num_terms).shifted(num_shift))
-        object.__setattr__(self, "den", LaurentPoly(den_terms))
+        inv, phi = _cyclotomic_factors(den)
+        self._set(num * inv, phi)
+
+    def _set(self, num: LaurentPoly, phi: Counter) -> "RationalFunction":
+        for m in phi:
+            while phi[m] and (q := num.exact_div(_cyclotomic(m))) is not None:
+                num = q
+                phi[m] -= 1
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "_phi", +phi)
+        return self
+
+    @staticmethod
+    def _make(num: LaurentPoly, phi: Counter) -> "RationalFunction":
+        """num / prod Phi_m^k in canonical form; ``phi`` is consumed."""
+        return RationalFunction.__new__(RationalFunction)._set(num, phi)
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RationalFunction is immutable")
@@ -766,54 +759,59 @@ class RationalFunction:
 
     @staticmethod
     def from_int(n: int) -> "RationalFunction":
-        return RationalFunction(LaurentPoly.from_int(n))
+        return RationalFunction._make(LaurentPoly.from_int(n), Counter())
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p)
+        return RationalFunction._make(p, Counter())
 
     # -- queries ----------------------------------------------------------------
+
+    @property
+    def den(self) -> LaurentPoly:
+        """The denominator, the product of the monic Phi_m^k."""
+        return _phi_product(self._phi)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def as_laurent(self) -> LaurentPoly | None:
         """The underlying Laurent polynomial when the denominator is trivial."""
-        if self.den == _LP_ONE:
-            return self.num
-        q = self.num.exact_div(self.den)
-        return q
+        return None if self._phi else self.num
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return RationalFunction._sum([(self.num, self._phi), (other.num, other._phi)])
+
+    @staticmethod
+    def _sum(terms: list[tuple[LaurentPoly, Counter]]) -> "RationalFunction":
+        """Sum the terms (num, {m: k}) over their lcm denominator; normalize once."""
+        phi: Counter = Counter()
+        for _, k in terms:
+            phi |= k
+        nums = (num * _phi_product(phi - k) for num, k in terms)
+        return RationalFunction._make(sum(nums, _LP_ZERO), phi)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + -other
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._make(-self.num, self._phi.copy())
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._make(self.num * other.num, self._phi + other._phi)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if other.is_zero():
-            raise RingError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -821,23 +819,22 @@ class RationalFunction:
         return power(self, n, RF_ONE)
 
     def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise RingError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        inv, phi = _cyclotomic_factors(self.num)
+        return RationalFunction._make(self.den * inv, phi)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self._phi == other._phi
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, frozenset(self._phi.items())))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
     def __str__(self) -> str:
-        if self.den == _LP_ONE:
+        if not self._phi:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

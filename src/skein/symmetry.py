@@ -65,8 +65,8 @@ class ModulusKind:
     def gfp_poly(self, p: int) -> GfpLaurent:
         if self.base == "A":
             return GfpLaurent(p, {self.power: 1, 0: -1})
-        poly = D_LAURENT**self.power - D_LAURENT**0
-        return GfpLaurent.from_laurent(poly, p)
+        d = GfpLaurent.from_laurent(D_LAURENT, p)
+        return d**self.power - d**0
 
 
 class Criterion(NamedTuple):

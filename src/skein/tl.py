@@ -5,8 +5,8 @@ A / A^-1 and a factor d per circle, normalized so the empty diagram is 1.
 
 tau_n is modeled on crossingless perfect matchings of 2n boundary points
 (n bottom, n top); closed loops formed under stacking evaluate to d.
-Projector coefficients live in the rational-function field because the
-recursion needs inverses of d^2 - 1 and friends beyond the first projector.
+Projector coefficients need inverses of d^2 - 1 and the other quantum
+integers, so they live in Z[A^{+-1}] localized at the cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -266,15 +266,13 @@ class TangleElement:
             return NotImplemented
         if self.n != other.n:
             raise RingError("strand-count mismatch")
-        terms = []
+        sums: dict[PlanarPairing, list] = {}
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():
                 pairing, loops = _compose(p1, p2)
-                c = c1 * c2
-                if loops:
-                    c = c * RationalFunction.from_laurent(D_LAURENT**loops)
-                terms.append((pairing, c))
-        return TangleElement(self.n, terms)
+                term = (c1.num * c2.num * D_LAURENT**loops, c1._phi + c2._phi)
+                sums.setdefault(pairing, []).append(term)
+        return TangleElement(self.n, {p: RationalFunction._sum(t) for p, t in sums.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TangleElement):
@@ -356,12 +354,12 @@ def markov_trace(elem: TangleElement) -> RationalFunction:
     """Close the tangle around the side (bottom i to top i); each closed loop
     is worth d."""
     n = elem.n
-    total = RationalFunction.from_int(0)
     closure = [(i, n + i) for i in range(n)]
+    terms = []
     for pairing, c in elem._terms.items():
         comps, _ = components(2 * n, list(pairing.pairs) + closure)
-        total = total + c * RationalFunction.from_laurent(D_LAURENT**comps)
-    return total
+        terms.append((c.num * D_LAURENT**comps, c._phi))
+    return RationalFunction._sum(terms)
 
 
 def chebyshev_delta(n: int) -> RationalFunction:

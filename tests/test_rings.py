@@ -15,12 +15,16 @@ from skein.rings import (
     GfpLaurent,
     LaurentPoly,
     LocalizedElement,
+    RF_D,
+    RF_ONE,
     RationalFunction,
     RingError,
     gfp_divrem,
     gfp_gcd,
     is_prime,
+    require_prime,
 )
+from skein.tl import chebyshev_delta, jones_wenzl, markov_trace
 
 
 def lp(pairs):
@@ -318,6 +322,26 @@ def test_primality():
     assert not is_prime(2**31)
 
 
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_primality_near_the_strong_pseudoprimes_psi_12_and_psi_13():
+    # psi_12 passes Miller-Rabin to every base up to 37, psi_13 to every base
+    # up to 41 (Sorenson and Webster, Math. Comp. 86, 2017)
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    with pytest.raises(RingError):
+        require_prime(PSI_12)
+    # beyond the witnesses' reach: the bound is named rather than guessed past
+    with pytest.raises(RingError, match=str(PSI_13)):
+        require_prime(PSI_13)
+    with pytest.raises(RingError, match=str(PSI_13)):
+        GfpLaurent(PSI_13 + 2, {0: 1})
+    assert require_prime(2**61 - 1) == 2**61 - 1
+
+
 def test_rational_function_reduction():
     d = RationalFunction.from_laurent(D_LAURENT)
     one = RationalFunction.from_int(1)
@@ -338,6 +362,43 @@ def test_rational_function_equality_after_unreduced_construction():
     d = RationalFunction.from_laurent(D_LAURENT)
     a = RationalFunction(D_LAURENT * D_LAURENT, D_LAURENT)
     assert a == d
+
+
+def test_rational_functions_invert_only_cyclotomic_polynomials():
+    a_plus_2 = lp({1: 1, 0: 2})
+    with pytest.raises(RingError):
+        RationalFunction(LaurentPoly.from_int(1), a_plus_2)
+    with pytest.raises(RingError):
+        RationalFunction.from_laurent(a_plus_2).inverse()
+    with pytest.raises(RingError):
+        RationalFunction(LaurentPoly.from_int(1), LaurentPoly.zero())
+    with pytest.raises(RingError):
+        RF_ONE / RationalFunction.from_int(0)
+    with pytest.raises(RingError):
+        RationalFunction.from_int(2).inverse()
+    # a unit times cyclotomics: -A^3 (A - 1)^2 (A^2 + A + 1) (A^4 + 1)
+    den = lp({1: 1, 0: -1}) ** 2 * lp({2: 1, 1: 1, 0: 1}) * lp({4: 1, 0: 1}) * lp({3: -1})
+    r = RationalFunction(LaurentPoly.from_int(1), den)
+    assert r.num == lp({-3: -1}) and r.den == den * lp({-3: -1})
+    assert r * RationalFunction.from_laurent(den) == RF_ONE
+
+
+def test_rational_function_canonical_form_does_not_depend_on_the_route():
+    d, one = RF_D, RF_ONE
+    mu2 = (d - one / d).inverse()
+    pairs = [
+        (d * d / d, d),
+        (mu2, d / (d * d - one)),
+        (chebyshev_delta(3), RationalFunction.from_laurent(D_LAURENT**3 - D_LAURENT.scale(2))),
+        (chebyshev_delta(3), d * d * d - d - d),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert (x.num, x.den) == (y.num, y.den)
+    # d / (d^2 - 1) = -(A^6 + A^2) / (A^8 + A^4 + 1): the monic denominator
+    assert mu2.num == lp({6: -1, 2: -1}) and mu2.den == lp({8: 1, 4: 1, 0: 1})
+    assert (one / d).as_laurent() is None
+    assert markov_trace(jones_wenzl(2)).as_laurent() == D_LAURENT**2 - LaurentPoly.one()
 
 
 def test_d_form_printer():

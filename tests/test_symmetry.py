@@ -308,6 +308,15 @@ def test_full_report_checks_its_prime_a_bounded_number_of_times(monkeypatch):
     assert counts[3] == counts[41] <= 21
 
 
+def test_d_modulus_reduced_before_its_power_equals_the_integer_power_reduced():
+    # reduction mod p is a ring homomorphism, so d^m - 1 may be raised in GF(p)
+    one = LaurentPoly.one()
+    for p in (2, 3, 5, 41, 101):
+        for m in (1, 2, 3, p - 1, p, 2 * p):
+            expect = GfpLaurent.from_laurent(D_LAURENT**m - one, p)
+            assert ModulusKind("D", m).gfp_poly(p) == expect
+
+
 def test_zero_witnesses_are_falsy_and_print_no_terms():
     report = full_report(CIRCLE_FACTOR, CIRCLE_FACTOR, 3)
     for t in report.tests:

@@ -1,9 +1,11 @@
 """Kauffman bracket and the Temperley-Lieb algebra with its projectors."""
 
+from fractions import Fraction
+
 import pytest
 
 from skein import fixtures
-from skein.core import state_circle_counts
+from skein.core import components, state_circle_counts
 from skein.diagrams import GraphDiagram, InvalidDiagramError, mirror, parse_diagram
 from skein.rings import (
     D_LAURENT,
@@ -147,6 +149,58 @@ def test_trace_follows_chebyshev_recurrence():
     # spot value Delta_3 = d^3 - 2d
     d3 = RationalFunction.from_laurent(D_LAURENT**3 - D_LAURENT.scale(2))
     assert deltas[3] == d3
+
+
+def _value_at(poly: LaurentPoly, a: Fraction) -> Fraction:
+    return sum((c * a**e for e, c in poly.items()), Fraction(0))
+
+
+def _wenzl_at(a: Fraction, n_max: int) -> list[dict]:
+    """The projectors on 1..n_max strands at A = a, by the Wenzl recursion
+    p(k+1) = p(k) - mu_k p(k) U_k p(k), mu_1 = 1/d, mu_(k+1) = 1/(d - mu_k),
+    on dicts from pairing to Fraction: no polynomial arithmetic at all."""
+    d = -(a**2) - a**-2
+
+    def times(x, y):
+        out: dict = {}
+        for p1, c1 in x.items():
+            for p2, c2 in y.items():
+                q, loops = _compose(p1, p2)
+                out[q] = out.get(q, 0) + c1 * c2 * d**loops
+        return out
+
+    proj, mu = {PlanarPairing.identity(1): Fraction(1)}, None
+    out = [proj]
+    for k in range(1, n_max):
+        # a vertical strand on the right: top points move up by one
+        widened = {q: [(x + (x >= k), y + (y >= k)) for x, y in q.pairs] for q in proj}
+        proj = {PlanarPairing(k + 1, [*widened[q], (k, 2 * k + 1)]): c for q, c in proj.items()}
+        mu = 1 / d if mu is None else 1 / (d - mu)
+        cup = {PlanarPairing.cup_cap(k + 1, k): Fraction(1)}
+        for q, c in times(times(proj, cup), proj).items():
+            proj[q] = proj.get(q, 0) - mu * c
+        out.append({q: c for q, c in proj.items() if c})
+    return out
+
+
+@pytest.mark.parametrize("a", [Fraction(2), Fraction(-3)])
+def test_projectors_match_the_wenzl_recursion_at_integer_points(a):
+    # an independent reference with no polynomial gcd: every coefficient of
+    # jones_wenzl(n) for n <= 6, and every trace, evaluated at A = a
+    def at(x):
+        return _value_at(x.num, a) / _value_at(x.den, a)
+
+    d = -(a**2) - a**-2
+    delta = [Fraction(1), d]
+    for n in range(2, 7):
+        delta.append(d * delta[n - 1] - delta[n - 2])
+    for n, ref in enumerate(_wenzl_at(a, 6), 1):
+        proj = jones_wenzl(n)
+        assert {q for q, _ in proj.items()} == set(ref)
+        assert all(at(c) == ref[q] for q, c in proj.items())
+        closure = [(i, n + i) for i in range(n)]
+        trace = sum(c * d ** components(2 * n, [*q.pairs, *closure])[0] for q, c in ref.items())
+        assert trace == delta[n] == at(markov_trace(proj)) == at(chebyshev_delta(n))
 
 
 def test_bracket_exponent_sanity_bound():
