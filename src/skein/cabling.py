@@ -46,7 +46,7 @@ from typing import Mapping
 
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
-from .rings import D, D_LAURENT, ONE, LocalizedElement, LaurentPoly, ZERO
+from .rings import D, D_LAURENT, ONE, LocalizedElement, LaurentPoly
 from .tl import bracket
 
 #: winding contribution of each ray token: (around hole 1, around hole 2)
@@ -345,7 +345,7 @@ def phi_plane(
     among crossingless terms.  Crossingless terms are then counted per
     (coefficient, circles) and terms with crossings, one object each, add
     their brackets per coefficient, so a coefficient is hashed once per
-    distinct term.  Each coefficient then multiplies its sum once.
+    distinct term.  The sums then add up over one denominator, normalized once.
     ``insertion`` is passed to ``cable``.
     """
     if g.has_rays():
@@ -361,10 +361,7 @@ def phi_plane(
             counts[key] = counts.get(key, 0) + mult
     for (coeff, circles), mult in counts.items():
         sums[coeff] = sums.get(coeff, zero) + (D_LAURENT**circles).scale(mult)
-    total = ZERO
-    for coeff, value in sums.items():
-        total = total + coeff * LocalizedElement(value)
-    return total
+    return LocalizedElement.sum_of_products((value, (coeff,)) for coeff, value in sums.items())
 
 
 def classify_cycles(windings: tuple[tuple[int, int], ...]) -> MulticurveMonomial:

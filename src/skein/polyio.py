@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .rings import LaurentPoly, LocalizedElement
+from .rings import LaurentPoly, LocalizedElement, RingError
 
 
 class PolyFormatError(ValueError):
@@ -44,7 +44,10 @@ def parse_poly_document(text: str) -> LocalizedElement:
 
 
 def poly_document(elem: LocalizedElement) -> dict:
-    """The document of ``elem`` as a JSON-ready dict."""
+    """The document of ``elem`` as a JSON-ready dict.  The format has no
+    room for cyclotomic factors other than d's, so those raise RingError."""
+    if elem.phi:
+        raise RingError(f"{elem} has a denominator other than a power of d")
     return {"terms": [[c, e] for e, c in elem.num.items()], "d_power": elem.d_power}
 
 

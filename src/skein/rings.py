@@ -6,15 +6,15 @@ there is no floating point anywhere in the evaluation pipeline.
 The rings:
 
 * :class:`LaurentPoly` -- Z[A, A^-1], sparse exponent -> coefficient maps.
-* :class:`LocalizedElement` -- Z[A^{+-1}, d^-1] with d = -A^2 - A^-2, stored
-  as a Laurent numerator over a minimal power of d.
+* :class:`LocalizedElement` -- Z[A^{+-1}] localized at the cyclotomic
+  polynomials Phi_m(A), which holds every Yamada value, bracket and
+  Temperley-Lieb projector coefficient: a Laurent numerator over a power of
+  d = -A^2 - A^-2 (d stands in for Phi_8) and a product of the other Phi_m,
+  normalized by exact division.  ``RationalFunction`` is another name for it.
 * :class:`GfpLaurent` -- (Z/p)[A^{+-1}] with division and gcd, used by the
   congruence obstruction tests.  It is a :class:`LaurentPoly` of residues
   1..p-1: its ring operations are integer ones followed by reduction mod p,
   a ring homomorphism, so every result is exact.
-* :class:`RationalFunction` -- Z[A^{+-1}] localized at the cyclotomic
-  polynomials Phi_m(A), for Temperley-Lieb projector coefficients: a
-  Laurent numerator over a product of Phi_m, normalized by exact division.
 
 ``LaurentPoly``'s sum, difference and product are the one hand-written
 sparse kernel; :func:`power` and :func:`signed_sum` serve every ring here
@@ -23,10 +23,10 @@ and in :mod:`skein.polyxyz`.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import isqrt, prod
-from typing import Iterable, Iterator, Mapping, TypeVar
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 
 class RingError(ValueError):
@@ -306,26 +306,105 @@ def _divisible_by_d(poly: LaurentPoly) -> bool:
     return not folded
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> LaurentPoly:
+    """Phi_m(A): A^m - 1 divided exactly by Phi_k for each proper divisor k."""
+    poly = LaurentPoly({m: 1, 0: -1})
+    for k in range(1, m):
+        if m % k == 0:
+            poly = poly.exact_div(_cyclotomic(k))
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _totient(m: int) -> int:
+    """Euler's phi(m), the degree of Phi_m, by the least prime factor p of m."""
+    if m == 1:
+        return 1
+    p = next((q for q in range(2, isqrt(m) + 1) if m % q == 0), m)
+    return (p if m // p % p == 0 else p - 1) * _totient(m // p)
+
+
+#: A cyclotomic part prod Phi_m^k as sorted pairs (m, k), m != 8, k > 0.
+Phi = tuple[tuple[int, int], ...]
+
+
+def _phi_merge(p: Phi, q: Phi, op: Callable[[int, int], int]) -> Phi:
+    """The pairs (m, op(k_p, k_q)) with a nonzero exponent, missing k as 0."""
+    acc = dict(p)
+    for m, k in q:
+        acc[m] = op(acc.get(m, 0), k)
+    return tuple(sorted((m, k) for m, k in acc.items() if k))
+
+
+def _phi_poly(phi: Phi) -> LaurentPoly:
+    return prod((_cyclotomic(m) ** k for m, k in phi), start=_LP_ONE)
+
+
+def _lift(num: LaurentPoly, k: int, phi: Phi, to_k: int, to_phi: Phi) -> LaurentPoly:
+    """num / (d^k prod phi) as a numerator over d^to_k prod to_phi, a multiple
+    of that denominator."""
+    if to_k > k:
+        num = num * D_LAURENT ** (to_k - k)
+    if to_phi != phi:
+        num = num * _phi_poly(_phi_merge(to_phi, phi, sub))
+    return num
+
+
+def _inverse_factors(poly: LaurentPoly) -> tuple[LaurentPoly, int, Phi]:
+    """Write poly as u d^j prod Phi_m^k (m != 8) with u = +-A^i: return 1/u,
+    j and the cyclotomic part.
+
+    Trial division runs over the m with phi(m) at most the degree left, all
+    below twice its square as phi(m) >= sqrt(m/2); other factors raise.
+    Each Phi_8 = -A^2 d found counts as a power of d.
+    """
+    if poly.is_zero():
+        raise RingError("division by zero")
+    low = poly.min_exp()
+    rest = poly.shifted(-low)
+    exps: dict[int, int] = {}
+    m = 1
+    while (deg := rest.max_exp()) and m <= 2 * deg * deg:
+        q = rest.exact_div(_cyclotomic(m)) if _totient(m) <= deg else None
+        if q is None:
+            m += 1
+        else:
+            rest, exps[m] = q, exps.get(m, 0) + 1
+    if rest not in (_LP_ONE, -_LP_ONE):
+        raise RingError(f"{poly} is not a unit times cyclotomic polynomials")
+    j = exps.pop(8, 0)
+    unit = LaurentPoly.monomial(rest.coeff(0) * (-1) ** j, -low - 2 * j)
+    return unit, j, tuple(sorted(exps.items()))
+
+
 # ---------------------------------------------------------------------------
-# The localized ring Z[A^{+-1}, d^-1]
+# The localized ring: Z[A^{+-1}] localized at the cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
 
 class LocalizedElement:
-    """An exact element numerator / d^k of the localized coefficient ring.
+    """An exact element num / (d^k prod Phi_m^e) of Z[A^{+-1}] localized at
+    the cyclotomic polynomials Phi_m(A): the ring of Yamada values, brackets
+    and Temperley-Lieb projector coefficients.
 
-    Canonical form: k is minimal, i.e. the numerator is not divisible by d
-    unless k = 0.  Equality and hashing act on the canonical form, so values
-    are usable as dictionary keys.
+    d = -A^-2 Phi_8 stands in for Phi_8: ``d_power`` is k and ``phi`` the
+    sorted pairs (m, e) of the other factors, m != 8.  Values whose
+    denominator is a power of d, every Yamada value among them, share the
+    empty ``phi``.  Canonical form: no factor of the denominator divides the
+    numerator, which holds the unit powers of A.  Equality and hashing act on
+    it, so values are usable as dictionary keys.  A divisor (``inverse``,
+    ``/``, negative ``**``) must be +-A^j times cyclotomic polynomials; any
+    other (A + 2, say) raises RingError.
     """
 
-    __slots__ = ("num", "d_power")
+    __slots__ = ("num", "d_power", "phi")
 
-    def __init__(self, numerator: LaurentPoly, d_power: int = 0):
+    def __init__(self, numerator: LaurentPoly, d_power: int = 0, phi: Phi = ()):
         if d_power < 0:
             raise RingError("d_power must be nonnegative")
         if numerator.is_zero():
-            numerator, d_power = _LP_ZERO, 0
+            numerator, d_power, phi = _LP_ZERO, 0, ()
         else:
             while d_power > 0 and _divisible_by_d(numerator):
                 quotient = numerator.exact_div(D_LAURENT)
@@ -333,8 +412,26 @@ class LocalizedElement:
                     break
                 numerator = quotient
                 d_power -= 1
+            if phi:
+                left = []
+                for m, k in phi:
+                    while k and (q := numerator.exact_div(_cyclotomic(m))) is not None:
+                        numerator, k = q, k - 1
+                    if k:
+                        left.append((m, k))
+                phi = tuple(left)
         object.__setattr__(self, "num", numerator)
         object.__setattr__(self, "d_power", d_power)
+        object.__setattr__(self, "phi", phi)
+
+    @staticmethod
+    def _canonical(num: LaurentPoly, d_power: int, phi: Phi) -> "LocalizedElement":
+        """num / (d^d_power prod phi), already in canonical form."""
+        out = LocalizedElement.__new__(LocalizedElement)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "d_power", d_power)
+        object.__setattr__(out, "phi", phi)
+        return out
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("LocalizedElement is immutable")
@@ -346,24 +443,58 @@ class LocalizedElement:
         return LocalizedElement(LaurentPoly.from_int(n))
 
     @staticmethod
+    def from_laurent(p: LaurentPoly) -> "LocalizedElement":
+        return LocalizedElement(p)
+
+    @staticmethod
     def d_to_the(k: int) -> "LocalizedElement":
         """The element d^k for any integer k (negative k allowed)."""
         if k >= 0:
             return LocalizedElement(D_LAURENT**k)
         return LocalizedElement(_LP_ONE, -k)
 
+    @staticmethod
+    def sum_of_products(
+        terms: Iterable[tuple[LaurentPoly, Iterable["LocalizedElement"]]],
+    ) -> "LocalizedElement":
+        """The sum of poly * prod(factors) over the (poly, factors) terms,
+        taken over the least common denominator and normalized once."""
+        fracs, top, lcm = [], 0, ()
+        for num, factors in terms:
+            k, phi = 0, ()
+            for f in factors:
+                num, k = num * f.num, k + f.d_power
+                if f.phi:
+                    phi = _phi_merge(phi, f.phi, add)
+            fracs.append((num, k, phi))
+            top = max(top, k)
+            if phi:
+                lcm = _phi_merge(lcm, phi, max)
+        total = sum((_lift(num, k, phi, top, lcm) for num, k, phi in fracs), _LP_ZERO)
+        return LocalizedElement(total, top, lcm)
+
     # -- queries ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @property
+    def den(self) -> LaurentPoly:
+        """The denominator d^k prod Phi_m^e, so that self = num / den."""
+        return D_LAURENT**self.d_power * _phi_poly(self.phi)
+
+    def as_laurent(self) -> LaurentPoly | None:
+        """The numerator when the denominator is 1, else None."""
+        return None if self.d_power or self.phi else self.num
+
     # -- arithmetic ---------------------------------------------------------------
 
     def _common_denominator(
         self, other: "LocalizedElement"
-    ) -> tuple[LaurentPoly, LaurentPoly, int]:
-        """Both numerators over d^k, k the larger d_power: only the side with
-        the lower power is multiplied, by d to the difference."""
+    ) -> tuple[LaurentPoly, LaurentPoly, int, Phi]:
+        """Both numerators over the least common denominator d^k prod phi:
+        each side is multiplied only by the factors it lacks, so with no
+        cyclotomic part only the side with the lower d power is."""
         a, b = self.num, other.num
         k = self.d_power
         gap = other.d_power - k
@@ -372,42 +503,72 @@ class LocalizedElement:
             k = other.d_power
         elif gap < 0:
             b = b * D_LAURENT**-gap
-        return a, b, k
+        phi = self.phi
+        if phi != other.phi:
+            phi = _phi_merge(phi, other.phi, max)
+            a = _lift(a, k, self.phi, k, phi)
+            b = _lift(b, k, other.phi, k, phi)
+        return a, b, k, phi
 
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        a, b, k = self._common_denominator(other)
-        return LocalizedElement(a + b, k)
+        a, b, k, phi = self._common_denominator(other)
+        return LocalizedElement(a + b, k, phi)
 
     def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        a, b, k = self._common_denominator(other)
-        return LocalizedElement(a - b, k)
+        a, b, k, phi = self._common_denominator(other)
+        return LocalizedElement(a - b, k, phi)
 
     def __neg__(self) -> "LocalizedElement":
-        return LocalizedElement(-self.num, self.d_power)
+        return LocalizedElement._canonical(-self.num, self.d_power, self.phi)
 
     def __mul__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        return LocalizedElement(self.num * other.num, self.d_power + other.d_power)
+        phi = _phi_merge(self.phi, other.phi, add) if other.phi else self.phi
+        return LocalizedElement(self.num * other.num, self.d_power + other.d_power, phi)
+
+    def __truediv__(self, other: "LocalizedElement") -> "LocalizedElement":
+        if not isinstance(other, LocalizedElement):
+            return NotImplemented
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "LocalizedElement":
         if n < 0:
-            raise RingError("negative power of a localized element")
-        return LocalizedElement(self.num**n, self.d_power * n)
+            return self.inverse() ** -n
+        phi = tuple((m, k * n) for m, k in self.phi) if self.phi and n else ()
+        return LocalizedElement(self.num**n, self.d_power * n, phi)
+
+    def inverse(self) -> "LocalizedElement":
+        # canonical as built: the factors of num and of den are disjoint
+        unit, k, phi = _inverse_factors(self.num)
+        return LocalizedElement._canonical(unit * self.den, k, phi)
 
     def scale(self, n: int) -> "LocalizedElement":
-        return LocalizedElement(self.num.scale(n), self.d_power)
+        # Phi_m and A^4 + 1 are primitive: they divide n * num only if num
+        if not n:
+            return ZERO
+        return LocalizedElement._canonical(self.num.scale(n), self.d_power, self.phi)
 
     def invert_variable(self) -> "LocalizedElement":
-        """The substitution A -> A^-1; d is fixed, so d_power is preserved."""
-        return LocalizedElement(self.num.substitute_inverse(), self.d_power)
+        """The substitution A -> A^-1.  It fixes d and takes Phi_m to
+        A^-phi(m) Phi_m (to -A^-1 Phi_1 for m = 1), units the numerator
+        absorbs, so no factor is cancelled again."""
+        num = self.num.substitute_inverse()
+        if self.phi:
+            num = num.shifted(sum(_totient(m) * k for m, k in self.phi))
+            if self.phi[0][0] == 1 and self.phi[0][1] % 2:
+                num = -num
+        return LocalizedElement._canonical(num, self.d_power, self.phi)
 
     def to_gfp(self, p: int) -> "tuple[GfpLaurent, int]":
-        """Reduce coefficients mod the prime p; d_power carried through."""
+        """Reduce coefficients mod the prime p; d_power carried through.
+        A denominator with any Phi_m other than d's Phi_8 raises RingError."""
+        if self.phi:
+            raise RingError(f"{self} has a denominator other than a power of d")
         return GfpLaurent.from_laurent(self.num, p), self.d_power
 
     # -- display ---------------------------------------------------------------
@@ -420,6 +581,8 @@ class LocalizedElement:
         """
         if self.num.is_zero():
             return {}
+        if self.phi:
+            return None
         work = dict(self.num._terms)
         out: dict[int, int] = {}
         while work:
@@ -448,19 +611,26 @@ class LocalizedElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        return self.d_power == other.d_power and self.num == other.num
+        return self.d_power == other.d_power and self.num == other.num and self.phi == other.phi
 
     def __hash__(self) -> int:
+        if self.phi:
+            return hash((self.num, self.d_power, self.phi))
         return hash((self.num, self.d_power))
 
     def __repr__(self) -> str:
         return f"LocalizedElement({self})"
 
     def __str__(self) -> str:
+        if self.phi:
+            return f"({self.num}) / ({self.den})"
         if self.d_power == 0:
             return str(self.num)
         return f"({self.num}) / d^{self.d_power}"
 
+
+#: Another name for the localized ring, which Temperley-Lieb callers use.
+RationalFunction = LocalizedElement
 
 ZERO = LocalizedElement.from_int(0)
 ONE = LocalizedElement.from_int(1)
@@ -671,173 +841,3 @@ def gfp_gcd(a: GfpLaurent, b: GfpLaurent) -> GfpLaurent:
     inv_lead = pow(x.coeff(x.max_exp()), a.p - 2, a.p)
     return x._with(x._poly.shifted(-x.min_exp()).scale(inv_lead))
 
-
-# ---------------------------------------------------------------------------
-# Rational functions with cyclotomic denominators
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(m: int) -> LaurentPoly:
-    """Phi_m(A): A^m - 1 divided exactly by Phi_k for each proper divisor k."""
-    poly = LaurentPoly({m: 1, 0: -1})
-    for k in range(1, m):
-        if m % k == 0:
-            poly = poly.exact_div(_cyclotomic(k))
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _totient(m: int) -> int:
-    """Euler's phi(m), the degree of Phi_m, by the least prime factor p of m."""
-    if m == 1:
-        return 1
-    p = next((q for q in range(2, isqrt(m) + 1) if m % q == 0), m)
-    return (p if m // p % p == 0 else p - 1) * _totient(m // p)
-
-
-def _cyclotomic_factors(poly: LaurentPoly) -> tuple[LaurentPoly, Counter]:
-    """Write poly as u * prod Phi_m^k with u = +-A^j; return (1/u, {m: k}).
-
-    Trial division runs over the m with phi(m) at most the degree left, all
-    below twice its square as phi(m) >= sqrt(m/2); other factors raise.
-    """
-    if poly.is_zero():
-        raise RingError("zero denominator")
-    low = poly.min_exp()
-    rest = poly.shifted(-low)
-    exps: Counter = Counter()
-    m = 1
-    while (deg := rest.max_exp()) and m <= 2 * deg * deg:
-        q = rest.exact_div(_cyclotomic(m)) if _totient(m) <= deg else None
-        if q is None:
-            m += 1
-        else:
-            rest, exps[m] = q, exps[m] + 1
-    if rest not in (_LP_ONE, -_LP_ONE):
-        raise RingError(f"{poly} is not a unit times cyclotomic polynomials")
-    return LaurentPoly.monomial(rest.coeff(0), -low), exps
-
-
-def _phi_product(exps: Counter) -> LaurentPoly:
-    return prod((_cyclotomic(m) ** k for m, k in exps.items()), start=_LP_ONE)
-
-
-class RationalFunction:
-    """num / prod Phi_m(A)^k: Z[A^{+-1}] localized at the cyclotomics Phi_m,
-    which holds every Temperley-Lieb projector coefficient.
-
-    Canonical form: no Phi_m of the denominator divides the numerator, which
-    holds the unit powers of A.  A divisor (the ``den`` argument, ``inverse``,
-    ``/``) must be +-A^j prod Phi_m^k; any other (A + 2, say) raises RingError.
-    """
-
-    __slots__ = ("num", "_phi")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
-        inv, phi = _cyclotomic_factors(den)
-        self._set(num * inv, phi)
-
-    def _set(self, num: LaurentPoly, phi: Counter) -> "RationalFunction":
-        for m in phi:
-            while phi[m] and (q := num.exact_div(_cyclotomic(m))) is not None:
-                num = q
-                phi[m] -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "_phi", +phi)
-        return self
-
-    @staticmethod
-    def _make(num: LaurentPoly, phi: Counter) -> "RationalFunction":
-        """num / prod Phi_m^k in canonical form; ``phi`` is consumed."""
-        return RationalFunction.__new__(RationalFunction)._set(num, phi)
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("RationalFunction is immutable")
-
-    # -- constructors ------------------------------------------------------------
-
-    @staticmethod
-    def from_int(n: int) -> "RationalFunction":
-        return RationalFunction._make(LaurentPoly.from_int(n), Counter())
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction._make(p, Counter())
-
-    # -- queries ----------------------------------------------------------------
-
-    @property
-    def den(self) -> LaurentPoly:
-        """The denominator, the product of the monic Phi_m^k."""
-        return _phi_product(self._phi)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def as_laurent(self) -> LaurentPoly | None:
-        """The underlying Laurent polynomial when the denominator is trivial."""
-        return None if self._phi else self.num
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction._sum([(self.num, self._phi), (other.num, other._phi)])
-
-    @staticmethod
-    def _sum(terms: list[tuple[LaurentPoly, Counter]]) -> "RationalFunction":
-        """Sum the terms (num, {m: k}) over their lcm denominator; normalize once."""
-        phi: Counter = Counter()
-        for _, k in terms:
-            phi |= k
-        nums = (num * _phi_product(phi - k) for num, k in terms)
-        return RationalFunction._make(sum(nums, _LP_ZERO), phi)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._make(-self.num, self._phi.copy())
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction._make(self.num * other.num, self._phi + other._phi)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, RF_ONE)
-
-    def inverse(self) -> "RationalFunction":
-        inv, phi = _cyclotomic_factors(self.num)
-        return RationalFunction._make(self.den * inv, phi)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self._phi == other._phi
-
-    def __hash__(self) -> int:
-        return hash((self.num, frozenset(self._phi.items())))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self})"
-
-    def __str__(self) -> str:
-        if not self._phi:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-RF_ONE = RationalFunction.from_int(1)
-RF_D = RationalFunction.from_laurent(D_LAURENT)

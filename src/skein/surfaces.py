@@ -133,6 +133,13 @@ class RelationReport:
         }
 
 
+def _basis_image(basis: Monomial) -> PolyXYZ:
+    """PHI_X^i PHI_Y^j PHI_Z^k PHI_T^eps, the image of x^i y^j z^k t^eps."""
+    i, j, k, eps = basis
+    image = PHI_X**i * PHI_Y**j * PHI_Z**k
+    return image * PHI_T_PRINTED if eps else image
+
+
 def derive_t_squared_relation() -> RelationReport:
     """Express the square of the t-image over the basis images and compare
     with the published relation.
@@ -142,8 +149,7 @@ def derive_t_squared_relation() -> RelationReport:
     repeatedly cancelling the leading monomial of the remainder terminates
     with the unique coefficient vector.
     """
-    t_img = PHI_T_PRINTED
-    target = t_img * t_img
+    target = PHI_T_PRINTED * PHI_T_PRINTED
     work = target
     coeffs: dict[Monomial, LocalizedElement] = {}
     leading_seen: set[tuple[int, int, int]] = set()
@@ -158,22 +164,16 @@ def derive_t_squared_relation() -> RelationReport:
                 f"leading monomial {mono_str(mono)} has mixed parities; "
                 "t^2 would not lie in the even part"
             )
-        i, j, k = (a - eps) // 2, (b - eps) // 2, (c - eps) // 2
+        basis = ((a - eps) // 2, (b - eps) // 2, (c - eps) // 2, eps)
         coeff = work.coeff(mono)
-        basis = PHI_X**i * PHI_Y**j * PHI_Z**k
-        if eps:
-            basis = basis * t_img
-        work = work - basis.scale(coeff)
-        coeffs[(i, j, k, eps)] = coeff
+        work = work - _basis_image(basis).scale(coeff)
+        coeffs[basis] = coeff
         leading_seen.add((a, b, c))
 
     # exactness re-check of the derived relation
     acc = PolyXYZ()
-    for (i, j, k, eps), cf in coeffs.items():
-        basis = PHI_X**i * PHI_Y**j * PHI_Z**k
-        if eps:
-            basis = basis * t_img
-        acc = acc + basis.scale(cf)
+    for basis, cf in coeffs.items():
+        acc = acc + _basis_image(basis).scale(cf)
     identity_holds = acc == target
     unique_leading = len(leading_seen) == len(coeffs)
 

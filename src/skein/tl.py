@@ -18,14 +18,7 @@ from operator import add
 
 from .core import components, inner_crossings, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
-from .rings import (
-    D_LAURENT,
-    RF_D,
-    RF_ONE,
-    LaurentPoly,
-    RationalFunction,
-    RingError,
-)
+from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingError
 
 # ---------------------------------------------------------------------------
 # Kauffman bracket of a diagram
@@ -190,14 +183,14 @@ def all_pairings(n: int) -> tuple[PlanarPairing, ...]:
 
 
 class TangleElement:
-    """A formal linear combination of planar pairings with rational-function
-    coefficients.  The constructor sums repeated pairings and drops zeros."""
+    """A formal linear combination of planar pairings with coefficients in
+    the localized ring.  The constructor sums repeated pairings and drops zeros."""
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        acc: dict[PlanarPairing, RationalFunction] = {}
+        acc: dict[PlanarPairing, LocalizedElement] = {}
         for pairing, coeff in items:
             if pairing.n != n:
                 raise RingError("strand-count mismatch in TangleElement")
@@ -218,19 +211,19 @@ class TangleElement:
 
     @staticmethod
     def identity(n: int) -> "TangleElement":
-        return TangleElement(n, [(PlanarPairing.identity(n), RF_ONE)])
+        return TangleElement(n, [(PlanarPairing.identity(n), ONE)])
 
     @staticmethod
     def generator(n: int, i: int) -> "TangleElement":
-        return TangleElement(n, [(PlanarPairing.cup_cap(n, i), RF_ONE)])
+        return TangleElement(n, [(PlanarPairing.cup_cap(n, i), ONE)])
 
     # -- queries -----------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, pairing: PlanarPairing) -> RationalFunction:
-        return self._terms.get(pairing, RationalFunction.from_int(0))
+    def coeff(self, pairing: PlanarPairing) -> LocalizedElement:
+        return self._terms.get(pairing, ZERO)
 
     def items(self):
         return iter(sorted(self._terms.items(), key=lambda kv: kv[0]))
@@ -253,7 +246,7 @@ class TangleElement:
     def __neg__(self) -> "TangleElement":
         return TangleElement(self.n, {p: -c for p, c in self._terms.items()})
 
-    def scale(self, c: RationalFunction) -> "TangleElement":
+    def scale(self, c: LocalizedElement) -> "TangleElement":
         if c.is_zero():
             return TangleElement(self.n)
         return TangleElement(self.n, {p: v * c for p, v in self._terms.items()})
@@ -270,9 +263,10 @@ class TangleElement:
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():
                 pairing, loops = _compose(p1, p2)
-                term = (c1.num * c2.num * D_LAURENT**loops, c1._phi + c2._phi)
-                sums.setdefault(pairing, []).append(term)
-        return TangleElement(self.n, {p: RationalFunction._sum(t) for p, t in sums.items()})
+                sums.setdefault(pairing, []).append((D_LAURENT**loops, (c1, c2)))
+        return TangleElement(
+            self.n, {p: LocalizedElement.sum_of_products(t) for p, t in sums.items()}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TangleElement):
@@ -313,7 +307,7 @@ def _compose(bottom: PlanarPairing, top: PlanarPairing) -> tuple[PlanarPairing, 
 def add_strand(elem: TangleElement) -> TangleElement:
     """Include tau_n into tau_{n+1} by a vertical strand on the right."""
     n = elem.n
-    out: dict[PlanarPairing, RationalFunction] = {}
+    out: dict[PlanarPairing, LocalizedElement] = {}
     for pairing, c in elem._terms.items():
         pairs = [
             (
@@ -341,16 +335,16 @@ def jones_wenzl(n: int) -> TangleElement:
 @lru_cache(maxsize=None)
 def _jones_wenzl_cached(n: int) -> TangleElement:
     proj = TangleElement.identity(1)
-    mu: RationalFunction | None = None
+    mu: LocalizedElement | None = None
     for k in range(1, n):
         proj = add_strand(proj)
-        mu = RF_ONE / RF_D if mu is None else (RF_D - mu).inverse()
+        mu = ONE / D if mu is None else (D - mu).inverse()
         cup = TangleElement.generator(k + 1, k)
         proj = proj - (proj * cup * proj).scale(mu)
     return proj
 
 
-def markov_trace(elem: TangleElement) -> RationalFunction:
+def markov_trace(elem: TangleElement) -> LocalizedElement:
     """Close the tangle around the side (bottom i to top i); each closed loop
     is worth d."""
     n = elem.n
@@ -358,17 +352,17 @@ def markov_trace(elem: TangleElement) -> RationalFunction:
     terms = []
     for pairing, c in elem._terms.items():
         comps, _ = components(2 * n, list(pairing.pairs) + closure)
-        terms.append((c.num * D_LAURENT**comps, c._phi))
-    return RationalFunction._sum(terms)
+        terms.append((D_LAURENT**comps, (c,)))
+    return LocalizedElement.sum_of_products(terms)
 
 
-def chebyshev_delta(n: int) -> RationalFunction:
+def chebyshev_delta(n: int) -> LocalizedElement:
     """Delta_n with Delta_0 = 1, Delta_1 = d, Delta_{n+1} = d Delta_n - Delta_{n-1}."""
     if n < 0:
         raise ValueError("negative index")
-    prev, cur = RF_ONE, RF_D
+    prev, cur = ONE, D
     if n == 0:
         return prev
     for _ in range(n - 1):
-        prev, cur = cur, RF_D * cur - prev
+        prev, cur = cur, D * cur - prev
     return cur

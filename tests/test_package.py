@@ -37,3 +37,8 @@ def test_every_name_the_benchmark_reads_resolves():
         }
     assert {"parse_diagram", "yamada", "bracket", "phi_plane", "backend_name"} <= names
     assert [name for name in sorted(names) if not hasattr(skein, name)] == []
+
+
+def test_rational_function_is_the_localized_ring():
+    assert skein.RationalFunction is skein.LocalizedElement
+    assert "RationalFunction" in skein.__all__

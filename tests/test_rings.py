@@ -1,6 +1,7 @@
 """Exact arithmetic: Laurent polynomials, the localized ring, GF(p), fractions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,20 +16,27 @@ from skein.rings import (
     GfpLaurent,
     LaurentPoly,
     LocalizedElement,
-    RF_D,
-    RF_ONE,
-    RationalFunction,
     RingError,
     gfp_divrem,
     gfp_gcd,
     is_prime,
     require_prime,
 )
+from skein.polyio import poly_document
 from skein.tl import chebyshev_delta, jones_wenzl, markov_trace
 
 
 def lp(pairs):
     return LaurentPoly(dict(pairs))
+
+
+def _at(x: LocalizedElement, a: int | Fraction) -> Fraction:
+    """x at A = a: its numerator over its denominator, as Fractions."""
+
+    def poly_at(poly: LaurentPoly) -> Fraction:
+        return sum((c * Fraction(a) ** e for e, c in poly.items()), Fraction(0))
+
+    return poly_at(x.num) / poly_at(x.den)
 
 
 def test_d_square_expansion():
@@ -106,8 +114,8 @@ _LP_ONE_PLUS_D = D_LAURENT + LaurentPoly({0: 1})
 
 
 def test_sums_over_mixed_d_powers_match_fractions():
-    # only the operand with the lower d_power is raised; fractions of
-    # Laurent polynomials add independently of that
+    # only the operand with the lower d_power is raised; the values at
+    # A = 2 and A = -3 add as fractions independently of that
     rng = random.Random(77)
     cases = [(_random_elem(rng), _random_elem(rng)) for _ in range(60)]
     # sums whose numerator takes a factor d, so the result drops a power
@@ -121,12 +129,11 @@ def test_sums_over_mixed_d_powers_match_fractions():
     mixed = 0
     for a, b in cases:
         mixed += a.d_power != b.d_power
-        fa, fb, fsum, fdiff, fflip = (
-            RationalFunction(x.num, D_LAURENT**x.d_power) for x in (a, b, a + b, a - b, b - a)
-        )
-        assert fsum == fa + fb
-        assert fdiff == fa - fb
-        assert fflip == fb - fa
+        for at in (2, -3):
+            fa, fb = _at(a, at), _at(b, at)
+            assert _at(a + b, at) == fa + fb
+            assert _at(a - b, at) == fa - fb
+            assert _at(b - a, at) == fb - fa
     assert mixed >= 40
     assert LocalizedElement(_LP_ONE_PLUS_D, 1) - D_INV == ONE
     assert (LOOP_FACTOR + D_INV) == D and (LOOP_FACTOR + D_INV).d_power == 0
@@ -343,8 +350,8 @@ def test_primality_near_the_strong_pseudoprimes_psi_12_and_psi_13():
 
 
 def test_rational_function_reduction():
-    d = RationalFunction.from_laurent(D_LAURENT)
-    one = RationalFunction.from_int(1)
+    d = LocalizedElement.from_laurent(D_LAURENT)
+    one = LocalizedElement.from_int(1)
     assert d / d == one
     mu1 = one / d
     mu2 = (d - mu1).inverse()
@@ -354,42 +361,54 @@ def test_rational_function_reduction():
 
 
 def test_rational_function_canonical_sign():
-    r = RationalFunction(LaurentPoly.from_int(1), lp({2: -1}))
+    # a unit of the denominator sits in the numerator; each Phi_m is monic
+    r = ONE / LocalizedElement.from_laurent(lp({2: -1}))
+    assert r.num == lp({-2: -1}) and r.den == LaurentPoly.one()
+    r = ONE / LocalizedElement.from_laurent(lp({3: -1, 2: -1, 1: -1}))
+    assert r.num == lp({-1: -1}) and r.den == lp({2: 1, 1: 1, 0: 1})
     assert r.den.coeff(r.den.max_exp()) > 0
 
 
 def test_rational_function_equality_after_unreduced_construction():
-    d = RationalFunction.from_laurent(D_LAURENT)
-    a = RationalFunction(D_LAURENT * D_LAURENT, D_LAURENT)
-    assert a == d
+    d = LocalizedElement.from_laurent(D_LAURENT)
+    phi3 = lp({2: 1, 1: 1, 0: 1})
+    a = LocalizedElement(D_LAURENT * D_LAURENT * phi3, 1, ((3, 1),))
+    assert a == d and a.phi == ()
 
 
 def test_rational_functions_invert_only_cyclotomic_polynomials():
     a_plus_2 = lp({1: 1, 0: 2})
     with pytest.raises(RingError):
-        RationalFunction(LaurentPoly.from_int(1), a_plus_2)
+        ONE / LocalizedElement.from_laurent(a_plus_2)
     with pytest.raises(RingError):
-        RationalFunction.from_laurent(a_plus_2).inverse()
+        LocalizedElement.from_laurent(a_plus_2).inverse()
     with pytest.raises(RingError):
-        RationalFunction(LaurentPoly.from_int(1), LaurentPoly.zero())
+        ONE / LocalizedElement.from_laurent(LaurentPoly.zero())
     with pytest.raises(RingError):
-        RF_ONE / RationalFunction.from_int(0)
+        ONE / LocalizedElement.from_int(0)
     with pytest.raises(RingError):
-        RationalFunction.from_int(2).inverse()
-    # a unit times cyclotomics: -A^3 (A - 1)^2 (A^2 + A + 1) (A^4 + 1)
+        LocalizedElement.from_int(2).inverse()
+    with pytest.raises(RingError):
+        LocalizedElement.from_int(2) ** -1
+    # a unit times cyclotomics: -A^3 (A - 1)^2 (A^2 + A + 1) (A^4 + 1), and
+    # A^4 + 1 = -A^2 d, so 1/den = A^-5 / (d (A - 1)^2 (A^2 + A + 1))
     den = lp({1: 1, 0: -1}) ** 2 * lp({2: 1, 1: 1, 0: 1}) * lp({4: 1, 0: 1}) * lp({3: -1})
-    r = RationalFunction(LaurentPoly.from_int(1), den)
-    assert r.num == lp({-3: -1}) and r.den == den * lp({-3: -1})
-    assert r * RationalFunction.from_laurent(den) == RF_ONE
+    r = ONE / LocalizedElement.from_laurent(den)
+    assert (r.num, r.d_power, r.phi) == (lp({-5: 1}), 1, ((1, 2), (3, 1)))
+    assert r.den == den * lp({-5: 1})
+    assert r * LocalizedElement.from_laurent(den) == ONE
+    assert r == LocalizedElement.from_laurent(den) ** -1
+    for at in (2, -3):
+        assert _at(r, at) == 1 / _at(LocalizedElement.from_laurent(den), at)
 
 
 def test_rational_function_canonical_form_does_not_depend_on_the_route():
-    d, one = RF_D, RF_ONE
+    d, one = D, ONE
     mu2 = (d - one / d).inverse()
     pairs = [
         (d * d / d, d),
         (mu2, d / (d * d - one)),
-        (chebyshev_delta(3), RationalFunction.from_laurent(D_LAURENT**3 - D_LAURENT.scale(2))),
+        (chebyshev_delta(3), LocalizedElement.from_laurent(D_LAURENT**3 - D_LAURENT.scale(2))),
         (chebyshev_delta(3), d * d * d - d - d),
     ]
     for x, y in pairs:
@@ -421,3 +440,69 @@ def test_to_d_laurent_roundtrip():
         for k, c in ind.items():
             rebuilt = rebuilt + LocalizedElement.d_to_the(k).scale(c)
         assert rebuilt == elem
+
+
+_PHIS = [(), ((1, 1),), ((3, 1), (6, 2)), ((1, 2), (2, 1), (12, 1)), ((5, 1),)]
+
+
+def _random_phi_elem(rng, trial):
+    terms = {rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(1, 5))}
+    return LocalizedElement(LaurentPoly(terms), rng.randint(0, 3), _PHIS[trial % len(_PHIS)])
+
+
+def test_arithmetic_over_cyclotomic_denominators_matches_fractions():
+    rng = random.Random(23)
+    unit_phi3 = LocalizedElement.from_laurent(lp({3: -1, 2: -1, 1: -1}))  # -A Phi_3
+    for trial in range(60):
+        a, b = _random_phi_elem(rng, trial), _random_phi_elem(rng, trial + 2)
+        p = lp({rng.randint(-3, 3): rng.randint(1, 4)})
+        combo = LocalizedElement.sum_of_products([(p, (a, b)), (LaurentPoly.one(), (b,))])
+        for at in (2, -3):
+            fa, fb = _at(a, at), _at(b, at)
+            assert _at(a + b, at) == fa + fb and _at(a - b, at) == fa - fb
+            assert _at(a * b, at) == fa * fb and _at(a * a, at) == fa * fa
+            assert _at(a**3, at) == fa**3
+            assert _at(a / unit_phi3, at) == fa / _at(unit_phi3, at)
+            assert _at(combo, at) == _at(LocalizedElement.from_laurent(p), at) * fa * fb + fb
+        assert combo == LocalizedElement.from_laurent(p) * a * b + b
+
+
+def test_negation_scaling_and_inversion_keep_the_canonical_form():
+    # A^4 + 1 and every Phi_m are primitive, and A -> A^-1 fixes d and takes
+    # each Phi_m to a unit times itself, so none of the three cancels anything
+    rng = random.Random(17)
+    for trial in range(80):
+        x = _random_phi_elem(rng, trial)
+        n = rng.choice([-3, -1, 2, 5])
+        assert -x == LocalizedElement(-x.num, x.d_power, x.phi)
+        assert x.scale(n) == LocalizedElement(x.num.scale(n), x.d_power, x.phi)
+        assert x.scale(0) == ZERO
+        inverted = LocalizedElement.from_laurent(x.num.substitute_inverse())
+        inverted = inverted / LocalizedElement.from_laurent(x.den.substitute_inverse())
+        assert x.invert_variable() == inverted
+        assert x.invert_variable().invert_variable() == x
+        assert _at(x.invert_variable(), 2) == _at(x, Fraction(1, 2))
+
+
+def test_yamada_values_and_projector_coefficients_share_one_ring():
+    from skein import fixtures, yamada
+
+    coeffs = {c for n in (3, 4) for _, c in jones_wenzl(n).items()}
+    assert any(c.phi and c.d_power for c in coeffs)
+    for y in (fixtures.load_poly("petersen"), yamada(fixtures.load_diagram("theta"))):
+        for c in coeffs:
+            back = y * c / c
+            assert back == y and back.phi == () and poly_document(back) == poly_document(y)
+            assert y + c - c == y
+
+
+def test_a_phi_3_denominator_has_no_d_form_gfp_image_or_document():
+    x = ONE / LocalizedElement.from_laurent(lp({2: 1, 1: 1, 0: 1}))
+    for value in (x, x * D_INV + D, -x):
+        assert value.phi == ((3, 1),)
+        assert value.d_form() is None
+        with pytest.raises(RingError):
+            value.to_gfp(5)
+        with pytest.raises(RingError):
+            poly_document(value)
+    assert str(x * D_INV) == f"(1) / ({D_LAURENT * lp({2: 1, 1: 1, 0: 1})})"
