@@ -38,10 +38,15 @@ class _CliInputError(Exception):
     """An unreadable input file; exits with EXIT_INPUT."""
 
 
-def _read_text(spec: str) -> str:
+def _read_text(spec: str, suffix: str) -> str:
+    """The text of a file, or of fixture:NAME, with ``suffix`` added to a
+    fixture name that has none."""
     if spec.startswith("fixture:"):
+        name = spec[len("fixture:"):]
+        if not Path(name).suffix:
+            name += suffix
         try:
-            return fixtures.fixture_path(spec[len("fixture:"):]).read_text()
+            return fixtures.fixture_path(name).read_text()
         except FileNotFoundError as exc:
             raise _CliInputError(str(exc)) from exc
     path = Path(spec)
@@ -52,14 +57,14 @@ def _read_text(spec: str) -> str:
 
 def _load_diagram(spec: str) -> GraphDiagram:
     try:
-        return parse_diagram(_read_text(spec))
+        return parse_diagram(_read_text(spec, ".graph"))
     except DiagramParseError as exc:
         raise _CliInputError(f"{spec}: {exc}") from exc
 
 
 def _load_poly(spec: str) -> LocalizedElement:
     try:
-        return parse_poly_document(_read_text(spec))
+        return parse_poly_document(_read_text(spec, ".poly"))
     except PolyFormatError as exc:
         raise _CliInputError(f"{spec}: {exc}") from exc
 
@@ -194,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_yamada)
 
     p = sub.add_parser("bracket", help="Kauffman bracket of a link diagram file")
-    p.add_argument("file")
+    p.add_argument("file", help="diagram file (or fixture:NAME)")
     add_output(p)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("phi", help="cabled evaluation of a diagram")
-    p.add_argument("file")
+    p.add_argument("file", help="diagram file (or fixture:NAME)")
     p.add_argument("--surface", choices=("plane", "annulus", "pants"), default="plane")
     add_output(p)
     p.set_defaults(func=cmd_phi)

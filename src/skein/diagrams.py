@@ -312,7 +312,7 @@ def mirror(g: GraphDiagram) -> GraphDiagram:
 
 
 def disjoint_union(g1: GraphDiagram, g2: GraphDiagram) -> GraphDiagram:
-    shift = g1.arcs[-1] + 1 if g1.arcs else 0
+    shift = g1.arcs[-1] + 1 - g2.arcs[0] if g1.arcs and g2.arcs else 0
     rays = dict(g1.ray_words)
     rays.update({a + shift: w for a, w in g2.ray_words.items()})
     return GraphDiagram(

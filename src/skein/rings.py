@@ -642,6 +642,28 @@ CIRCLE_FACTOR = D * D - ONE
 LOOP_FACTOR = D - D_INV
 
 
+def _to_localized(p: LaurentPoly) -> LocalizedElement:
+    """The ring element equal to p read as a polynomial in d = -A^2 - A^-2,
+    the converse of :meth:`LocalizedElement.to_d_laurent`, by Horner's rule.
+
+    The rule runs on a dense coefficient list in x = A^2: after k steps,
+    index i holds the coefficient of x^(i - k), and a step multiplies by
+    -(x + 1/x) and adds the next coefficient at x^0.
+    """
+    if not p:
+        return ZERO
+    lo = min(p.min_exp(), 0)
+    c = [p.coeff(e) for e in range(lo, p.max_exp() + 1)]
+    acc = [c[-1]]
+    pad = [0, 0]
+    for k, x in enumerate(reversed(c[:-1]), 1):
+        acc = [-(a + b) for a, b in zip(pad + acc, acc + pad)]
+        acc[k] += x
+    top = len(acc) - 1  # the exponent of x at the last index
+    num = LaurentPoly({2 * i - top: a for i, a in enumerate(acc) if a})
+    return LocalizedElement(num, -lo)
+
+
 # ---------------------------------------------------------------------------
 # Primality
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ arc-end ids (:func:`skein.core.resolution_states`), without building a
 diagram per state; the crossing-free residue depends only on the abstract
 multigraph and is evaluated by deletion-contraction with a memo table keyed
 on canonical multigraph forms.  The flat value W(G) is an integer Laurent
-polynomial in d, so the recursion works on integer coefficient lists and
-:func:`flat_eval` converts its result to the coefficient ring once; the
-memo values are these integer d-polynomials, opaque to callers.  The memo
-lives for one call unless the caller passes one in.  An independent subset
-state sum serves as the oracle:
+polynomial in d, so the recursion computes it as a :class:`LaurentPoly`
+read in the variable d and :func:`flat_eval` converts its result to the
+coefficient ring once; the memo values are these d-polynomials, opaque to
+callers.  The memo lives for one call unless the caller passes one in.  An
+independent subset state sum serves as the oracle:
 
     W(G) = sum over F subset of E of (-1/d)^{|E-F|} * d^{beta(F) + c(F)}
 
@@ -19,7 +19,6 @@ with beta the first Betti number and c the component count of (V, F).
 from __future__ import annotations
 
 import warnings
-from operator import sub
 from typing import Callable, Sequence
 
 from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
@@ -29,91 +28,20 @@ from .diagrams import FlatState, GraphDiagram, InvalidDiagramError
 from .diagrams import resolve_crossing  # noqa: F401
 from .rings import (
     CIRCLE_FACTOR,
-    D,
+    D_LAURENT,
     ZERO,
     LaurentPoly,
     LocalizedElement,
+    _to_localized,
 )
 
 #: soft limit on the 3^c expansion; beyond it a warning is emitted
 EXPANSION_WARN_CROSSINGS = 16
 
-_NEG_D = -D
-
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
 
-#: an integer Laurent polynomial in d: (lowest exponent, coefficients from
-#: it upwards); zero has no coefficients
-DPoly = tuple[int, list[int]]
-
-_D_ZERO: DPoly = (0, [])
-
-
-def _times_d_minus_inverse(p: DPoly) -> DPoly:
-    """p * (d - 1/d); multiplied by d, the same coefficients give p * (d^2 - 1)."""
-    lo, c = p
-    if not c:
-        return p
-    pad = [0, 0]
-    return lo - 1, list(map(sub, pad + c, c + pad))
-
-
-def _minus_d_inverse_times(a: DPoly, b: DPoly) -> DPoly:
-    """a - b / d, for a = W(G/e) and b = W(G-e).
-
-    No end coefficient cancels, so none is trimmed: for a connected
-    bridgeless G, W(G) = d^(|V|-|E|) F(d^2) with F the flow polynomial,
-    whose degree is |E|-|V|+1 and whose constant term is nonzero.  So W(G)
-    and W(G/e) both run from d^(|V|-|E|) to d^(|E|-|V|+2), W(G-e) / d
-    ends two powers lower, and the lowest coefficients sum to W(G)'s own.
-    """
-    la, ca = a
-    lb, cb = b
-    lb -= 1
-    if not cb:
-        return a
-    lo = min(la, lb)
-    ha = la + len(ca)
-    hb = lb + len(cb)
-    hi = max(ha, hb)
-    return lo, list(
-        map(sub, [0] * (la - lo) + ca + [0] * (hi - ha), [0] * (lb - lo) + cb + [0] * (hi - hb))
-    )
-
-
-def _times(a: DPoly, b: DPoly) -> DPoly:
-    la, ca = a
-    lb, cb = b
-    if not ca or not cb:
-        return _D_ZERO
-    out = [0] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
-        for j, y in enumerate(cb):
-            out[i + j] += x * y
-    return la + lb, out
-
-
-def _to_localized(p: DPoly) -> LocalizedElement:
-    """The ring element equal to p, by Horner's rule in d = -A^2 - A^-2.
-
-    The rule runs on a dense coefficient list in x = A^2: after k steps,
-    index i holds the coefficient of x^(i - k), and a step multiplies by
-    -(x + 1/x) and adds the next coefficient at x^0.
-    """
-    lo, c = p
-    if not c:
-        return ZERO
-    if lo > 0:
-        c = [0] * lo + c
-        lo = 0
-    acc = [c[-1]]
-    pad = [0, 0]
-    for k, x in enumerate(reversed(c[:-1]), 1):
-        acc = [-(a + b) for a, b in zip(pad + acc, acc + pad)]
-        acc[k] += x
-    top = len(acc) - 1  # the exponent of x at the last index
-    num = LaurentPoly({2 * i - top: a for i, a in enumerate(acc) if a})
-    return LocalizedElement(num, -lo)
+#: d - 1/d, the factor of a loop, as a Laurent polynomial in d
+_LOOP = LaurentPoly({1: 1, -1: -1})
 
 
 def _first_nonloop(edges: Sequence[tuple[int, int]]) -> int:
@@ -210,9 +138,9 @@ def _split_or_bridge(n: int, edges: Sequence[tuple[int, int]]) -> int:
 def _w_eval(
     n: int,
     edges: Sequence[tuple[int, int]],
-    memo: dict[bytes, DPoly],
+    memo: dict[bytes, LaurentPoly],
     picker: EdgePicker,
-) -> DPoly:
+) -> LaurentPoly:
     key = canon_key(n, edges)
     cached = memo.get(key)
     if cached is not None:
@@ -222,18 +150,18 @@ def _w_eval(
     if loops:
         val = _w_eval(n, rest, memo, picker)
         for _ in range(loops):
-            val = _times_d_minus_inverse(val)
+            val = val * _LOOP
     elif not edges:
-        val = (n, [1])
+        val = LaurentPoly.monomial(1, n)
     else:
         shape = _split_or_bridge(n, edges)
         if shape == SPLITS:
             comps, isolated = _components(n, edges)
-            val = (isolated, [1])
+            val = LaurentPoly.monomial(1, isolated)
             for cn, ce in comps:
-                val = _times(val, _w_eval(cn, ce, memo, picker))
+                val = val * _w_eval(cn, ce, memo, picker)
         elif shape == HAS_BRIDGE:
-            val = _D_ZERO  # a cut edge kills the value
+            val = LaurentPoly.zero()  # a cut edge kills the value
         else:
             idx = picker(edges)
             if edges[idx][0] == edges[idx][1]:
@@ -241,14 +169,14 @@ def _w_eval(
             n2, contracted = _contract(n, edges, idx)
             deleted = _delete(edges, idx)
             val = _w_eval(n2, contracted, memo, picker)
-            val = _minus_d_inverse_times(val, _w_eval(n, deleted, memo, picker))
+            val = val - _w_eval(n, deleted, memo, picker).shifted(-1)
     memo[key] = val
     return val
 
 
 def flat_eval(
     state: FlatState,
-    memo: dict[bytes, DPoly] | None = None,
+    memo: dict[bytes, LaurentPoly] | None = None,
     edge_picker: EdgePicker | None = None,
 ) -> LocalizedElement:
     """Evaluate a crossing-free state by deletion-contraction.
@@ -256,8 +184,8 @@ def flat_eval(
     Loops are removed first (factor d - 1/d each); a non-loop edge e gives
     W(G) = W(G/e) - (1/d) W(G-e); k isolated vertices are worth d^k; each
     free circle contributes a factor d^2 - 1.  The recursion and ``memo``
-    hold W as integer Laurent polynomials in d, opaque to callers; the
-    result is converted to a LocalizedElement once.  States with more than
+    hold W as LaurentPolys in the variable d, opaque to callers; the result
+    is converted to a LocalizedElement once.  States with more than
     CANON_KEY_LIMIT vertices or edges exceed the memo key encoding and raise
     InvalidDiagramError.  Without ``memo`` the call uses a fresh one.
     """
@@ -269,11 +197,10 @@ def flat_eval(
     if memo is None:
         memo = {}
     picker = edge_picker or _first_nonloop
-    lo, coeffs = _w_eval(state.num_vertices, state.edges, memo, picker)
+    w = _w_eval(state.num_vertices, state.edges, memo, picker)
     for _ in range(state.circle_count):
-        lo, coeffs = _times_d_minus_inverse((lo, coeffs))
-        lo += 1
-    return _to_localized((lo, coeffs))
+        w = w.shifted(2) - w
+    return _to_localized(w)
 
 
 def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
@@ -321,14 +248,14 @@ def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
     return CIRCLE_FACTOR**state.circle_count * total if state.circle_count else total
 
 
-def yamada(g: GraphDiagram, memo: dict[bytes, DPoly] | None = None) -> LocalizedElement:
+def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
     Evaluates the flat residue of each of the 3^c resolution states, counts
-    equal values per (A-exponent, vertex resolutions), sums each distinct
-    value times its count and multiplies each sum by its weight A^e (-d)^v
-    once.  The flat states share ``memo``, or a fresh memo when none is
-    given.
+    equal values per (A-exponent, vertex resolutions) and sums count *
+    A^e (-d)^v * value over the distinct triples with
+    LocalizedElement.sum_of_products, which normalizes the value once.  The
+    flat states share ``memo``, or a fresh memo when none is given.
     """
     if g.has_rays():
         raise InvalidDiagramError("yamada is defined on plane diagrams (no ray words)")
@@ -345,13 +272,7 @@ def yamada(g: GraphDiagram, memo: dict[bytes, DPoly] | None = None) -> Localized
         value = flat_eval(FlatState.make(n, edges, circles + g.free_circles), memo)
         key = (a_exp, v, value)
         counts[key] = counts.get(key, 0) + 1
-    sums: dict[tuple[int, int], LocalizedElement] = {}
-    for (a_exp, v, value), mult in counts.items():
-        value = value.scale(mult)
-        key = (a_exp, v)
-        sums[key] = sums[key] + value if key in sums else value
-    total = ZERO
-    for (a_exp, v), value in sorted(sums.items()):
-        weight = LocalizedElement(LaurentPoly.monomial(1, a_exp)) * _NEG_D**v
-        total = total + weight * value
-    return total
+    return LocalizedElement.sum_of_products(
+        (((-D_LAURENT) ** v).shifted(a_exp).scale(count), (value,))
+        for (a_exp, v, value), count in counts.items()
+    )

@@ -100,6 +100,28 @@ def test_cli_yamada_exit_codes(tmp_path):
     assert rays.returncode == 2
 
 
+def test_cli_fixture_names_without_a_suffix(capsys):
+    def run(args):
+        rc = main(args)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    theta = run(["yamada", "fixture:theta.graph"])
+    assert theta[0] == 0
+    assert run(["yamada", "fixture:theta"]) == theta
+    report = run(["symmetry", "--p", "5", "--poly", "fixture:petersen.poly"])
+    assert report[0] == 0
+    assert run(["symmetry", "--p", "5", "--poly", "fixture:petersen"]) == report
+
+    rc, out, err = run(["yamada", "fixture:nosuch"])
+    assert (rc, out) == (1, "")
+    assert "no fixture named 'nosuch.graph'" in err
+    # a name with a suffix is read as given
+    rc, _, err = run(["yamada", "fixture:petersen.poly"])
+    assert rc == 1
+    assert err.startswith("error: fixture:petersen.poly: ")
+
+
 def test_cli_parse_error_names_the_file_labels(tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("X a b c d\n")

@@ -17,6 +17,7 @@ from skein.rings import (
     LaurentPoly,
     LocalizedElement,
     RingError,
+    _to_localized,
     gfp_divrem,
     gfp_gcd,
     is_prime,
@@ -429,6 +430,7 @@ def test_d_form_printer():
 
 def test_to_d_laurent_roundtrip():
     rng = random.Random(4)
+    lows = set()  # the lowest exponent's sign
     for _ in range(40):
         coeffs = {rng.randint(-3, 4): rng.randint(-5, 5) for _ in range(4)}
         elem = ZERO
@@ -440,6 +442,11 @@ def test_to_d_laurent_roundtrip():
         for k, c in ind.items():
             rebuilt = rebuilt + LocalizedElement.d_to_the(k).scale(c)
         assert rebuilt == elem
+        poly = LaurentPoly(coeffs)
+        assert _to_localized(poly) == elem
+        if poly:
+            lows.add((poly.min_exp() > 0) - (poly.min_exp() < 0))
+    assert lows == {-1, 0, 1}
 
 
 _PHIS = [(), ((1, 1),), ((3, 1), (6, 2)), ((1, 2), (2, 1), (12, 1)), ((5, 1),)]

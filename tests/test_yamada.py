@@ -191,6 +191,12 @@ def test_multiplicativity_on_disjoint_unions():
     for n1, n2 in pairs:
         g1, g2 = fixtures.load_diagram(n1), fixtures.load_diagram(n2)
         assert yamada(disjoint_union(g1, g2)) == yamada(g1) * yamada(g2)
+    # labels below g1's and negative ones
+    bouquet = GraphDiagram([[5, 7, 5, 7]])
+    loop = GraphDiagram([[-3, -3]])
+    kink = GraphDiagram([], [[-2, -2, 4, 4]])
+    for g1, g2 in ((bouquet, loop), (loop, bouquet), (bouquet, kink), (kink, loop)):
+        assert yamada(disjoint_union(g1, g2)) == yamada(g1) * yamada(g2)
 
 
 def test_crossing_warn_threshold(monkeypatch):
@@ -440,12 +446,18 @@ def test_split_or_bridge_matches_components_and_bridge_search():
 
 
 def test_flat_eval_memoizes_integer_d_polynomials_with_nonzero_ends():
-    # deletion-contraction never trims: no end coefficient cancels
+    # W(G) = d^(|V|-|E|) F(d^2) with F(0) != 0, so a nonzero memo value's
+    # lowest power of d is |V| - |E|, the first two bytes of its key
     memo = {}
     value = flat_eval(FlatState.make(2, [(0, 1)] * 3), memo)
     assert value == d_poly({3: 1, 1: -3, -1: 2})
     for state in _corpus_states(1305):
         flat_eval(state, memo)
-    for lo, coeffs in memo.values():
-        assert all(isinstance(c, int) for c in coeffs)
-        assert not coeffs or (coeffs[0] and coeffs[-1])
+    nonzero = 0
+    for key, w in memo.items():
+        assert isinstance(w, LaurentPoly)
+        assert all(type(c) is int for _, c in w.items())
+        if w:
+            nonzero += 1
+            assert w.min_exp() == key[0] - key[1]
+    assert nonzero == 249
