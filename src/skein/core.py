@@ -17,13 +17,17 @@ docstring states.  They keep the open strands in a mate array
 (``mate[e]`` is the far end of the strand ending at arc end e, initially
 e ^ 1), join strands at each smoothing and undo the join on the way back,
 so a step costs O(1) work instead of a union-find over all arc ends.  The
-bracket walk also walks the inner half of the crossings once per distinct
-pairing of the strands that enter it, and copies that block of counts for
-every other outer state with the same pairing and closed circles.
+bracket walk also descends below a crossing only once per distinct pairing
+of the strands at the boundary of the crossings below it, and fills every
+later block with that pairing by copying the first, shifted by the circles
+closed before each.  Its cost is thus set by the number of boundary
+pairings per level, not by the 2^c states; only the copies, in C, touch
+each state.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -165,74 +169,78 @@ def _check_slots(n_arcs: int, *slot_lists: Sequence[Sequence[int]]) -> None:
         raise ValueError("every arc-end id must appear in exactly one slot")
 
 
-def inner_crossings(c: int) -> int:
-    """How many of c crossings :func:`state_circle_counts` walks as its
-    inner half: k = c // 2.  State ``mask = hi * 2^k + lo`` then has its
-    inner crossings k-1 .. 0 in ``lo``, and the 2^k states sharing ``hi``
-    are one contiguous block of the result."""
-    return c // 2
-
-
 def state_circle_counts(
     n_arcs: int, crossings: Sequence[tuple[int, int, int, int]]
-) -> list[int]:
+) -> bytes:
     """Circle counts for every smoothing state of a vertexless diagram.
 
     ``crossings[i]`` holds the four arc-end ids (2*arc + occurrence) of
     crossing i in counterclockwise slot order; every id below 2 * n_arcs
     appears in exactly one slot.  State ``mask`` applies the B-smoothing
     (joining slots 0-3 and 1-2) at crossing i when bit i is set, and the
-    A-smoothing (slots 0-1 and 2-3) otherwise.  Returns a list of length
-    2^len(crossings).
+    A-smoothing (slots 0-1 and 2-3) otherwise.  Returns ``bytes`` of length
+    2^len(crossings), one count per state; a count is at most n_arcs = 2c,
+    below 256 for any c whose 2^c states fit in memory.
 
     The walk takes crossing c-1 outermost and A before B, which visits the
-    states in mask order.  It splits the crossings at k =
-    ``inner_crossings(c)``.  Once the outer crossings c-1 .. k are smoothed,
-    the 2^k counts of the inner states, a contiguous block of the result,
-    depend only on the circles closed so far and on how the open strands
-    pair the boundary ends: the ends of inner crossings k-1 .. 0 whose arcs
-    lead to an outer crossing.  Every other inner end lies on an arc between
-    inner crossings, whose strand no outer join touches.  A per-call dict
-    keyed by ``(closed, mate at the boundary ends)`` records where each
-    block starts; the walk descends into the inner crossings only for a key
-    it has not met, and otherwise copies the recorded block.  The result
-    holds 2^c ints; the dict holds at most 2^(c-k) entries, one per outer
-    state, and is freed on return.  With k <= 1 the inner block is the leaf
-    crossing, which costs less than its key.
+    states in mask order.  Once crossings c-1 .. i+1 are smoothed, the
+    2^(i+1) counts of the states below, a contiguous block of the result,
+    are the circles closed so far plus a block that depends only on how
+    the open strands pair the boundary ends of crossings i .. 0: the ends
+    whose arcs lead to a crossing above i.  Every other of their ends lies
+    on an arc between two of them, whose strand no join above touches.  At
+    each level i >= 2 a dict keyed by the mates at the boundary ends
+    records where the first block with that pairing starts and the circles
+    closed before it; the walk descends only for a pairing the level has not
+    met, and otherwise copies the recorded block, shifted by the difference
+    in closed circles.  A level whose boundary is empty (crossings i .. 0
+    close up by themselves) has one key.  A block of one or two crossings
+    costs less than its key, so levels 0 and 1 record nothing.  The walk
+    thus visits each level at most twice per distinct pairing met one level
+    up, and each dict holds one entry per distinct pairing its level meets;
+    the dicts are freed on return.
     """
     _check_slots(n_arcs, crossings)
     if not crossings:
-        return [0]
+        return b"\0"
     mate = [e ^ 1 for e in range(2 * n_arcs)]
-    counts: list[int] = []
-    append = counts.append
-    extend = counts.extend
-    k = inner_crossings(len(crossings))
-    top = k - 1
-    size = 1 << k
-    inner = {e for ends in crossings[:k] for e in ends}
-    boundary = sorted(e for e in inner if e ^ 1 not in inner)
-    boundary_mates = itemgetter(*boundary) if boundary else lambda _: ()
-    setdefault = {}.setdefault
+    counts = bytearray(1 << len(crossings))
+    view = memoryview(counts)
     # per crossing, its A- then its B-smoothing as the pairs (x, y), (z, w)
     # of ends it joins
     smoothings = [((e0, e1, e2, e3), (e0, e3, e1, e2)) for e0, e1, e2, e3 in crossings]
+    # per level i: the mates at the boundary ends of crossings[:i+1], and
+    # the dict from those mates to the start of the first block with them
+    # and the circles closed before it
+    keys: list = []
+    # the arcs with one end among crossings[:i+1], each with that end
+    boundary: dict[int, int] = {}
+    for ends in crossings:
+        for e in ends:
+            if boundary.pop(e >> 1, None) is None:
+                boundary[e >> 1] = e
+        keys.append((itemgetter(*boundary.values()) if boundary else _no_mates, {}.setdefault))
     l0, l1, _, l3 = crossings[0]
 
-    def visit(i: int, closed: int) -> None:
+    def visit(i: int, closed: int, at: int) -> None:
         if i == 0:
             # only the four ends of crossing 0 are still open, paired by two
             # strands
             m = mate[l0]
-            append(closed + 1 + (m == l1))
-            append(closed + 1 + (m == l3))
+            counts[at] = closed + 1 + (m == l1)
+            counts[at + 1] = closed + 1 + (m == l3)
             return
-        if i == top:
+        if i > 1:
             # a block recorded earlier is complete: the walk left its subtree
-            n = len(counts)
-            start = setdefault((closed, boundary_mates(mate)), n)
-            if start != n:
-                extend(counts[start : start + size])
+            boundary_mates, setdefault = keys[i]
+            start, before = setdefault(boundary_mates(mate), (at, closed))
+            if start != at:
+                size = 2 << i
+                if before == closed:
+                    view[at : at + size] = view[start : start + size]
+                else:
+                    shift = _shift(closed - before)
+                    view[at : at + size] = counts[start : start + size].translate(shift)
                 return
         for x, y, z, w in smoothings[i]:
             # joining the two ends of one strand (a == y) closes a circle
@@ -245,18 +253,30 @@ def state_circle_counts(
             q = mate[w]
             mate[p] = q
             mate[q] = p
-            visit(i - 1, closed + (a == y) + (p == w))
+            visit(i - 1, closed + (a == y) + (p == w), at)
+            at += 1 << i
             mate[p] = z
             mate[q] = w
             mate[a] = x
             mate[b] = y
 
-    visit(len(crossings) - 1, 0)
+    visit(len(crossings) - 1, 0, 0)
     # visit refers to itself through its closure cell; unbinding it frees
-    # the cycle (and ``counts`` through ``append``) now, not at the next
+    # the cycle (and the keys and ``counts`` with it) now, not at the next
     # garbage collection
     visit = None
-    return counts
+    return bytes(counts)
+
+
+def _no_mates(_mate: list[int]) -> tuple[()]:
+    return ()
+
+
+@lru_cache(maxsize=None)
+def _shift(delta: int) -> bytes:
+    """The ``bytes.translate`` table that adds delta to every byte, mod 256."""
+    s = delta & 255
+    return bytes(range(s, 256)) + bytes(range(s))
 
 
 def components(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:

@@ -24,7 +24,7 @@ and in :mod:`skein.polyxyz`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -789,6 +789,10 @@ class GfpLaurent:
     def shifted(self, k: int) -> "GfpLaurent":
         return self._with(self._poly.shifted(k))
 
+    def frobenius(self) -> "GfpLaurent":
+        """The p-th power: mod p, (sum a_i A^i)^p = sum a_i A^(ip)."""
+        return self._with(LaurentPoly({e * self.p: c for e, c in self._poly.items()}))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GfpLaurent):
             return NotImplemented
@@ -809,7 +813,10 @@ def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
 
     Both operands are shifted to nonnegative exponents by unit powers of A,
     divided as ordinary polynomials, and the shifts undone, so that
-    a == q*f + r exactly with deg r < deg f in the shifted sense.
+    a == q*f + r exactly with deg r < deg f in the shifted sense.  The
+    division runs on dense coefficient lists in B = A^g, g the gcd of f's
+    exponents: f is a polynomial in B, and the terms of a whose exponents
+    are r mod g divide on their own, as A^r times a polynomial in B.
     """
     a._require_same_field(f)
     if f.is_zero():
@@ -820,26 +827,34 @@ def gfp_divrem(a: GfpLaurent, f: GfpLaurent) -> tuple[GfpLaurent, GfpLaurent]:
     # lift negative exponents only; positive ranges stay put so that the
     # remainder is genuinely reduced below deg f
     sa, sf = min(a.min_exp(), 0), min(f.min_exp(), 0)
-    rem = {e - sa: c for e, c in a._poly._terms.items()}
     div = {e - sf: c for e, c in f._poly._terms.items()}
-    df = max(div)
-    inv_lead = pow(div.pop(df), p - 2, p)
+    g = gcd(*div) or 1
+    top = max(div) // g
+    dense = [0] * (top + 1)
+    for e, c in div.items():
+        dense[e // g] = c
+    inv_lead = pow(dense[top], p - 2, p)
+    # the terms of a by exponent class r mod g, as dense lists in B
+    classes: dict[int, list[int]] = {}
+    for e, c in a._poly._terms.items():
+        i, r = divmod(e - sa, g)
+        coeffs = classes.setdefault(r, [])
+        if len(coeffs) <= i:
+            coeffs.extend([0] * (i + 1 - len(coeffs)))
+        coeffs[i] = c
     quot: dict[int, int] = {}
-    # one pass down the remainder's degrees: each leading term is popped and
-    # cancelled against the divisor's lower terms
-    for dr in range(max(rem), df - 1, -1):
-        lead = rem.pop(dr, 0)
-        if not lead:
-            continue
-        c = lead * inv_lead % p
-        quot[dr - df] = c
-        for e, cd in div.items():
-            k = e + dr - df
-            s = (rem.get(k, 0) - c * cd) % p
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
+    rem: dict[int, int] = {}
+    for r, coeffs in classes.items():
+        # one pass down the degrees: each leading term is cancelled against
+        # the whole divisor; coefficients are reduced mod p only when read
+        for dr in range(len(coeffs) - 1, top - 1, -1):
+            lead = coeffs[dr] % p
+            if lead:
+                c = lead * inv_lead % p
+                quot[r + g * (dr - top)] = c
+                lo = dr - top
+                coeffs[lo : dr + 1] = map(sub, coeffs[lo : dr + 1], map(c.__mul__, dense))
+        rem.update((r + g * i, c % p) for i, c in enumerate(coeffs[:top]))
     q = LaurentPoly(quot).shifted(sa - sf)
     return a._with(q), a._with(LaurentPoly(rem).shifted(sa))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, NamedTuple
 
 from .rings import (
@@ -63,10 +64,12 @@ class ModulusKind:
         return f"{'A' if self.base == 'A' else 'd'}^{self.power} - 1"
 
     def gfp_poly(self, p: int) -> GfpLaurent:
+        m = self.power
         if self.base == "A":
-            return GfpLaurent(p, {self.power: 1, 0: -1})
-        d = GfpLaurent.from_laurent(D_LAURENT, p)
-        return d**self.power - d**0
+            return GfpLaurent(p, {m: 1, 0: -1})
+        # d^m = (-1)^m sum_j C(m, j) A^(2m - 4j)
+        terms = [(2 * m - 4 * j, (-1) ** m * comb(m, j)) for j in range(m + 1)]
+        return GfpLaurent(p, terms + [(0, -1)])
 
 
 class Criterion(NamedTuple):
@@ -108,12 +111,15 @@ def _strip_unit_factors(f: GfpLaurent) -> GfpLaurent:
         q, r = gfp_divrem(f, g)
         if not r.is_zero():  # pragma: no cover - gcd divides exactly
             raise RingError("gcd division left a remainder")
-        q = q.shifted(-q.min_exp())
-        # g has positive degree, so dividing by it must lower f's, or the
-        # loop would never end
-        if q.max_exp() >= f.max_exp():
-            raise RingError("gfp_divrem did not lower the degree")
-        f = q
+        # divide g out as often as it goes before taking the next gcd
+        while r.is_zero():
+            q = q.shifted(-q.min_exp())
+            # g has positive degree, so dividing by it must lower f's, or
+            # the loop would never end
+            if q.max_exp() >= f.max_exp():
+                raise RingError("gfp_divrem did not lower the degree")
+            f = q
+            q, r = gfp_divrem(f, g)
 
 
 def ideal_member(
@@ -129,7 +135,14 @@ def ideal_member(
     require_prime(p)
     if mode is Mode.FOLDED and modulus.base != "A":
         raise RingError("FOLDED mode requires an A-power modulus")
-    num, d_power = e.to_gfp(p)
+    return _residue_member(*e.to_gfp(p), modulus, mode)
+
+
+def _residue_member(
+    num: GfpLaurent, d_power: int, modulus: ModulusKind, mode: Mode
+) -> tuple[bool, GfpLaurent]:
+    """:func:`ideal_member` of num / d^d_power, already reduced mod p."""
+    p = num.p
     if num.is_zero():
         return True, num
     if mode is Mode.FOLDED:
@@ -189,6 +202,35 @@ class ObstructionReport:
         }
 
 
+def _power_difference(
+    yg: LocalizedElement, yquot: LocalizedElement, p: int
+) -> tuple[GfpLaurent, int]:
+    """``(yg - yquot**p).to_gfp(p)`` without the integer p-th power.
+
+    Mod p, (sum a_i A^i)^p = sum a_i A^(ip), so the quotient's numerator is
+    reduced first and then sent A -> A^p, over d^(kp) for its d-power k.
+    Both sides are brought to d^max(g, kp), g the d-power of yg, in GF(p).
+    This is the reduction of the integer difference, which the constructor
+    puts in lowest terms first, unless a d cancels there.  None can when g
+    != kp: the numerator with the larger d-power is prime to d, as a
+    canonical numerator over a power of d, or the p-th power of one, is.  So
+    g = kp > 0 takes the integer path, as do values with a cyclotomic factor
+    other than d's, which ``to_gfp`` rejects.
+    """
+    g, kp = yg.d_power, yquot.d_power * p
+    if yg.phi or yquot.phi or g == kp > 0:
+        return (yg - yquot**p).to_gfp(p)
+    num, _ = yg.to_gfp(p)
+    quot, _ = yquot.to_gfp(p)
+    quot = quot.frobenius()
+    top = max(g, kp)
+    if top:
+        d = GfpLaurent.from_laurent(D_LAURENT, p)
+        num = num * d ** (top - g)
+        quot = quot * d ** (top - kp)
+    return num - quot, top
+
+
 def full_report(
     yg: LocalizedElement,
     yquot: LocalizedElement | None,
@@ -202,9 +244,13 @@ def full_report(
     quotient-power criteria are Skipped without a quotient.
     """
     require_prime(p)
-    pal_diff = yg - yg.invert_variable()
-    pow_diff = None if yquot is None else yg - yquot**p
+    # both differences reduced mod p once, as (numerator, d-power)
+    pal_diff = (yg - yg.invert_variable()).to_gfp(p)
+    pow_diff = None if yquot is None else _power_difference(yg, yquot, p)
     entries: list[TestOutcome] = []
+    # rows with the same difference and modulus (vertex-fixing and
+    # periodicity-power) share one membership test
+    decided: dict[tuple, tuple[bool, GfpLaurent]] = {}
     for c in CRITERIA:
         modulus = c.modulus(p)
         run_mode = mode if modulus.base == "A" else Mode.SATURATED
@@ -212,7 +258,10 @@ def full_report(
         if diff is None:
             verdict, witness = Verdict.SKIPPED, None
         else:
-            member, witness = ideal_member(diff, p, modulus, run_mode)
+            key = (c.quotient_power, modulus, run_mode)
+            if key not in decided:
+                decided[key] = _residue_member(*diff, modulus, run_mode)
+            member, witness = decided[key]
             verdict = Verdict.INCONCLUSIVE if member else Verdict.OBSTRUCTED
         entries.append(
             TestOutcome(

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb
-from operator import add
 
-from .core import components, inner_crossings, state_circle_counts
+from .core import components, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingError
 
@@ -25,60 +23,89 @@ from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingE
 # ---------------------------------------------------------------------------
 
 
+def block_crossings(c: int) -> int:
+    """How many of c crossings :func:`bracket` tallies as one block: k =
+    c // 2.  State ``mask = hi * 2^k + lo`` then has crossings k-1 .. 0 in
+    ``lo``, and the 2^k states sharing ``hi`` are one contiguous block of
+    :func:`state_circle_counts`."""
+    return c // 2
+
+
 def bracket(g: GraphDiagram) -> LaurentPoly:
     """State-sum Kauffman bracket; requires a link diagram (no flat vertices).
 
     A state with b B-smoothings and n circles, free circles included,
-    weighs A^(c - 2b) d^n.  The weights are counted by block.  With k =
-    ``inner_crossings(c)``, the walk's own split, state ``mask = hi * 2^k +
-    lo``, and the 2^k counts sharing ``hi`` form one contiguous block of
-    :func:`state_circle_counts`; the walk copies whole blocks, so most are
-    equal.  Every count is at most n_arcs = 2c, which is below 256 for any
-    c whose 2^c list fits in memory, so the counts are one ``bytes`` and
-    each block a slice of it.  The pairs (block, B-smoothings of ``hi``)
-    are counted; each distinct block gets one histogram of (B-smoothings
-    of ``lo``, circles), added in shifted by the B-smoothings of ``hi``.
-    Equal blocks have equal histograms, so the sum does not depend on how
-    many blocks repeat.  Each histogram entry goes into integer
-    A-coefficients through d^n = (-1)^n sum_j C(n, j) A^(2n - 4j), and one
-    polynomial is built at the end.
+    weighs A^(c - 2b) d^n = (-1)^n A^-c u^(c - b - n) (u^2 + 1)^n, u = A^2.
+    The sum is taken at u = 2^K (Kronecker substitution), so that each
+    weight, times u^m for m the most circles of any state, is one integer
+    whose signed base-2^K digits are the A-coefficients.  The at most 2^c
+    states add coefficients of absolute sum at most 2^(c + m), so K = c +
+    m + 2 keeps every digit of every partial sum below 2^(K-1) in absolute
+    value, and the digits of the total read back exactly.
+
+    The circle counts come one byte per state.  With k =
+    ``block_crossings(c)`` and state ``mask = hi * 2^k + lo``, the 2^k
+    counts sharing ``hi`` form one contiguous block.  The pairs
+    (B-smoothings of ``hi``, block) are counted, and each block is valued
+    from its two halves: the states of the first half have the top bit of
+    ``lo`` A-smoothed, one B-smoothing fewer than those of the second, so
+    they weigh u times more.  Values are kept per distinct byte string, and
+    :func:`state_circle_counts` copies repeated blocks at every level, so a
+    half shared by many blocks is valued once.  Each value held has at most
+    (k + 2m + 1)K bits, one per distinct string of at most 2^k counts.
     """
     if g.vertices:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
     _, crossing_ends = g.end_ids()
     c = len(g.crossings)
-    k = inner_crossings(c)
+    k = block_crossings(c)
     size = 1 << k
-    counts = bytes(state_circle_counts(g.num_arcs, crossing_ends))
+    counts = state_circle_counts(g.num_arcs, crossing_ends)
     blocks = (counts[i : i + size] for i in range(0, len(counts), size))
     pairs = Counter(zip(map(int.bit_count, range(1 << (c - k))), blocks))
-    # multiplicities of (B-smoothings, circles), packed as (b << 8) + circles
-    lo_b = [b << 8 for b in map(int.bit_count, range(size))]
-    histograms: dict[bytes, Counter] = {}
-    weights: dict[int, int] = {}
-    for (hi_b, block), mult in pairs.items():
-        hist = histograms.get(block)
-        if hist is None:
-            hist = histograms[block] = Counter(map(add, lo_b, block))
-        shift = hi_b << 8
-        for key, m in hist.items():
-            key += shift
-            weights[key] = weights.get(key, 0) + m * mult
+    free = g.free_circles
+    # the most circles of any state: a scan per candidate count, in C
+    most = next(n for n in range(g.num_arcs, -1, -1) if n in counts) + free
+    width = c + most + 2
+    u2_plus_1 = (1 << 2 * width) + 1
+    values: dict[bytes, int] = {}
+
+    def value(block: bytes) -> int:
+        # the sum over the block's states, with lo_b B-smoothings among its
+        # j crossings and n circles, of (-1)^n u^(j - lo_b + most - n)
+        # (u^2 + 1)^n
+        v = values.get(block)
+        if v is None:
+            half = len(block) >> 1
+            if half:
+                v = (value(block[:half]) << width) + value(block[half:])
+            else:
+                n = block[0] + free
+                v = u2_plus_1**n << width * (most - n)
+                if n & 1:
+                    v = -v
+            values[block] = v
+        return v
+
+    total = sum(
+        mult * value(block) << width * (c - k - hi_b) for (hi_b, block), mult in pairs.items()
+    )
+    # value refers to itself through its closure cell; unbinding it frees
+    # the cycle, and the values with it, now
+    value = None
+    # digit i of the total is the coefficient of A^(2i - c - 2 * most)
     coeffs: dict[int, int] = {}
-    for key, mult in weights.items():
-        n = (key & 255) + g.free_circles
-        if n & 1:
-            mult = -mult
-        top = c - 2 * (key >> 8) + 2 * n
-        for j, binom in enumerate(_binomial_row(n)):
-            e = top - 4 * j
-            coeffs[e] = coeffs.get(e, 0) + mult * binom
+    digit = 1 << width
+    e = -c - 2 * most
+    while total:
+        r = total & (digit - 1)
+        if r >= digit >> 1:
+            r -= digit
+        if r:
+            coeffs[e] = r
+        total = (total - r) >> width
+        e += 2
     return LaurentPoly(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _binomial_row(n: int) -> tuple[int, ...]:
-    return tuple(comb(n, j) for j in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ against union-find references and an independent circle-count reference."""
 import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from skein import core, fixtures
+from skein import core, fixtures, tl
 from skein.core import CANON_KEY_LIMIT, backend_name
-from skein.diagrams import GraphDiagram, parse_diagram
+from skein.diagrams import GraphDiagram, disjoint_union, parse_diagram
 from skein.rings import D_LAURENT, LaurentPoly, RationalFunction
 from skein.tl import TangleElement, bracket, markov_trace
 from skein.yamada import yamada
@@ -394,7 +395,7 @@ def test_state_circle_counts_against_reference():
         if not g.vertices:
             cases.append((g.num_arcs, g.end_ids()[1]))
     for n_arcs, crossings in cases:
-        counts = core.state_circle_counts(n_arcs, crossings)
+        counts = list(core.state_circle_counts(n_arcs, crossings))
         assert counts == _union_find_circle_counts(n_arcs, crossings)
         assert counts == [
             _reference_circles(n_arcs, crossings, mask) for mask in range(1 << len(crossings))
@@ -509,14 +510,26 @@ def test_split_walk_matches_the_reference_walk():
         _kernel_args(_braid_closure(rng, s, c, shuffle=True)) for c in (12, 13, 14) for s in (3, 4)
     ]
     shuffled += [_random_link_ends(rng, c) for c in (12, 13, 14)]
-    for n_arcs, crossings in small + [_kernel_args(g) for g in braids] + shuffled:
-        counts = core.state_circle_counts(n_arcs, crossings)
+    # split diagrams listed part by part: the first part's crossings, three
+    # or more, have no boundary ends at all
+    parts = [
+        (_braid_closure(rng, s, c), _braid_closure(rng, t, 12 - c))
+        for s, t, c in ((2, 3, 3), (3, 2, 4), (3, 4, 6), (4, 3, 8))
+    ]
+    split = [disjoint_union(g, h) for g, h in parts]
+    # 2-strand torus links: at most four boundary ends per level
+    tori = [_torus_2(k) for k in range(1, 19)]
+    links = [_kernel_args(g) for g in braids + split + tori]
+    for n_arcs, crossings in small + links + shuffled:
+        counts = list(core.state_circle_counts(n_arcs, crossings))
         assert counts == _reference_state_circle_counts(n_arcs, crossings)
         if len(crossings) <= 13:
             # the union-find reference rebuilds all arc ends per state
             assert counts == _union_find_circle_counts(n_arcs, crossings)
-    for g in braids:
+    for g in braids + split:
         assert bracket(g) == _reference_bracket(g)
+    for (g, h), union in zip(parts, split):
+        assert bracket(union) == bracket(g) * bracket(h)
 
 
 def test_bracket_packs_circle_counts_past_any_fixed_width():
@@ -528,10 +541,23 @@ def test_bracket_packs_circle_counts_past_any_fixed_width():
     assert bracket(g) == kink**12 == _reference_bracket(g)
 
 
+def test_bracket_holds_one_byte_per_state():
+    # 2^20 states: the walk's buffer and the bytes it returns take 1 MB
+    # each, where a list of ints took 8 MB
+    g = _torus_2(20)
+    tracemalloc.start()
+    try:
+        bracket(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def _distinct_block_ratio(g):
-    """Distinct blocks of 2^k counts over all blocks, k the walk's split."""
+    """Distinct blocks of 2^k counts over all blocks, k the tally's block size."""
     counts = core.state_circle_counts(*_kernel_args(g))
-    size = 1 << core.inner_crossings(len(g.crossings))
+    size = 1 << tl.block_crossings(len(g.crossings))
     blocks = [tuple(counts[i : i + size]) for i in range(0, len(counts), size)]
     return len(set(blocks)) / len(blocks)
 
@@ -586,7 +612,7 @@ def test_trace_convention_matches_the_state_sum_by_mask():
 
 
 def test_bracket_equals_the_temperley_lieb_trace():
-    for n in range(1, 21):
+    for n in range(1, 25):
         assert bracket(_torus_2(n)) == _tl_trace(2, [(0, 1)] * n)
     rng = random.Random(1405)
     for c in range(1, 17):
@@ -625,6 +651,7 @@ def test_kernels_leave_no_reference_cycles():
     gc.disable()
     try:
         core.state_circle_counts(g.num_arcs, g.end_ids()[1])
+        bracket(g)
         for diagram in (g, theta):
             list(core.resolution_states(diagram.num_arcs, *diagram.end_ids()))
         partial = core.resolution_states(g.num_arcs, *g.end_ids())

@@ -252,6 +252,14 @@ def test_gfp_divrem_matches_the_rescanning_reference(p):
     assert negative >= 50 and lower >= 20
 
 
+def test_gfp_frobenius_is_the_p_th_power():
+    rng = random.Random(41)
+    for p in (2, 3, 5, 41):
+        for _ in range(5):
+            x = GfpLaurent(p, {rng.randint(-9, 9): rng.randrange(p) for _ in range(4)})
+            assert x.frobenius() == x**p
+
+
 def test_gfp_divrem_zero_divisor_rejected():
     with pytest.raises(RingError):
         gfp_divrem(GfpLaurent(5, {0: 1}), GfpLaurent(5, {}))

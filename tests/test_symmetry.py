@@ -253,6 +253,28 @@ def test_full_report_agrees_with_the_check_functions(p):
         assert {(mode, v) for v in Verdict} <= seen
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 41])
+def test_quotient_power_by_frobenius_equals_the_integer_path(p):
+    rng = random.Random(1900 + p)
+    pairs = [
+        (_random_value(rng, g), _random_value(rng, k))
+        for g, k in ((0, 0), (0, 1), (2, 0), (1, 1), (3, 1), (p, 1), (p + 1, 1), (2 * p, 2))
+        for _ in range(3)
+    ]
+    # equal d-powers, and a d cancels over the integers: yg - yq^p = r / d^(p-1)
+    yq = _random_value(rng, 1)
+    r = LaurentPoly({1: 2, -3: -1})
+    yg = yq**p + LocalizedElement(r * D_LAURENT, p)
+    assert yg.d_power == p and (yg - yq**p).d_power == p - 1
+    pairs.append((yg, yq))
+    for yg, yq in pairs:
+        assert symmetry._power_difference(yg, yq, p) == (yg - yq**p).to_gfp(p)
+    # a denominator other than a power of d is rejected on either path
+    yq = LocalizedElement(LaurentPoly.one(), 0, ((1, 1),))
+    with pytest.raises(RingError):
+        symmetry._power_difference(PETERSEN, yq, p)
+
+
 def test_full_report_with_quotient_runs_all():
     report = full_report(CIRCLE_FACTOR, CIRCLE_FACTOR, 3)
     assert all(t.verdict is Verdict.INCONCLUSIVE for t in report.tests)
