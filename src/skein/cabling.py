@@ -23,7 +23,14 @@ the strands' windings and least static segments, and a join that closes a
 circle records both.  When none winds (plane diagrams, and ray words such
 as ``1+ 1-`` that sum to 0) every circle winds (0, 0), so their order
 cannot matter: the walk keeps only the far ends and the number of closed
-circles.  Crossingless terms are shared: one term object per (turnbacks,
+circles.  If the input also has no crossings, a term is fully given by its
+(turnbacks, circles), and the walk reuses blocks as the bracket walk does:
+below each class level it descends once per distinct pairing of the open
+strand ends and fills every repeat from the first block with that pairing,
+shifted in turnbacks and circles.  Its visits are then bounded by the
+pairings per level (143 instead of 8191 on the 3x3 grid), while the output
+stays 2^|E| entries, filled by C-level slice copies and table lookups.
+Crossingless terms are shared: one term object per (turnbacks,
 windings) and one diagram per winding list, built once per call, so the
 2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
 crossings hold one diagram each, so memory grows as 2^|E| times the
@@ -31,9 +38,10 @@ crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 80
 cable crossings each) needs hundreds of MB.  The evaluations tally terms by
 object identity, then count them as integers per coefficient and circle
 class, so a coefficient is hashed and a winding list classified once per
-distinct term and the coefficient ring is touched once per distinct key;
-only terms with crossings, which come from crossings of the input, call the
-bracket.
+distinct term.  The crossingless terms of one value, or of one (x, y, z)
+monomial, are summed as one integer polynomial in d and converted to the
+coefficient ring once; only terms with crossings, which come from
+crossings of the input, call the bracket.
 """
 
 from __future__ import annotations
@@ -42,11 +50,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
-from .rings import D, D_LAURENT, ONE, LocalizedElement, LaurentPoly
+from .rings import ONE, LaurentPoly, LocalizedElement, _to_localized
 from .tl import bracket
 
 #: winding contribution of each ray token: (around hole 1, around hole 2)
@@ -113,6 +121,22 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     2^|E| entries but, on a flat diagram, only as many distinct objects as
     (turnbacks, windings) pairs.  Terms with crossings get one object each
     (see the module docstring for the memory this takes).
+
+    Block reuse, when no arc winds and the input has no crossings: the
+    2^(bit+1) terms below class level ``bit`` are a contiguous block, and
+    each is the (turnbacks, circles) reached so far plus what the choices
+    at classes ``bit`` .. 0 add.  Those depend only on how the open strands
+    pair their ends, and every open end is one of the four junctions of the
+    turnback arc of a class ``bit`` .. 0: all other junctions are joined,
+    and without crossings there are no anchors.  So a far end never lies
+    outside that set, and the far ends at its junctions are the whole key.
+    At each level ``bit`` >= 2 a dict maps the key to the start of the
+    first block with it and the (turnbacks, circles) before it; the walk
+    descends only for a new key, and otherwise appends the recorded block:
+    a plain slice when both offsets are 0, else the block mapped through a
+    per-offset table from shared term to shared term.  Levels 0 and 1 cost
+    less than their key and record nothing.  The dicts are freed on return.
+    The winding walk and the walk with crossings visit all 2^|E| leaves.
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -254,7 +278,33 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     # no arc winds
     shared_terms: dict[tuple[int, object], CabledTerm] = {}
     shared_diagrams: dict[object, GraphDiagram] = {}
+    # the (turnbacks, circles) of each shared term, by id
+    origin: dict[int, tuple[int, object]] = {}
     terms: list[CabledTerm] = []
+
+    def shared_term(turned: int, circles: object) -> CabledTerm:
+        term = shared_terms.get((turned, circles))
+        if term is None:
+            windings = circles if winds else ((0, 0),) * circles
+            diagram = shared_diagrams.get(circles)
+            if diagram is None:
+                diagram = shared_diagrams[circles] = GraphDiagram([], [], len(windings))
+            term = shared_terms[turned, circles] = CabledTerm(coeffs[turned], diagram, windings)
+            origin[id(term)] = (turned, circles)
+        return term
+
+    # Block reuse, when a term is fully given by (turnbacks, circles): per
+    # class level bit >= 2, a getter of the far ends at the junctions of the
+    # turnback arcs of classes bit .. 0, which hold every open strand end,
+    # and a dict from those far ends to the start of the first block with
+    # them and the (turnbacks, circles) before it.  Per offset in
+    # (turnbacks, circles), the table that shifts a block's terms.
+    levels: list = [None] * len(classes)
+    shifted: dict[tuple[int, int], _ShiftTable] = {}
+    if not winds and not anchors:
+        for bit in range(2, len(classes)):
+            ends = [4 * turn_arcs[j] + s for j in range(bit + 1) for s in range(4)]
+            levels[bit] = (itemgetter(*ends), {}.setdefault)
 
     def visit(bit: int, turned: int, free: int) -> None:
         # ``free`` counts the circles the free circles have cabled to
@@ -275,22 +325,31 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
                 diagram = GraphDiagram([], crossings, len(windings))
                 terms.append(CabledTerm(coeffs[turned], diagram, windings))
                 return
-            term = shared_terms.get((turned, circles))
-            if term is None:
-                windings = circles if winds else ((0, 0),) * circles
-                diagram = shared_diagrams.get(circles)
-                if diagram is None:
-                    diagram = shared_diagrams[circles] = GraphDiagram([], [], len(windings))
-                term = shared_terms[turned, circles] = CabledTerm(
-                    coeffs[turned], diagram, windings
-                )
-            terms.append(term)
+            terms.append(shared_term(turned, circles))
             return
         if bit >= len(classes):
             # a free circle cables to two circles, or to one under its turnback
             visit(bit - 1, turned, free)
             visit(bit - 1, turned + 1, free - 1)
             return
+        level = levels[bit]
+        if level is not None:
+            # a block recorded earlier is complete: the walk left its subtree
+            far_ends, setdefault = level
+            circles = free + n_closed
+            at = len(terms)
+            start, turned0, circles0 = setdefault(far_ends(far), (at, turned, circles))
+            if start != at:
+                block = terms[start : start + (2 << bit)]
+                offset = (turned - turned0, circles - circles0)
+                if offset == (0, 0):
+                    terms.extend(block)
+                else:
+                    table = shifted.get(offset)
+                    if table is None:
+                        table = shifted[offset] = _ShiftTable(offset, origin, shared_term)
+                    terms.extend(map(table.__getitem__, map(id, block)))
+                return
         n = 4 * turn_arcs[bit]
         w = arc_wind[turn_arcs[bit]]
         join(n, n + 3, w)
@@ -309,6 +368,30 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     # the cycle now, not at the next garbage collection
     visit = None
     return CabledExpansion(n_classes, tuple(terms))
+
+
+class _ShiftTable(dict):
+    """Maps the id of a shared crossingless term to the shared term with
+    ``offset`` = (turnbacks, circles) added, made on first lookup."""
+
+    __slots__ = ("offset", "origin", "shared_term")
+
+    def __init__(
+        self,
+        offset: tuple[int, int],
+        origin: dict[int, tuple[int, int]],
+        shared_term: Callable[[int, int], CabledTerm],
+    ) -> None:
+        super().__init__()
+        self.offset = offset
+        self.origin = origin
+        self.shared_term = shared_term
+
+    def __missing__(self, key: int) -> CabledTerm:
+        turned, circles = self.origin[key]
+        dt, dc = self.offset
+        term = self[key] = self.shared_term(turned + dt, circles + dc)
+        return term
 
 
 def _turnback_arcs(
@@ -343,25 +426,37 @@ def phi_plane(
 
     Terms are tallied per distinct term object, which ``cable`` shares
     among crossingless terms.  Crossingless terms are then counted per
-    (coefficient, circles) and terms with crossings, one object each, add
+    (turnbacks, circles) and summed as one d-polynomial (see
+    :func:`_d_polynomial`); terms with crossings, one object each, add
     their brackets per coefficient, so a coefficient is hashed once per
-    distinct term.  The sums then add up over one denominator, normalized once.
-    ``insertion`` is passed to ``cable``.
+    distinct term.  Both sums then add up over one denominator, normalized
+    once.  ``insertion`` is passed to ``cable``.
     """
     if g.has_rays():
         raise InvalidDiagramError("phi_plane needs a plane diagram (found ray words)")
-    counts: dict[tuple[LocalizedElement, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     sums: dict[LocalizedElement, LaurentPoly] = {}
     zero = LaurentPoly.zero()
     for term, mult in _tally(cable(g, insertion).terms):
         if term.diagram.crossings:
             sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram).scale(mult)
         else:
-            key = (term.coeff, term.diagram.free_circles)
+            key = (term.coeff.d_power, term.diagram.free_circles)
             counts[key] = counts.get(key, 0) + mult
-    for (coeff, circles), mult in counts.items():
-        sums[coeff] = sums.get(coeff, zero) + (D_LAURENT**circles).scale(mult)
-    return LocalizedElement.sum_of_products((value, (coeff,)) for coeff, value in sums.items())
+    return LocalizedElement.sum_of_products(
+        [*((value, (coeff,)) for coeff, value in sums.items()),
+         (LaurentPoly.one(), (_d_polynomial(counts),))]
+    )
+
+
+def _d_polynomial(counts: Mapping[tuple[int, int], int]) -> LocalizedElement:
+    """The sum of mult * (-1/d)^t * d^circles over the crossingless terms
+    counted as (t, circles) -> mult, t the turnbacks: a term's coefficient
+    (-1/d)^t has denominator d^t.  The sum is taken as one integer Laurent
+    polynomial in d and converted to the ring once."""
+    return _to_localized(
+        LaurentPoly((circles - t, -mult if t & 1 else mult) for (t, circles), mult in counts.items())
+    )
 
 
 def classify_cycles(windings: tuple[tuple[int, int], ...]) -> MulticurveMonomial:
@@ -390,17 +485,19 @@ def phi_punctured(g: GraphDiagram) -> PolyXYZ:
     Requires a flat diagram; circles of each expansion term are classified by
     their winding parities into x (hole 1), y (hole 2), z (both) or a factor
     d for contractible ones.  Terms are tallied per distinct term object
-    first, so each winding list is classified, and each coefficient hashed,
-    once per distinct term, not once per term.
+    first, so each winding list is classified once per distinct term, not
+    once per term.  Each (x, y, z) monomial's coefficient is then one
+    d-polynomial over its (turnbacks, contractible) counts (see
+    :func:`_d_polynomial`), converted to the ring once.
     """
     if g.crossings:
         raise InvalidDiagramError("phi_punctured needs a flat diagram (crossings present)")
-    counts: dict[tuple[LocalizedElement, int, int, int, int], int] = {}
+    counts: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
     for term, mult in _tally(cable(g).terms):
         m = classify_cycles(term.cycle_windings)
-        key = (term.coeff, m.x_power, m.y_power, m.z_power, m.contractible)
-        counts[key] = counts.get(key, 0) + mult
+        by_d = counts.setdefault((m.x_power, m.y_power, m.z_power), {})
+        key = (term.coeff.d_power, m.contractible)
+        by_d[key] = by_d.get(key, 0) + mult
     return PolyXYZ(
-        ((x, y, z, 0), (coeff * D**contractible).scale(mult))
-        for (coeff, x, y, z, contractible), mult in counts.items()
+        ((x, y, z, 0), _d_polynomial(by_d)) for (x, y, z), by_d in counts.items()
     )

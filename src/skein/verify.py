@@ -17,7 +17,7 @@ from . import fixtures
 from .cabling import cable, phi_plane, phi_punctured
 from .diagrams import FlatState, GraphDiagram, disjoint_union, mirror
 from .polyxyz import PolyXYZ
-from .rings import ONE, LocalizedElement, LaurentPoly
+from .rings import D, ONE, LocalizedElement, LaurentPoly
 from .surfaces import (
     PHI_T_PRINTED,
     annulus_phi_powers,
@@ -281,6 +281,15 @@ def suite_phi() -> tuple[bool, list[str]]:
         (phi_punctured(fixtures.load_diagram("annulus_core")) == x * x - one,
          "annulus core curve maps to b^2 - 1")
     )
+    # filling the holes (x = y = z = d) gives the Yamada value without rays
+    d = PolyXYZ.constant(D)
+    filled_ok = True
+    for name in ["annulus_core", "pants_t", "pants_x", "pants_y", "pants_z"]:
+        g = fixtures.load_diagram(name)
+        filled = phi_punctured(g).substitute({"x": d, "y": d, "z": d})
+        plane = GraphDiagram(g.vertices, g.crossings, g.free_circles)
+        filled_ok = filled_ok and filled == PolyXYZ.constant(yamada(plane, memo))
+    conds.append((filled_ok, "hole filling maps punctured onto Y on the rayed fixtures"))
     theta = fixtures.load_diagram("theta")
     conds.append(
         (

@@ -497,3 +497,78 @@ def test_crossingless_terms_share_one_diagram_per_winding_list():
         tracemalloc.stop()
     assert len(expansion.terms) == 2**12
     assert retained < 200_000
+
+
+def _reused_block_corpus():
+    theta = fixtures.load_diagram("theta")
+    circle = fixtures.load_diagram("circle")
+    corpus = [
+        ("grid2x4", _grid(2, 4)),
+        # the free circle's bit sits above the class bits
+        ("grid2x3_theta_circle", disjoint_union(disjoint_union(_grid(2, 3), theta), circle)),
+        # loops; bouquet3's one level-2 block is the whole expansion
+        ("bouquet4", fixtures.load_diagram("bouquet4")),
+    ]
+    return [pytest.param(g, id=name) for name, g in corpus]
+
+
+def _has_shifted_repeat(expansion):
+    """Whether two blocks of 2^(bit+1) terms below some class level bit >= 2
+    are equal up to a nonzero offset in (turnbacks, circles)."""
+    tc = [(t.coeff.d_power, t.diagram.free_circles) for t in expansion.terms]
+    for bit in range(2, expansion.edge_count):
+        size = 2 << bit
+        seen = {}
+        for start in range(0, len(tc), size):
+            block = tc[start : start + size]
+            t0, c0 = block[0]
+            shape = tuple((t - t0, c - c0) for t, c in block)
+            if shape in seen and seen[shape] != (t0, c0):
+                return True
+            seen.setdefault(shape, (t0, c0))
+    return False
+
+
+@pytest.mark.parametrize("g", _reused_block_corpus())
+def test_reused_blocks_match_the_reference_term_by_term(g):
+    # these inputs repeat blocks of terms shifted in both turnbacks and
+    # circles, which the walk fills from the first block with its pairing
+    reference = _reference_cable(g)
+    assert _has_shifted_repeat(reference)
+    _assert_same_terms(cable(g), reference)
+
+
+def test_grid_3x4_plane_evaluation_equals_yamada():
+    # 2^17 terms, nearly all filled from reused blocks
+    g = _grid(3, 4)
+    assert phi_plane(g) == yamada(g, memo={})
+
+
+def _filled_holes_equal_yamada(g):
+    # x = y = z = d: every circle is worth d once the holes are filled, so
+    # the punctured evaluation becomes the plane one of the unrayed diagram
+    d = PolyXYZ.constant(D)
+    filled = phi_punctured(g).substitute({"x": d, "y": d, "z": d})
+    plane = GraphDiagram(g.vertices, g.crossings, g.free_circles)
+    return filled == PolyXYZ.constant(yamada(plane, memo={}))
+
+
+@pytest.mark.parametrize("name", ["annulus_core", "pants_t", "pants_x", "pants_y", "pants_z"])
+def test_filling_the_holes_gives_the_yamada_value(name):
+    assert _filled_holes_equal_yamada(fixtures.load_diagram(name))
+
+
+@pytest.mark.parametrize("name", ["k4", "theta", "grid2x3", "bouquet2", "handcuff"])
+def test_filling_the_holes_of_seeded_rayed_diagrams(name):
+    g = _grid(2, 3) if name == "grid2x3" else fixtures.load_diagram(name)
+    rng = random.Random(name)
+    checked = 0
+    for _ in range(16):
+        rayed = _with_seeded_rays(rng, g)
+        try:
+            ok = _filled_holes_equal_yamada(rayed)
+        except InvalidDiagramError:
+            continue  # a circle winds twice around a hole: not embedded
+        assert ok, rayed
+        checked += 1
+    assert checked >= 2
