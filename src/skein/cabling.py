@@ -14,22 +14,18 @@ that is ccw-first at one end is ccw-second at the other.
 
 Cost: 2^|E| terms.  ``cable`` numbers the static part (vertex polygons and
 crossing grids) once per call on integer node ids and joins the arcs that
-never carry a turnback straight once.  It then walks the projector choices
-depth first over one array of open strand ends, as the state sums of
-:mod:`skein.core` walk smoothings: a choice joins the four cable ends of its
-turnback arc and the way back undoes the joins, so a term costs O(1) joins
-plus its own output.  When some arc's ray word winds, a join also carries
-the strands' windings and least static segments, and a join that closes a
-circle records both.  When none winds (plane diagrams, and ray words such
-as ``1+ 1-`` that sum to 0) every circle winds (0, 0), so their order
-cannot matter: the walk keeps only the far ends and the number of closed
-circles.  If the input also has no crossings, a term is fully given by its
-(turnbacks, circles), and the walk reuses blocks as the bracket walk does:
-below each class level it descends once per distinct pairing of the open
-strand ends and fills every repeat from the first block with that pairing,
-shifted in turnbacks and circles.  Its visits are then bounded by the
-pairings per level (143 instead of 8191 on the 3x3 grid), while the output
-stays 2^|E| entries, filled by C-level slice copies and table lookups.
+never carry a turnback straight once.  On a diagram without crossings
+whose ray words wind nowhere (plane diagrams, and ray words such as
+``1+ 1-`` that sum to 0), every circle winds (0, 0) and the projector
+choices are the smoothings of a vertexless diagram on the open strands,
+so one call of the bracket kernel
+:func:`skein.core.state_circle_counts` counts the circles of all terms,
+reusing repeated blocks as it does for the bracket.  Every other input
+takes one depth-first walk over the projector choices, over one array of
+open strand ends, as the state sums of :mod:`skein.core` walk
+smoothings: a choice joins the four cable ends of its turnback arc, the
+way back undoes the joins, and a join carries the strands' windings and
+least static segments, so a term costs O(1) joins plus its own output.
 Crossingless terms are shared: one term object per (turnbacks,
 windings) and one diagram per winding list, built once per call, so the
 2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
@@ -52,6 +48,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping
 
+from .core import state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
 from .rings import ONE, LaurentPoly, LocalizedElement, _to_localized
@@ -63,6 +60,9 @@ _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
 
 _second = itemgetter(1)
+
+#: the ``bytes.translate`` table that adds 1 to every byte
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 def _pack(w1: int, w2: int) -> int:
@@ -109,34 +109,35 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     first those of the free circles, then the others by least static
     segment, each taken along that segment's u to v direction.
 
-    The terms are the leaves of one depth-first walk over the class bits,
-    the highest outermost and straight before turnback, so they come in
-    mask order.  Each open strand end holds its far end and, when some arc
-    winds, its winding, its least static segment and the direction in which
-    it crosses it; when no arc winds every circle winds (0, 0), so the walk
-    counts circles instead (exact: joins only add windings, and all are 0).
-    A leaf numbers the chains by first anchor from the far ends.  Terms
-    without crossings are shared: equal (coefficient, windings) give one
-    immutable term object and equal windings one diagram, so ``terms`` has
-    2^|E| entries but, on a flat diagram, only as many distinct objects as
-    (turnbacks, windings) pairs.  Terms with crossings get one object each
-    (see the module docstring for the memory this takes).
+    Both paths first join the arcs that never carry a turnback straight.
+    Each open strand end then holds its far end, its winding, its least
+    static segment and the direction in which it crosses it.
 
-    Block reuse, when no arc winds and the input has no crossings: the
-    2^(bit+1) terms below class level ``bit`` are a contiguous block, and
-    each is the (turnbacks, circles) reached so far plus what the choices
-    at classes ``bit`` .. 0 add.  Those depend only on how the open strands
-    pair their ends, and every open end is one of the four junctions of the
-    turnback arc of a class ``bit`` .. 0: all other junctions are joined,
-    and without crossings there are no anchors.  So a far end never lies
-    outside that set, and the far ends at its junctions are the whole key.
-    At each level ``bit`` >= 2 a dict maps the key to the start of the
-    first block with it and the (turnbacks, circles) before it; the walk
-    descends only for a new key, and otherwise appends the recorded block:
-    a plain slice when both offsets are 0, else the block mapped through a
-    per-offset table from shared term to shared term.  Levels 0 and 1 cost
-    less than their key and record nothing.  The dicts are freed on return.
-    The winding walk and the walk with crossings visit all 2^|E| leaves.
+    With crossings, or when some arc winds, the terms are the leaves of one
+    depth-first walk over the class bits, the highest outermost and
+    straight before turnback, so they come in mask order.  A leaf numbers
+    the chains by first anchor from the far ends.
+
+    Without crossings and without winding, every circle winds (0, 0), so a
+    term is given by its (turnbacks, circles).  Every open strand end is
+    then one of the four junctions of a turnback arc, and the choices are
+    the smoothings of a vertexless diagram: its arcs are the open strands,
+    strand k with the ends 2k and 2k + 1 by first junction, and class k's
+    turnback arc is crossing k with the ends at its junctions n .. n + 3 in
+    order, so the A-smoothing is the turnback and the B-smoothing the
+    straight pair.  A free circle is one more crossing, on two fresh
+    strands (a0, a1) and (b0, b1) as (a0, b0, b1, a1): straight closes two
+    circles and the turnback one.  :func:`skein.core.state_circle_counts`
+    counts the circles of all states at once; cable mask m is state mask
+    ``full ^ m``, so the counts are read reversed.  The turnbacks per mask
+    are bytes too, and one pass maps each (turnbacks, circles) pair to its
+    shared term.
+
+    Terms without crossings are shared: equal (coefficient, windings) give
+    one immutable term object and equal windings one diagram, so ``terms``
+    has 2^|E| entries but, on a flat diagram, only as many distinct objects
+    as (turnbacks, windings) pairs.  Terms with crossings get one object
+    each (see the module docstring for the memory this takes).
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -178,86 +179,56 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     n_nodes = n_junctions + 16 * len(crossing_ids)
 
     # The open strands, kept at their ends as in core.state_circle_counts:
-    # far[x] is the strand's other end.  When some arc winds, wind[x] is the
-    # strand's winding walked from x (packed, see _pack) and least[x] twice
-    # its least static segment, plus 1 when the walk from x crosses that
-    # segment from v to u.  So wind[far[x]] == -wind[x] and least[far[x]] ==
-    # least[x] ^ 1, and a join keeps both.  At first every static segment is
-    # a strand.
+    # far[x] is the strand's other end, wind[x] the strand's winding walked
+    # from x (packed, see _pack) and least[x] twice its least static
+    # segment, plus 1 when the walk from x crosses that segment from v to u.
+    # So wind[far[x]] == -wind[x] and least[far[x]] == least[x] ^ 1, and a
+    # join keeps all three.  At first every static segment is a strand.
     far = [0] * n_nodes
-    for u, v in static:
+    wind = [0] * n_nodes
+    least = [0] * n_nodes
+    for sid, (u, v) in enumerate(static):
         far[u], far[v] = v, u
+        least[u], least[v] = 2 * sid, 2 * sid + 1
     # winding of a straight strand walked from end 0 to end 1 of its arc; a
     # turnback strand reads w + reverse(w) and winds nowhere
     arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
-    winds = any(arc_wind)
     # (least static segment, winding u to v along it) of each closed circle
-    # when some arc winds; when none does, only their number
     closed: list[tuple[int, tuple[int, int]]] = []
-    n_closed = 0
 
-    if winds:
-        wind = [0] * n_nodes
-        least = [0] * n_nodes
-        for sid, (u, v) in enumerate(static):
-            least[u], least[v] = 2 * sid, 2 * sid + 1
+    def join(p: int, q: int, w: int) -> None:
+        """Join the strands at ends p and q by a cable strand that winds w
+        from p to q."""
+        a = far[p]
+        if a == q:
+            w += wind[q]
+            closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
+            return
+        b = far[q]
+        far[a] = b
+        far[b] = a
+        w = wind[a] + w + wind[q]
+        wind[a] = w
+        wind[b] = -w
+        if least[a] < least[b]:
+            least[b] = least[a] ^ 1
+        else:
+            least[a] = least[b] ^ 1
 
-        def join(p: int, q: int, w: int) -> None:
-            """Join the strands at ends p and q by a cable strand that winds w
-            from p to q."""
-            a = far[p]
-            if a == q:
-                w += wind[q]
-                closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
-                return
-            b = far[q]
-            far[a] = b
-            far[b] = a
-            w = wind[a] + w + wind[q]
-            wind[a] = w
-            wind[b] = -w
-            if least[a] < least[b]:
-                least[b] = least[a] ^ 1
-            else:
-                least[a] = least[b] ^ 1
-
-        def unjoin(p: int, q: int) -> None:
-            """Undo join(p, q, ...): p and q no longer end a strand, so they
-            still hold what their old far ends need back."""
-            a = far[p]
-            if a == q:
-                closed.pop()
-                return
-            b = far[q]
-            far[a] = p
-            far[b] = q
-            wind[a] = -wind[p]
-            wind[b] = -wind[q]
-            least[a] = least[p] ^ 1
-            least[b] = least[q] ^ 1
-
-    else:
-        # every strand winds 0, so every circle winds (0, 0) in any order
-
-        def join(p: int, q: int, w: int) -> None:
-            nonlocal n_closed
-            a = far[p]
-            if a == q:
-                n_closed += 1
-                return
-            b = far[q]
-            far[a] = b
-            far[b] = a
-
-        def unjoin(p: int, q: int) -> None:
-            nonlocal n_closed
-            a = far[p]
-            if a == q:
-                n_closed -= 1
-                return
-            b = far[q]
-            far[a] = p
-            far[b] = q
+    def unjoin(p: int, q: int) -> None:
+        """Undo join(p, q, ...): p and q no longer end a strand, so they
+        still hold what their old far ends need back."""
+        a = far[p]
+        if a == q:
+            closed.pop()
+            return
+        b = far[q]
+        far[a] = p
+        far[b] = q
+        wind[a] = -wind[p]
+        wind[b] = -wind[q]
+        least[a] = least[p] ^ 1
+        least[b] = least[q] ^ 1
 
     # arcs without a turnback are straight in every term
     turned_arc = set(turn_arcs)
@@ -271,85 +242,69 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     coeffs = [ONE]
     for _ in range(n_classes):
         coeffs.append(coeffs[-1] * _NEG_DINV)
-    # chains run anchor to anchor; they are numbered by first anchor
-    anchors = [n for seg in static for n in seg if n >= n_junctions]
-    # crossingless terms, one per (turnbacks, circles), and their diagrams,
-    # one per circles; circles are the winding list, or their number when
-    # no arc winds
-    shared_terms: dict[tuple[int, object], CabledTerm] = {}
-    shared_diagrams: dict[object, GraphDiagram] = {}
-    # the (turnbacks, circles) of each shared term, by id
-    origin: dict[int, tuple[int, object]] = {}
-    terms: list[CabledTerm] = []
+    # crossingless terms, one per (turnbacks, windings), and their diagrams,
+    # one per winding list
+    shared_terms: dict[tuple[int, tuple], CabledTerm] = {}
+    shared_diagrams: dict[tuple, GraphDiagram] = {}
 
-    def shared_term(turned: int, circles: object) -> CabledTerm:
-        term = shared_terms.get((turned, circles))
+    def shared_term(turned: int, windings: tuple) -> CabledTerm:
+        term = shared_terms.get((turned, windings))
         if term is None:
-            windings = circles if winds else ((0, 0),) * circles
-            diagram = shared_diagrams.get(circles)
+            diagram = shared_diagrams.get(windings)
             if diagram is None:
-                diagram = shared_diagrams[circles] = GraphDiagram([], [], len(windings))
-            term = shared_terms[turned, circles] = CabledTerm(coeffs[turned], diagram, windings)
-            origin[id(term)] = (turned, circles)
+                diagram = shared_diagrams[windings] = GraphDiagram([], [], len(windings))
+            term = shared_terms[turned, windings] = CabledTerm(coeffs[turned], diagram, windings)
         return term
 
-    # Block reuse, when a term is fully given by (turnbacks, circles): per
-    # class level bit >= 2, a getter of the far ends at the junctions of the
-    # turnback arcs of classes bit .. 0, which hold every open strand end,
-    # and a dict from those far ends to the start of the first block with
-    # them and the (turnbacks, circles) before it.  Per offset in
-    # (turnbacks, circles), the table that shifts a block's terms.
-    levels: list = [None] * len(classes)
-    shifted: dict[tuple[int, int], _ShiftTable] = {}
-    if not winds and not anchors:
-        for bit in range(2, len(classes)):
-            ends = [4 * turn_arcs[j] + s for j in range(bit + 1) for s in range(4)]
-            levels[bit] = (itemgetter(*ends), {}.setdefault)
+    if not crossing_ids and not any(arc_wind):
+        # the open strands as arcs of a vertexless diagram, numbered by
+        # first junction, and its crossings: the turnback arcs, then the
+        # free circles
+        end_id: dict[int, int] = {}
+        for n in (4 * a + s for a in turn_arcs for s in range(4)):
+            if n not in end_id:
+                end_id[n] = len(end_id)
+                end_id[far[n]] = len(end_id)
+        crossings = [tuple(map(end_id.__getitem__, range(4 * a, 4 * a + 4))) for a in turn_arcs]
+        fresh = len(end_id)
+        ends = fresh + 4 * g.free_circles
+        crossings += [(e, e + 2, e + 3, e + 1) for e in range(fresh, ends, 4)]
+        # per cable mask m: its circles, those of state mask full ^ m, and
+        # its turnbacks, popcount(m), as bytes
+        circles = state_circle_counts(ends // 2, crossings)[::-1]
+        turnbacks = b"\0"
+        for _ in range(n_classes):
+            turnbacks += turnbacks.translate(_PLUS_ONE)
+        # the circles closed by the straight arcs are in every term
+        lookup = _Lookup(lambda t, c: shared_term(t, ((0, 0),) * (c + len(closed))))
+        return CabledExpansion(n_classes, tuple(map(lookup.__getitem__, zip(turnbacks, circles))))
+
+    # chains run anchor to anchor; they are numbered by first anchor
+    anchors = [n for seg in static for n in seg if n >= n_junctions]
+    terms: list[CabledTerm] = []
 
     def visit(bit: int, turned: int, free: int) -> None:
         # ``free`` counts the circles the free circles have cabled to
         if bit < 0:
-            if winds:
-                circles = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
-            else:
-                circles = free + n_closed
-            if anchors:
-                windings = circles if winds else ((0, 0),) * circles
-                chain = [-1] * (n_nodes - n_junctions)
-                n_chains = 0
-                for x in anchors:
-                    if chain[x - n_junctions] < 0:
-                        chain[x - n_junctions] = chain[far[x] - n_junctions] = n_chains
-                        n_chains += 1
-                crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
-                diagram = GraphDiagram([], crossings, len(windings))
-                terms.append(CabledTerm(coeffs[turned], diagram, windings))
+            windings = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
+            if not anchors:
+                terms.append(shared_term(turned, windings))
                 return
-            terms.append(shared_term(turned, circles))
+            chain = [-1] * (n_nodes - n_junctions)
+            n_chains = 0
+            for x in anchors:
+                if chain[x - n_junctions] < 0:
+                    chain[x - n_junctions] = chain[far[x] - n_junctions] = n_chains
+                    n_chains += 1
+            crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
+            diagram = GraphDiagram([], crossings, len(windings))
+            terms.append(CabledTerm(coeffs[turned], diagram, windings))
             return
         if bit >= len(classes):
             # a free circle cables to two circles, or to one under its turnback
             visit(bit - 1, turned, free)
             visit(bit - 1, turned + 1, free - 1)
             return
-        level = levels[bit]
-        if level is not None:
-            # a block recorded earlier is complete: the walk left its subtree
-            far_ends, setdefault = level
-            circles = free + n_closed
-            at = len(terms)
-            start, turned0, circles0 = setdefault(far_ends(far), (at, turned, circles))
-            if start != at:
-                block = terms[start : start + (2 << bit)]
-                offset = (turned - turned0, circles - circles0)
-                if offset == (0, 0):
-                    terms.extend(block)
-                else:
-                    table = shifted.get(offset)
-                    if table is None:
-                        table = shifted[offset] = _ShiftTable(offset, origin, shared_term)
-                    terms.extend(map(table.__getitem__, map(id, block)))
-                return
         n = 4 * turn_arcs[bit]
         w = arc_wind[turn_arcs[bit]]
         join(n, n + 3, w)
@@ -370,28 +325,20 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     return CabledExpansion(n_classes, tuple(terms))
 
 
-class _ShiftTable(dict):
-    """Maps the id of a shared crossingless term to the shared term with
-    ``offset`` = (turnbacks, circles) added, made on first lookup."""
+class _Lookup(dict):
+    """Shared terms by (turnbacks, circles): a missing key is filled with
+    ``make(*key)``, so the terms take one pass and each distinct key one
+    call."""
 
-    __slots__ = ("offset", "origin", "shared_term")
+    __slots__ = ("make",)
 
-    def __init__(
-        self,
-        offset: tuple[int, int],
-        origin: dict[int, tuple[int, int]],
-        shared_term: Callable[[int, int], CabledTerm],
-    ) -> None:
+    def __init__(self, make: Callable[[int, int], CabledTerm]) -> None:
         super().__init__()
-        self.offset = offset
-        self.origin = origin
-        self.shared_term = shared_term
+        self.make = make
 
-    def __missing__(self, key: int) -> CabledTerm:
-        turned, circles = self.origin[key]
-        dt, dc = self.offset
-        term = self[key] = self.shared_term(turned + dt, circles + dc)
-        return term
+    def __missing__(self, key: tuple[int, int]) -> CabledTerm:
+        value = self[key] = self.make(*key)
+        return value
 
 
 def _turnback_arcs(

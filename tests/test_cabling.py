@@ -354,9 +354,9 @@ def _reference_corpus():
             for k in range(2):
                 corpus.append((f"twisted_{base}_c{c}_{k}", _twisted(rng, text, c)))
     corpus += [("grid2x3", _grid(2, 3)), ("grid3x3", _grid(3, 3))]
-    # both sides of the walk's winding selection on rayed flat diagrams: ray
-    # words that all sum to 0, and one ray that winds (hole 1 in the inner
-    # face at outer edge 1)
+    # both paths of cable() on rayed flat diagrams: ray words that all sum to
+    # 0 (the bracket kernel), and one ray that winds (the winding walk; hole
+    # 1 in the inner face at outer edge 1)
     k4 = fixtures.load_diagram("k4")
     corpus += [("k4_cancelling_rays", _with_cancelling_rays(k4)),
                ("k4_one_ray", GraphDiagram(k4.vertices, ray_words={1: ["1+"]}))]
@@ -506,6 +506,8 @@ def _reused_block_corpus():
         ("grid2x4", _grid(2, 4)),
         # the free circle's bit sits above the class bits
         ("grid2x3_theta_circle", disjoint_union(disjoint_union(_grid(2, 3), theta), circle)),
+        # two free-circle bits above the class bits, both turned back on some terms
+        ("theta_two_circles", disjoint_union(theta, fixtures.load_diagram("two_circles"))),
         # loops; bouquet3's one level-2 block is the whole expansion
         ("bouquet4", fixtures.load_diagram("bouquet4")),
     ]
@@ -514,7 +516,8 @@ def _reused_block_corpus():
 
 def _has_shifted_repeat(expansion):
     """Whether two blocks of 2^(bit+1) terms below some class level bit >= 2
-    are equal up to a nonzero offset in (turnbacks, circles)."""
+    are equal up to a nonzero offset in (turnbacks, circles): blocks whose
+    circle counts the bracket kernel copies with a shift."""
     tc = [(t.coeff.d_power, t.diagram.free_circles) for t in expansion.terms]
     for bit in range(2, expansion.edge_count):
         size = 2 << bit
@@ -532,14 +535,15 @@ def _has_shifted_repeat(expansion):
 @pytest.mark.parametrize("g", _reused_block_corpus())
 def test_reused_blocks_match_the_reference_term_by_term(g):
     # these inputs repeat blocks of terms shifted in both turnbacks and
-    # circles, which the walk fills from the first block with its pairing
+    # circles, whose circle counts the bracket kernel copies from the first
+    # block with the same pairing
     reference = _reference_cable(g)
     assert _has_shifted_repeat(reference)
     _assert_same_terms(cable(g), reference)
 
 
 def test_grid_3x4_plane_evaluation_equals_yamada():
-    # 2^17 terms, nearly all filled from reused blocks
+    # 2^17 terms, nearly all circle counts copied from reused kernel blocks
     g = _grid(3, 4)
     assert phi_plane(g) == yamada(g, memo={})
 
