@@ -24,20 +24,21 @@ reusing repeated blocks as it does for the bracket.  Every other input
 takes one depth-first walk over the projector choices, over one array of
 open strand ends, as the state sums of :mod:`skein.core` walk
 smoothings: a choice joins the four cable ends of its turnback arc, the
-way back undoes the joins, and a join carries the strands' windings and
-least static segments, so a term costs O(1) joins plus its own output.
+way back undoes the joins, and a join carries the strands' windings, so a
+term costs O(1) joins plus its own output.
 Crossingless terms are shared: one term object per (turnbacks,
 windings) and one diagram per winding list, built once per call, so the
 2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
 crossings hold one diagram each, so memory grows as 2^|E| times the
 crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 80
-cable crossings each) needs hundreds of MB.  The evaluations tally terms by
-object identity, then count them as integers per coefficient and circle
-class, so a coefficient is hashed and a winding list classified once per
-distinct term.  The crossingless terms of one value, or of one (x, y, z)
-monomial, are summed as one integer polynomial in d and converted to the
-coefficient ring once; only terms with crossings, which come from
-crossings of the input, call the bracket.
+cable crossings each) needs hundreds of MB.  Terms compare and hash by
+identity, so the evaluations tally them with one ``Counter`` pass, then
+count them as integers per coefficient and circle class: a coefficient is
+hashed and a winding list classified once per distinct term.  The
+crossingless terms of one value, or of one (x, y, z) monomial, are summed
+as one integer polynomial in d and converted to the coefficient ring
+once; only terms with crossings, which come from crossings of the input,
+call the bracket.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .core import state_circle_counts
@@ -58,8 +58,6 @@ from .tl import bracket
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
-
-_second = itemgetter(1)
 
 #: the ``bytes.translate`` table that adds 1 to every byte
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -87,11 +85,15 @@ class MulticurveMonomial:
     contractible: int  # circles around neither hole (each worth d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CabledTerm:
+    """A weighted vertexless diagram of a cable expansion.  Terms compare and
+    hash by identity: ``cable`` shares one object among equal crossingless terms."""
+
     coeff: LocalizedElement
     diagram: GraphDiagram  # vertexless; free_circles counts the closed cycles
-    cycle_windings: tuple[tuple[int, int], ...]  # net winding of each cycle
+    # sorted; each circle's winding unoriented, the larger of w and -w
+    cycle_windings: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,12 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
 
     Terms come in mask order: bit k of the mask picks the turnback on the
     k-th edge class (then on each free circle), and the term's coefficient
-    is (-1/d)^popcount(mask).  A term lists the windings of its circles,
-    first those of the free circles, then the others by least static
-    segment, each taken along that segment's u to v direction.
+    is (-1/d)^popcount(mask).  A term lists the windings of its circles as
+    an unordered, unoriented multiset: each circle's winding is the larger
+    of (w1, w2) and (-w1, -w2), and the list is sorted.
 
     Both paths first join the arcs that never carry a turnback straight.
-    Each open strand end then holds its far end, its winding, its least
-    static segment and the direction in which it crosses it.
+    Each open strand end then holds its far end and its winding.
 
     With crossings, or when some arc winds, the terms are the leaves of one
     depth-first walk over the class bits, the highest outermost and
@@ -179,30 +180,26 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     n_nodes = n_junctions + 16 * len(crossing_ids)
 
     # The open strands, kept at their ends as in core.state_circle_counts:
-    # far[x] is the strand's other end, wind[x] the strand's winding walked
-    # from x (packed, see _pack) and least[x] twice its least static
-    # segment, plus 1 when the walk from x crosses that segment from v to u.
-    # So wind[far[x]] == -wind[x] and least[far[x]] == least[x] ^ 1, and a
-    # join keeps all three.  At first every static segment is a strand.
+    # far[x] is the strand's other end and wind[x] the strand's winding
+    # walked from x (packed, see _pack), so wind[far[x]] == -wind[x], and a
+    # join keeps both.  At first every static segment is a strand.
     far = [0] * n_nodes
     wind = [0] * n_nodes
-    least = [0] * n_nodes
-    for sid, (u, v) in enumerate(static):
+    for u, v in static:
         far[u], far[v] = v, u
-        least[u], least[v] = 2 * sid, 2 * sid + 1
     # winding of a straight strand walked from end 0 to end 1 of its arc; a
     # turnback strand reads w + reverse(w) and winds nowhere
     arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
-    # (least static segment, winding u to v along it) of each closed circle
-    closed: list[tuple[int, tuple[int, int]]] = []
+    # the unoriented winding of each closed circle
+    closed: list[tuple[int, int]] = []
 
     def join(p: int, q: int, w: int) -> None:
         """Join the strands at ends p and q by a cable strand that winds w
         from p to q."""
         a = far[p]
         if a == q:
-            w += wind[q]
-            closed.append((least[q] >> 1, _unpack(-w if least[q] & 1 else w)))
+            w1, w2 = _unpack(w + wind[q])
+            closed.append(max((w1, w2), (-w1, -w2)))
             return
         b = far[q]
         far[a] = b
@@ -210,10 +207,6 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         w = wind[a] + w + wind[q]
         wind[a] = w
         wind[b] = -w
-        if least[a] < least[b]:
-            least[b] = least[a] ^ 1
-        else:
-            least[a] = least[b] ^ 1
 
     def unjoin(p: int, q: int) -> None:
         """Undo join(p, q, ...): p and q no longer end a strand, so they
@@ -227,8 +220,6 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         far[b] = q
         wind[a] = -wind[p]
         wind[b] = -wind[q]
-        least[a] = least[p] ^ 1
-        least[b] = least[q] ^ 1
 
     # arcs without a turnback are straight in every term
     turned_arc = set(turn_arcs)
@@ -286,7 +277,8 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     def visit(bit: int, turned: int, free: int) -> None:
         # ``free`` counts the circles the free circles have cabled to
         if bit < 0:
-            windings = ((0, 0),) * free + tuple(map(_second, sorted(closed)))
+            # (0, 0) is the least unoriented winding, so this is sorted
+            windings = ((0, 0),) * free + tuple(sorted(closed))
             if not anchors:
                 terms.append(shared_term(turned, windings))
                 return
@@ -359,32 +351,25 @@ def _turnback_arcs(
     return [arcs[cls[0]] for cls in classes]
 
 
-def _tally(terms: tuple[CabledTerm, ...]) -> list[tuple[CabledTerm, int]]:
-    """Each distinct term object of ``terms`` with the number of times it
-    occurs, counted by identity: no coefficient or diagram is hashed."""
-    by_id = dict(zip(map(id, terms), terms))
-    return [(by_id[i], mult) for i, mult in Counter(map(id, terms)).items()]
-
-
 def phi_plane(
     g: GraphDiagram, insertion: Mapping[int, int] | None = None
 ) -> LocalizedElement:
     """Cabled evaluation in the plane: weighted sum of Kauffman brackets.
 
-    Terms are tallied per distinct term object, which ``cable`` shares
-    among crossingless terms.  Crossingless terms are then counted per
-    (turnbacks, circles) and summed as one d-polynomial (see
-    :func:`_d_polynomial`); terms with crossings, one object each, add
-    their brackets per coefficient, so a coefficient is hashed once per
-    distinct term.  Both sums then add up over one denominator, normalized
-    once.  ``insertion`` is passed to ``cable``.
+    Terms are tallied per distinct term object (terms compare by identity,
+    and ``cable`` shares one object among equal crossingless terms).
+    Crossingless terms are then counted per (turnbacks, circles) and summed
+    as one d-polynomial (see :func:`_d_polynomial`); terms with crossings,
+    one object each, add their brackets per coefficient, so a coefficient
+    is hashed once per distinct term.  Both sums then add up over one
+    denominator, normalized once.  ``insertion`` is passed to ``cable``.
     """
     if g.has_rays():
         raise InvalidDiagramError("phi_plane needs a plane diagram (found ray words)")
     counts: dict[tuple[int, int], int] = {}
     sums: dict[LocalizedElement, LaurentPoly] = {}
     zero = LaurentPoly.zero()
-    for term, mult in _tally(cable(g, insertion).terms):
+    for term, mult in Counter(cable(g, insertion).terms).items():
         if term.diagram.crossings:
             sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram).scale(mult)
         else:
@@ -430,17 +415,18 @@ def phi_punctured(g: GraphDiagram) -> PolyXYZ:
     """Cabled evaluation in the 2-holed disk (annulus diagrams included).
 
     Requires a flat diagram; circles of each expansion term are classified by
-    their winding parities into x (hole 1), y (hole 2), z (both) or a factor
-    d for contractible ones.  Terms are tallied per distinct term object
-    first, so each winding list is classified once per distinct term, not
-    once per term.  Each (x, y, z) monomial's coefficient is then one
-    d-polynomial over its (turnbacks, contractible) counts (see
-    :func:`_d_polynomial`), converted to the ring once.
+    the holes they wind around into x (hole 1), y (hole 2), z (both) or a
+    factor d for contractible ones; a circle is unoriented and its place in
+    the list does not matter.  Terms are tallied per distinct term object
+    first (terms compare by identity), so each winding list is classified
+    once per distinct term, not once per term.  Each (x, y, z) monomial's
+    coefficient is then one d-polynomial over its (turnbacks, contractible)
+    counts (see :func:`_d_polynomial`), converted to the ring once.
     """
     if g.crossings:
         raise InvalidDiagramError("phi_punctured needs a flat diagram (crossings present)")
     counts: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-    for term, mult in _tally(cable(g).terms):
+    for term, mult in Counter(cable(g).terms).items():
         m = classify_cycles(term.cycle_windings)
         by_d = counts.setdefault((m.x_power, m.y_power, m.z_power), {})
         key = (term.coeff.d_power, m.contractible)

@@ -489,38 +489,15 @@ class LocalizedElement:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _common_denominator(
-        self, other: "LocalizedElement"
-    ) -> tuple[LaurentPoly, LaurentPoly, int, Phi]:
-        """Both numerators over the least common denominator d^k prod phi:
-        each side is multiplied only by the factors it lacks, so with no
-        cyclotomic part only the side with the lower d power is."""
-        a, b = self.num, other.num
-        k = self.d_power
-        gap = other.d_power - k
-        if gap > 0:
-            a = a * D_LAURENT**gap
-            k = other.d_power
-        elif gap < 0:
-            b = b * D_LAURENT**-gap
-        phi = self.phi
-        if phi != other.phi:
-            phi = _phi_merge(phi, other.phi, max)
-            a = _lift(a, k, self.phi, k, phi)
-            b = _lift(b, k, other.phi, k, phi)
-        return a, b, k, phi
-
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        a, b, k, phi = self._common_denominator(other)
-        return LocalizedElement(a + b, k, phi)
+        return LocalizedElement.sum_of_products(((_LP_ONE, (self,)), (_LP_ONE, (other,))))
 
     def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        a, b, k, phi = self._common_denominator(other)
-        return LocalizedElement(a - b, k, phi)
+        return LocalizedElement.sum_of_products(((_LP_ONE, (self,)), (-_LP_ONE, (other,))))
 
     def __neg__(self) -> "LocalizedElement":
         return LocalizedElement._canonical(-self.num, self.d_power, self.phi)

@@ -18,10 +18,6 @@ from .polyxyz import Monomial, PolyXYZ, mono_str
 from .rings import D_INV, ONE, LocalizedElement, ZERO
 
 
-def _c(n: int) -> LocalizedElement:
-    return LocalizedElement.from_int(n)
-
-
 _X = PolyXYZ.gen("x")
 _Y = PolyXYZ.gen("y")
 _Z = PolyXYZ.gen("z")

@@ -30,6 +30,7 @@ from .rings import (
     GfpLaurent,
     LocalizedElement,
     RingError,
+    _power_str,
     gfp_divrem,
     gfp_gcd,
     require_prime,
@@ -61,7 +62,7 @@ class ModulusKind:
             raise ValueError("power must be positive")
 
     def localized_str(self) -> str:
-        return f"{'A' if self.base == 'A' else 'd'}^{self.power} - 1"
+        return f"{_power_str('A' if self.base == 'A' else 'd', self.power)} - 1"
 
     def gfp_poly(self, p: int) -> GfpLaurent:
         m = self.power
@@ -88,7 +89,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("free-symmetry", "fixed-point-free order-p symmetry (quotient power)",
               lambda p: f"d^{2 * p} - d^2", lambda p: ModulusKind("D", 2 * p - 2), True),
     Criterion("vertex-fixing", "vertex-fixing order-p symmetry (quotient power)",
-              lambda p: f"d^{p - 1} - 1", lambda p: ModulusKind("D", p - 1), True),
+              lambda p: f"{_power_str('d', p - 1)} - 1", lambda p: ModulusKind("D", p - 1), True),
     Criterion("palindrome", "order-p symmetry (palindromy in A)",
               lambda p: f"A^{8 * p} - 1", lambda p: ModulusKind("A", 8 * p), False),
     Criterion("periodicity-power", "p-periodicity (quotient power, earlier criterion)",

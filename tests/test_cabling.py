@@ -20,6 +20,7 @@ from skein.polyxyz import PolyXYZ
 from skein.rings import CIRCLE_FACTOR, D, ONE, ZERO, LaurentPoly, LocalizedElement
 from skein.tl import bracket
 from skein.yamada import yamada
+from twists import twisted
 
 NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
 
@@ -44,6 +45,13 @@ def test_cable_theta_circle_counts():
     expansion = cable(fixtures.load_diagram("theta"))
     counts = sorted(t.diagram.free_circles for t in expansion.terms)
     assert counts == [1, 1, 1, 2, 2, 2, 2, 3]
+
+
+def test_cabled_terms_compare_by_identity():
+    term = cable(fixtures.load_diagram("theta")).terms[0]
+    twin = CabledTerm(term.coeff, term.diagram, term.cycle_windings)
+    assert twin != term
+    assert len({term, twin}) == 2
 
 
 def test_cable_rejects_isolated_vertex():
@@ -322,25 +330,6 @@ def _grid(rows, cols):
     ])
 
 
-def _twisted(rng, text, crossings):
-    """``text`` with ``crossings`` seeded half twists of two edges that leave
-    one vertex at neighbouring slots."""
-    g = parse_diagram(text)
-    vertices = [list(v) for v in g.vertices]
-    twists = []
-    label = max(g.arc_labels()) + 1
-    for _ in range(crossings):
-        slots = rng.choice(vertices)
-        k = rng.randrange(len(slots))
-        k2 = (k + 1) % len(slots)
-        right, left = slots[k], slots[k2]
-        slots[k], slots[k2] = label, label + 1
-        twist = (label, right, left, label + 1)
-        twists.append(twist if rng.random() < 0.5 else twist[1:] + twist[:1])
-        label += 2
-    return GraphDiagram(vertices, twists)
-
-
 def _reference_corpus():
     # petersen_diagram is left out: its 2^15 terms of 80 crossings each
     # hold hundreds of MB in either implementation
@@ -352,7 +341,7 @@ def _reference_corpus():
                        ("k4", "V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n")):
         for c in (1, 2, 3):
             for k in range(2):
-                corpus.append((f"twisted_{base}_c{c}_{k}", _twisted(rng, text, c)))
+                corpus.append((f"twisted_{base}_c{c}_{k}", twisted(rng, text, c)))
     corpus += [("grid2x3", _grid(2, 3)), ("grid3x3", _grid(3, 3))]
     # both paths of cable() on rayed flat diagrams: ray words that all sum to
     # 0 (the bracket kernel), and one ray that winds (the winding walk; hole
@@ -369,18 +358,21 @@ def _with_cancelling_rays(g):
     return GraphDiagram(g.vertices, g.crossings, g.free_circles, ray_words=words)
 
 
-def _term_fields(expansion):
-    return [
-        (t.coeff, t.diagram.crossings, t.diagram.free_circles, t.cycle_windings)
-        for t in expansion.terms
-    ]
+def _unoriented(windings):
+    """The reference's windings as a multiset of unoriented circles: each
+    the larger of (w1, w2) and (-w1, -w2), sorted."""
+    return tuple(sorted(max((w1, w2), (-w1, -w2)) for w1, w2 in windings))
 
 
 def _assert_same_terms(got, ref):
+    # only the reference's windings are put in that form: cable() must emit
+    # them sorted and unoriented
     assert got.edge_count == ref.edge_count
     assert len(got.terms) == len(ref.terms)
-    for mask, (a, b) in enumerate(zip(_term_fields(got), _term_fields(ref))):
-        assert a == b, f"mask {mask}"
+    for mask, (a, b) in enumerate(zip(got.terms, ref.terms)):
+        assert (a.coeff, a.diagram.crossings, a.diagram.free_circles, a.cycle_windings) == (
+            b.coeff, b.diagram.crossings, b.diagram.free_circles, _unoriented(b.cycle_windings)
+        ), f"mask {mask}"
 
 
 @pytest.mark.parametrize("g", _reference_corpus())
@@ -430,7 +422,7 @@ def _rayed_crossing_corpus():
                      ("V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", (1, 2))):
         for c in cs:
             for _ in range(2):
-                corpus.append(_with_seeded_rays(rng, _twisted(rng, text, c)))
+                corpus.append(_with_seeded_rays(rng, twisted(rng, text, c)))
     return corpus
 
 

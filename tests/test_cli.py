@@ -292,6 +292,26 @@ def test_cli_symmetry_obstructed_quotient_power_rows_print_their_witnesses():
     assert out.stdout == json.dumps(THETA_OVER_CIRCLE_P5_MACHINE) + "\n"
 
 
+def test_cli_symmetry_at_p2_prints_d_to_the_first_as_d(capsys):
+    # p - 1 = 1: the vertex-fixing modulus and the localized modulus of both
+    # d-power rows read d - 1, not d^1 - 1
+    args = ["symmetry", "--diagram", "fixture:theta.graph",
+            "--quotient-diagram", "fixture:circle.graph", "--p", "2"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].endswith("vertex-fixing order-p symmetry (quotient power)  modulo (p, d - 1)")
+    assert lines[4].endswith("modulo (p, d^2 - d) = (p, d - 1)")
+    assert "d^1" not in "\n".join(lines)
+
+    assert main([*args, "--output", "machine"]) == 0
+    by_id = {t["test"]: t for t in json.loads(capsys.readouterr().out)["tests"]}
+    assert (by_id["vertex-fixing"]["modulus"], by_id["vertex-fixing"]["modulus_localized"]) == (
+        "d - 1", "d - 1")
+    assert (by_id["periodicity-power"]["modulus"],
+            by_id["periodicity-power"]["modulus_localized"]) == ("d^2 - d", "d - 1")
+    assert by_id["free-symmetry"]["modulus_localized"] == "d^2 - 1"
+
+
 def test_cli_symmetry_quotient_options_are_exclusive():
     out = run_cli(
         ["symmetry", "--p", "3", "--poly", "fixture:petersen.poly",

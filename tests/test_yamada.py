@@ -41,6 +41,7 @@ from skein.yamada import (
     yamada,
 )
 from test_kernel import random_multigraphs
+from twists import twisted
 
 
 def d_poly(coeffs, d_power=0):
@@ -238,27 +239,6 @@ def _expand(g, memo):
     return total
 
 
-def _twisted(rng, text, crossings):
-    """``text`` with ``crossings`` seeded half twists, each of two edges that
-    leave one vertex at neighbouring slots (a local, planar change)."""
-    g = parse_diagram(text)
-    vertices = [list(v) for v in g.vertices]
-    twists = []
-    label = max(g.arc_labels()) + 1
-    for _ in range(crossings):
-        slots = rng.choice(vertices)
-        k = rng.randrange(len(slots))
-        k2 = (k + 1) % len(slots)
-        right, left = slots[k], slots[k2]
-        slots[k], slots[k2] = label, label + 1
-        # counterclockwise: new right end, old right, old left, new left end;
-        # rotating the slots by one gives the mirror twist
-        twist = (label, right, left, label + 1)
-        twists.append(twist if rng.random() < 0.5 else twist[1:] + twist[:1])
-        label += 2
-    return GraphDiagram(vertices, twists)
-
-
 def _plane_corpus():
     graphs = [n for n in fixtures.list_fixtures() if n.endswith(".graph")]
     corpus = [(n, fixtures.load_diagram(n)) for n in graphs]
@@ -267,7 +247,7 @@ def _plane_corpus():
         base, name = ("V 1 2 3\nV 3 2 1\n", "theta") if i % 2 else (
             "V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", "k4")
         c = 1 + i % 5
-        corpus.append((f"twisted_{name}_c{c}", _twisted(rng, base, c)))
+        corpus.append((f"twisted_{name}_c{c}", twisted(rng, base, c)))
     return [pytest.param(g, id=n) for n, g in corpus if not g.has_rays()]
 
 
