@@ -111,13 +111,13 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
 
     def twin_reps(cell: list[int]) -> list[int]:
         # vertices swapped by an automorphism fixing everything else yield
-        # identical subtrees; branch on one representative per twin group
+        # identical subtrees; branch on one representative per twin group.
+        # A cell's vertices share their initial colour, which includes the
+        # loop count, so twins need no loop check.
         out: list[int] = []
         for v in cell:
             matched = False
             for u in out:
-                if loops[u] != loops[v]:
-                    continue
                 a = sorted(x for x in nbr[u] if x != v)
                 b = sorted(x for x in nbr[v] if x != u)
                 if a == b:

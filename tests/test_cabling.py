@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import gen
 import pytest
 
 from skein import fixtures
@@ -17,12 +18,19 @@ from skein.cabling import (
 )
 from skein.diagrams import GraphDiagram, InvalidDiagramError, disjoint_union, parse_diagram
 from skein.polyxyz import PolyXYZ
-from skein.rings import CIRCLE_FACTOR, D, ONE, ZERO, LaurentPoly, LocalizedElement
+from skein.rings import CIRCLE_FACTOR, D, D_INV, ONE, ZERO, LaurentPoly, LocalizedElement
 from skein.tl import bracket
 from skein.yamada import yamada
-from twists import twisted
 
 NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
+
+
+def _two_crossing_theta():
+    """A theta whose edges [0, 4, 6] and [1, 3, 5] cross twice, in twist
+    crossings of opposite signs next to its first vertex."""
+    code = gen.from_text(gen.THETA)
+    gen.add_twist(code, 0, 0, [1, -1])
+    return parse_diagram(code.text())
 
 
 def test_cable_of_vertexless_circle():
@@ -100,13 +108,9 @@ def test_punctured_rejects_crossings():
         phi_punctured(fixtures.load_diagram("kink_pos"))
 
 
-def _gen(name):
-    return PolyXYZ.gen(name)
-
-
 def test_punctured_generator_images():
     one = PolyXYZ.constant(ONE)
-    x, y, z = _gen("x"), _gen("y"), _gen("z")
+    x, y, z = (PolyXYZ.gen(v) for v in "xyz")
     assert phi_punctured(fixtures.load_diagram("pants_x")) == x * x - one
     assert phi_punctured(fixtures.load_diagram("pants_y")) == y * y - one
     assert phi_punctured(fixtures.load_diagram("pants_z")) == z * z - one
@@ -115,7 +119,7 @@ def test_punctured_generator_images():
 
 def test_punctured_t_diagram_reconstruction():
     # the symmetric theta between the holes: xyz - (x^2+y^2+z^2)/d + 2/d
-    x, y, z = _gen("x"), _gen("y"), _gen("z")
+    x, y, z = (PolyXYZ.gen(v) for v in "xyz")
     dinv = LocalizedElement(LaurentPoly.from_int(1), 1)
     expect = (
         x * y * z
@@ -123,6 +127,15 @@ def test_punctured_t_diagram_reconstruction():
         + PolyXYZ.constant(dinv.scale(2))
     )
     assert phi_punctured(fixtures.load_diagram("pants_t")) == expect
+
+
+def test_a_free_circle_multiplies_the_punctured_evaluation_by_d2_minus_1():
+    # a free circle cables to two circles, or to one under its turnback
+    x = PolyXYZ.gen("x")
+    rayed = phi_punctured(parse_diagram(gen.THETA + "RAY 1 1+\n"))
+    assert rayed == (x * x - PolyXYZ.constant(ONE)).scale(D - D_INV.scale(2))
+    with_circle = phi_punctured(parse_diagram(gen.THETA + "RAY 1 1+\nO\n"))
+    assert with_circle == rayed.scale(D * D - ONE)
 
 
 def test_punctured_matches_plane_for_hole_avoiding_diagrams():
@@ -134,7 +147,7 @@ def test_punctured_matches_plane_for_hole_avoiding_diagrams():
 def test_insertion_point_is_immaterial():
     # the moved turnback changes the cabled terms, not the evaluation
     names = ("hopf", "kink_pos", "r2_unknot", "r3_a")
-    for g in [fixtures.load_diagram(name) for name in names] + [parse_diagram(TWO_CROSSINGS)]:
+    for g in [fixtures.load_diagram(name) for name in names] + [_two_crossing_theta()]:
         base = phi_plane(g)
         crossings = [t.diagram.crossings for t in cable(g).terms]
         for cls in g.edge_classes():
@@ -155,16 +168,12 @@ def test_classify_cycles():
     assert m == MulticurveMonomial(x_power=1, y_power=1, z_power=2, contractible=1)
 
 
-#: a theta-like graph whose edges [0, 1, 6] and [3, 4, 5] cross twice
-TWO_CROSSINGS = "V 1 2 3\nV 4 5 3\nX 1 7 8 4\nX 7 2 5 8"
-
-
 def test_insertion_rejects_what_it_cannot_place():
-    g = parse_diagram(TWO_CROSSINGS)
-    # labels are interned in order of appearance: the edge classes are
-    # [0, 1, 6], [2] and [3, 4, 5]
-    assert g.edge_classes() == [[0, 1, 6], [2], [3, 4, 5]]
-    for insertion in ({99: 99}, {7: 7}, {1: 7}, {1: 6}, {0: 3}, {0: 2}):
+    g = _two_crossing_theta()
+    assert g.edge_classes() == [[0, 4, 6], [1, 3, 5], [2]]
+    # unknown keys, keys that are not the least arc of their class, and
+    # arcs outside the key's class
+    for insertion in ({99: 99}, {7: 7}, {4: 4}, {4: 6}, {0: 1}, {0: 2}):
         with pytest.raises(InvalidDiagramError):
             cable(g, insertion=insertion)
 
@@ -315,21 +324,6 @@ def _reference_assemble(segs, grid_crossings, extra_cycles):
     return GraphDiagram([], crossings, len(windings)), tuple(windings)
 
 
-def _grid(rows, cols):
-    """The rows x cols grid graph; slots east, north, west, south."""
-    edges = {}
-    for i in range(rows):
-        for j in range(cols):
-            for nb in ((i, j + 1), (i + 1, j)):
-                if nb[0] < rows and nb[1] < cols:
-                    edges[frozenset(((i, j), nb))] = len(edges)
-    return GraphDiagram([
-        [edges[e] for nb in ((i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j))
-         if (e := frozenset(((i, j), nb))) in edges]
-        for i in range(rows) for j in range(cols)
-    ])
-
-
 def _reference_corpus():
     # petersen_diagram is left out: its 2^15 terms of 80 crossings each
     # hold hundreds of MB in either implementation
@@ -337,12 +331,21 @@ def _reference_corpus():
              if n.endswith(".graph") and n != "petersen_diagram.graph"]
     corpus = [(n[: -len(".graph")], fixtures.load_diagram(n)) for n in names]
     rng = random.Random(6)
-    for base, text in (("theta", "V 1 2 3\nV 3 2 1\n"),
-                       ("k4", "V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n")):
+    for base, text in (("theta", gen.THETA), ("k4", gen.K4)):
         for c in (1, 2, 3):
             for k in range(2):
-                corpus.append((f"twisted_{base}_c{c}_{k}", twisted(rng, text, c)))
-    corpus += [("grid2x3", _grid(2, 3)), ("grid3x3", _grid(3, 3))]
+                code = gen.twisted_graph(rng, text, c, 1 + c // 2)
+                corpus.append((f"twisted_{base}_c{c}_{k}", parse_diagram(code.text())))
+    corpus += [("grid2x3", parse_diagram(gen.grid(2, 3).text())),
+               ("grid3x3", parse_diagram(gen.grid(3, 3).text()))]
+    # free circles next to a wound ray or next to crossings: the walk's bits
+    # above the edge classes
+    kink = fixtures.load_diagram("kink_pos")
+    two = _two_crossing_theta()
+    corpus += [("theta_one_ray_circle", parse_diagram(gen.THETA + "RAY 1 1+\nO\n")),
+               ("theta_one_ray_two_circles", parse_diagram(gen.THETA + "RAY 1 1+\nO\nO\n")),
+               ("kink_pos_circle", GraphDiagram(kink.vertices, kink.crossings, 1)),
+               ("two_crossing_theta_circle", GraphDiagram(two.vertices, two.crossings, 1))]
     # both paths of cable() on rayed flat diagrams: ray words that all sum to
     # 0 (the bracket kernel), and one ray that winds (the winding walk; hole
     # 1 in the inner face at outer edge 1)
@@ -416,19 +419,19 @@ def _with_seeded_rays(rng, g):
 def _rayed_crossing_corpus():
     """Seeded ray words, some empty, on every arc of diagrams with crossings."""
     rng = random.Random(9)
-    corpus = [_with_seeded_rays(rng, parse_diagram(TWO_CROSSINGS)) for _ in range(3)]
+    corpus = [_with_seeded_rays(rng, _two_crossing_theta()) for _ in range(3)]
     # a twisted K4 keeps a cycle of untwisted edges, so its circles can wind
-    for text, cs in (("V 1 2 3\nV 3 2 1\n", (1, 2, 3)),
-                     ("V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", (1, 2))):
+    for text, cs in ((gen.THETA, (1, 2, 3)), (gen.K4, (1, 2))):
         for c in cs:
             for _ in range(2):
-                corpus.append(_with_seeded_rays(rng, twisted(rng, text, c)))
+                code = gen.twisted_graph(rng, text, c, 1 + c // 2)
+                corpus.append(_with_seeded_rays(rng, parse_diagram(code.text())))
     return corpus
 
 
 @pytest.mark.parametrize(
     "g",
-    [fixtures.load_diagram("pants_t"), parse_diagram(TWO_CROSSINGS), *_rayed_crossing_corpus()],
+    [fixtures.load_diagram("pants_t"), _two_crossing_theta(), *_rayed_crossing_corpus()],
 )
 def test_cable_matches_the_reference_at_every_insertion_point(g):
     # the reference also took a split along the arc's ray word; every split
@@ -456,12 +459,12 @@ def test_rayed_crossing_corpus_winds_where_the_walk_joins():
 
 
 def test_grid_plane_evaluation_equals_yamada():
-    g = _grid(3, 3)
+    g = parse_diagram(gen.grid(3, 3).text())
     assert phi_plane(g) == yamada(g, memo={})
 
 
 def test_crossingless_terms_share_one_diagram_per_winding_list():
-    g = _grid(3, 3)
+    g = parse_diagram(gen.grid(3, 3).text())
     expansion = cable(g)
     assert len(expansion.terms) == 2**12
     diagrams = {id(t.diagram) for t in expansion.terms}
@@ -495,9 +498,10 @@ def _reused_block_corpus():
     theta = fixtures.load_diagram("theta")
     circle = fixtures.load_diagram("circle")
     corpus = [
-        ("grid2x4", _grid(2, 4)),
+        ("grid2x4", parse_diagram(gen.grid(2, 4).text())),
         # the free circle's bit sits above the class bits
-        ("grid2x3_theta_circle", disjoint_union(disjoint_union(_grid(2, 3), theta), circle)),
+        ("grid2x3_theta_circle",
+         disjoint_union(disjoint_union(parse_diagram(gen.grid(2, 3).text()), theta), circle)),
         # two free-circle bits above the class bits, both turned back on some terms
         ("theta_two_circles", disjoint_union(theta, fixtures.load_diagram("two_circles"))),
         # loops; bouquet3's one level-2 block is the whole expansion
@@ -536,7 +540,7 @@ def test_reused_blocks_match_the_reference_term_by_term(g):
 
 def test_grid_3x4_plane_evaluation_equals_yamada():
     # 2^17 terms, nearly all circle counts copied from reused kernel blocks
-    g = _grid(3, 4)
+    g = parse_diagram(gen.grid(3, 4).text())
     assert phi_plane(g) == yamada(g, memo={})
 
 
@@ -556,7 +560,7 @@ def test_filling_the_holes_gives_the_yamada_value(name):
 
 @pytest.mark.parametrize("name", ["k4", "theta", "grid2x3", "bouquet2", "handcuff"])
 def test_filling_the_holes_of_seeded_rayed_diagrams(name):
-    g = _grid(2, 3) if name == "grid2x3" else fixtures.load_diagram(name)
+    g = parse_diagram(gen.grid(2, 3).text()) if name == "grid2x3" else fixtures.load_diagram(name)
     rng = random.Random(name)
     checked = 0
     for _ in range(16):

@@ -2,6 +2,7 @@
 
 import random
 
+import gen
 import pytest
 
 from skein import fixtures
@@ -204,20 +205,18 @@ def _reference_arc_labels(g):
 
 
 def _seeded_diagram(rng, rays):
-    """A diagram (not necessarily planar) with labels drawn unsorted from a
-    sparse range, some vertices of degree 0 to 4 and some crossings."""
-    degrees = [rng.randrange(5) for _ in range(rng.randrange(4))]
-    n_crossings = rng.randrange(5)
-    if sum(degrees) % 2:
-        degrees.append(1)
-    arcs = rng.sample(range(3, 1000, 7), (sum(degrees) + 4 * n_crossings) // 2)
-    slots = arcs * 2
-    rng.shuffle(slots)
-    vertices = []
-    for k in degrees:
-        vertices.append(slots[:k])
-        slots = slots[k:]
-    crossings = [slots[i : i + 4] for i in range(0, len(slots), 4)]
+    """A twisted theta, K4 or small grid from ``gen`` with 0 to 4 crossings,
+    its labels drawn unsorted from a sparse range, with at most one isolated
+    vertex and one free circle; with ``rays``, seeded ray words on half its
+    arcs."""
+    base = rng.choice((gen.THETA, gen.K4, gen.grid(2, 2).text(), gen.grid(2, 3).text()))
+    c = rng.randrange(5)
+    code = gen.twisted_graph(rng, base, c, 1 + c // 2)
+    arcs = rng.sample(range(3, 1000, 7), code.next_label - 1)
+    vertices = [[arcs[a - 1] for a in slots] for slots in code.vertices]
+    for _ in range(rng.randrange(2)):
+        vertices.insert(rng.randrange(len(vertices) + 1), [])
+    crossings = [[arcs[a - 1] for a in slots] for slots in code.crossings]
     words = {}
     if rays:
         for a in rng.sample(arcs, len(arcs) // 2):
@@ -288,16 +287,19 @@ def _reference_resolve_crossing(g, index, kind):
     )
 
 
-def test_resolve_crossing_matches_the_two_step_reference():
+def _resolve_corpus():
     graphs = [
         g
         for g in (fixtures.load_diagram(n) for n in fixtures.list_fixtures() if n.endswith(".graph"))
         if not g.has_rays()
     ]
     rng = random.Random(1402)
-    graphs += [_seeded_diagram(rng, rays=False) for _ in range(200)]
+    return graphs + [_seeded_diagram(rng, rays=False) for _ in range(200)]
+
+
+def test_resolve_crossing_matches_the_two_step_reference():
     resolved = 0
-    for g in graphs:
+    for g in _resolve_corpus():
         for i in range(len(g.crossings)):
             for kind in Resolution:
                 out = resolve_crossing(g, i, kind)

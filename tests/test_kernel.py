@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from itertools import product
 
+import gen
 import pytest
 
 from skein import core, fixtures, tl
@@ -361,15 +362,8 @@ def _random_diagram(rng, c, vertex_ends=0):
     return n_ends // 2, vertices, crossings
 
 
-def _torus_2(k):
-    """The closed 2-braid sigma_1^k, T(2, k): level j carries arcs 2j (left)
-    and 2j+1 (right), and level k closes onto level 0."""
-    lines = []
-    for j in range(k):
-        bl, br = 2 * j, 2 * j + 1
-        tl, tr = 2 * (j + 1) % (2 * k), (2 * (j + 1) + 1) % (2 * k)
-        lines.append(f"X {br} {tr} {tl} {bl}")
-    return parse_diagram("\n".join(lines))
+#: T(2, k), the closed 2-braid sigma_1^k, for k = 1 .. 24
+TORI = {k: parse_diagram(gen.braid_closure(2, [(0, 1)] * k).text()) for k in range(1, 25)}
 
 
 #: small cases: no crossings, free circles, kinks (a crossing whose slots
@@ -381,7 +375,7 @@ EDGE_CASES = [
 
 def _diagrams(max_torus):
     graphs = [fixtures.load_diagram(n) for n in fixtures.list_fixtures() if n.endswith(".graph")]
-    tori = [_torus_2(k) for k in range(1, max_torus + 1)]
+    tori = [TORI[k] for k in range(1, max_torus + 1)]
     return [parse_diagram(t) for t in EDGE_CASES] + graphs + tori
 
 
@@ -450,40 +444,16 @@ def _reference_bracket(g):
     return total * D_LAURENT**g.free_circles
 
 
-def _braid_word(rng, strands, length, generators=None):
-    """A seeded braid word of ``length`` letters (i, sign) over the
-    generator indices ``generators`` (all by default).  Sign +1 puts the
-    strand from bottom left on top, -1 the one from bottom right."""
+def _seeded_braid(rng, strands, length, generators=None, shuffle=False):
+    """``gen.braid_closure`` of a seeded word of ``length`` letters (i, sign)
+    over ``generators`` (all by default), which unlike ``gen.closed_braid``
+    may miss some; ``shuffle`` lists the crossings in a seeded order."""
     generators = range(strands - 1) if generators is None else generators
-    return [(rng.choice(generators), 1 if rng.random() < 0.5 else -1) for _ in range(length)]
-
-
-def _word_closure(strands, word, rng=None):
-    """The closure of a braid word on ``strands`` strands, read bottom to
-    top.  A strand that no letter touches closes into a free circle; with
-    ``rng`` the crossings are listed in a random order."""
-    bottom = list(range(strands))
-    top = list(bottom)
-    crossings = []
-    for label, (i, sign) in zip(range(strands, strands + 2 * len(word), 2), word):
-        bl, br = top[i], top[i + 1]
-        tl, tr = label, label + 1
-        top[i], top[i + 1] = tl, tr
-        # slots counterclockwise from bottom right
-        crossings.append((br, tr, tl, bl) if sign > 0 else (tr, tl, bl, br))
-    close = dict(zip(top, bottom))
-    if rng is not None:
-        rng.shuffle(crossings)
-    lines = ["X " + " ".join(str(close.get(a, a)) for a in x) for x in crossings]
-    lines += ["O"] * sum(t == b for t, b in zip(top, bottom))
-    return parse_diagram("\n".join(lines))
-
-
-def _braid_closure(rng, strands, length, generators=None, shuffle=False):
-    """The closure of a seeded braid word; ``shuffle`` lists the crossings
-    in a random order."""
-    word = _braid_word(rng, strands, length, generators)
-    return _word_closure(strands, word, rng if shuffle else None)
+    word = [(rng.choice(generators), 1 if rng.random() < 0.5 else -1) for _ in range(length)]
+    code = gen.braid_closure(strands, word)
+    if shuffle:
+        rng.shuffle(code.crossings)
+    return parse_diagram(code.text())
 
 
 def _kernel_args(g):
@@ -495,32 +465,36 @@ def _random_link_ends(rng, c):
     return n_arcs, crossings
 
 
-def test_split_walk_matches_the_reference_walk():
+def _split_walk_corpus():
+    """Random pairings, braid closures, shuffled closures and split pairs."""
     rng = random.Random(1212)
     # c = 0 .. 3: an inner block of k = 0 or 1 crossings
-    small = [_random_link_ends(rng, c) for c in (0, 1, 2, 3) for _ in range(8)]
-    small += [_kernel_args(parse_diagram(t)) for t in EDGE_CASES if "V" not in t]
+    pairings = [_random_link_ends(rng, c) for c in (0, 1, 2, 3) for _ in range(8)]
+    pairings += [_kernel_args(parse_diagram(t)) for t in EDGE_CASES if "V" not in t]
     # braid closures, whose outer states share most boundary pairings
-    braids = [_braid_closure(rng, s, c) for c in range(12, 17) for s in (2, 3, 4)]
+    braids = [_seeded_braid(rng, s, c) for c in range(12, 17) for s in (2, 3, 4)]
     # free circles: strands that no generator touches
-    braids += [_braid_closure(rng, 5, c, generators=(1, 2)) for c in (12, 13)]
-    assert sum(g.free_circles for g in braids) == 4
+    braids += [_seeded_braid(rng, 5, c, generators=(1, 2)) for c in (12, 13)]
     # shuffled crossing order and random pairings: few or no shared pairings
-    shuffled = [
-        _kernel_args(_braid_closure(rng, s, c, shuffle=True)) for c in (12, 13, 14) for s in (3, 4)
-    ]
-    shuffled += [_random_link_ends(rng, c) for c in (12, 13, 14)]
+    shuffled = [_seeded_braid(rng, s, c, shuffle=True) for c in (12, 13, 14) for s in (3, 4)]
+    pairings += [_random_link_ends(rng, c) for c in (12, 13, 14)]
     # split diagrams listed part by part: the first part's crossings, three
     # or more, have no boundary ends at all
     parts = [
-        (_braid_closure(rng, s, c), _braid_closure(rng, t, 12 - c))
+        (_seeded_braid(rng, s, c), _seeded_braid(rng, t, 12 - c))
         for s, t, c in ((2, 3, 3), (3, 2, 4), (3, 4, 6), (4, 3, 8))
     ]
+    return pairings, braids, shuffled, parts
+
+
+def test_split_walk_matches_the_reference_walk():
+    pairings, braids, shuffled, parts = _split_walk_corpus()
+    assert sum(g.free_circles for g in braids) == 4
     split = [disjoint_union(g, h) for g, h in parts]
     # 2-strand torus links: at most four boundary ends per level
-    tori = [_torus_2(k) for k in range(1, 19)]
-    links = [_kernel_args(g) for g in braids + split + tori]
-    for n_arcs, crossings in small + links + shuffled:
+    tori = [TORI[k] for k in range(1, 19)]
+    links = [_kernel_args(g) for g in braids + shuffled + split + tori]
+    for n_arcs, crossings in pairings + links:
         counts = list(core.state_circle_counts(n_arcs, crossings))
         assert counts == _reference_state_circle_counts(n_arcs, crossings)
         if len(crossings) <= 13:
@@ -544,7 +518,7 @@ def test_bracket_packs_circle_counts_past_any_fixed_width():
 def test_bracket_holds_one_byte_per_state():
     # 2^20 states: the walk's buffer and the bytes it returns take 1 MB
     # each, where a list of ints took 8 MB
-    g = _torus_2(20)
+    g = TORI[20]
     tracemalloc.start()
     try:
         bracket(g)
@@ -562,22 +536,31 @@ def _distinct_block_ratio(g):
     return len(set(blocks)) / len(blocks)
 
 
-def test_bracket_assembly_matches_the_reference_sum():
+def _assembly_corpus():
     rng = random.Random(1404)
     # c = 0 .. 3, where a block holds one or two counts, and odd c, where
     # the outer half is the larger
-    small = [_braid_closure(rng, s, c) for c in (0, 1, 2, 3) for s in (2, 3, 4) for _ in range(3)]
-    odd = [_braid_closure(rng, s, c) for c in (5, 7, 9, 11, 13) for s in (2, 3, 4)]
-    assert {len(g.crossings) for g in small} == {0, 1, 2, 3}
+    small = [_seeded_braid(rng, s, c) for c in (0, 1, 2, 3) for s in (2, 3, 4) for _ in range(3)]
+    odd = [_seeded_braid(rng, s, c) for c in (5, 7, 9, 11, 13) for s in (2, 3, 4)]
     # free circles together with crossings
-    free = [_braid_closure(rng, 6, c, generators=(1, 2, 3)) for c in (1, 2, 5, 8, 11)]
-    free += [_braid_closure(rng, 3, c, generators=(0,)) for c in (3, 4)]
+    free = [_seeded_braid(rng, 6, c, generators=(1, 2, 3)) for c in (1, 2, 5, 8, 11)]
+    free += [_seeded_braid(rng, 3, c, generators=(0,)) for c in (3, 4)]
+    # shuffled crossing orders, and closures that list every other letter
+    # first, so that each outer crossing meets the inner half at all four
+    # ends: few blocks repeat
+    shuffled = [_seeded_braid(rng, s, c, shuffle=True) for c in (10, 13, 14) for s in (3, 4)]
+    for strands, word in ((3, [(0, 1), (1, 1)] * 6), (3, [(0, 1), (1, -1)] * 7),
+                          (4, [(0, 1), (1, 1), (2, 1)] * 4), (4, [(0, -1), (1, 1), (2, -1)] * 4)):
+        code = gen.braid_closure(strands, word)
+        code.crossings = code.crossings[1::2] + code.crossings[0::2]
+        shuffled.append(parse_diagram(code.text()))
+    return small, odd, free, shuffled
+
+
+def test_bracket_assembly_matches_the_reference_sum():
+    small, odd, free, shuffled = _assembly_corpus()
+    assert {len(g.crossings) for g in small} == {0, 1, 2, 3}
     assert all(g.free_circles and g.crossings for g in free)
-    # shuffled crossing orders and random pairings: few blocks repeat
-    shuffled = [_braid_closure(rng, s, c, shuffle=True) for c in (10, 13, 14) for s in (3, 4)]
-    for c in (6, 9, 12, 13):
-        _, crossings = _random_link_ends(rng, c)
-        shuffled.append(GraphDiagram([], [[e >> 1 for e in x] for x in crossings]))
     assert max(_distinct_block_ratio(g) for g in shuffled) > 0.9
     for g in small + odd + free + shuffled:
         assert bracket(g) == _reference_bracket(g)
@@ -601,7 +584,7 @@ def test_trace_convention_matches_the_state_sum_by_mask():
     # state sum by mask fixes which smoothing of a letter is worth A
     for n in (1, 2):
         for sign in (1, -1):
-            g = _word_closure(2, [(0, sign)] * n)
+            g = parse_diagram(gen.braid_closure(2, [(0, sign)] * n).text())
             counts = _union_find_circle_counts(g.num_arcs, g.end_ids()[1])
             expect = LaurentPoly.zero()
             for mask, circles in enumerate(counts):
@@ -611,14 +594,22 @@ def test_trace_convention_matches_the_state_sum_by_mask():
                 assert expect == D_LAURENT.shifted(3 * sign).scale(-1)
 
 
-def test_bracket_equals_the_temperley_lieb_trace():
-    for n in range(1, 25):
-        assert bracket(_torus_2(n)) == _tl_trace(2, [(0, 1)] * n)
+def _trace_corpus():
+    """Seeded 3-strand braid words of 1 to 16 letters and their closures."""
     rng = random.Random(1405)
+    out = []
     for c in range(1, 17):
         for _ in range(2):
-            word = _braid_word(rng, 3, c)
-            assert bracket(_word_closure(3, word)) == _tl_trace(3, word)
+            word = [(rng.choice((0, 1)), 1 if rng.random() < 0.5 else -1) for _ in range(c)]
+            out.append((word, parse_diagram(gen.braid_closure(3, word).text())))
+    return out
+
+
+def test_bracket_equals_the_temperley_lieb_trace():
+    for n in range(1, 25):
+        assert bracket(TORI[n]) == _tl_trace(2, [(0, 1)] * n)
+    for word, g in _trace_corpus():
+        assert bracket(g) == _tl_trace(3, word)
 
 
 def test_resolution_states_against_reference():
@@ -633,7 +624,7 @@ def test_resolution_states_against_reference():
 
 def test_torus_brackets_match_the_state_sum_by_mask():
     for k in range(1, 11):
-        g = _torus_2(k)
+        g = TORI[k]
         counts = _union_find_circle_counts(g.num_arcs, g.end_ids()[1])
         expect = LaurentPoly.zero()
         for mask, circles in enumerate(counts):
@@ -645,7 +636,7 @@ def test_torus_brackets_match_the_state_sum_by_mask():
 def test_kernels_leave_no_reference_cycles():
     # a cycle would keep the walk's state, the 2^c counts list with it,
     # alive until the next collection; canon_key's search recurses too
-    g = _torus_2(8)
+    g = TORI[8]
     theta = fixtures.load_diagram("theta")
     gc.collect()
     gc.disable()

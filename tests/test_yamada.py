@@ -5,6 +5,7 @@ import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import gen
 import pytest
 
 from skein import fixtures
@@ -41,7 +42,6 @@ from skein.yamada import (
     yamada,
 )
 from test_kernel import random_multigraphs
-from twists import twisted
 
 
 def d_poly(coeffs, d_power=0):
@@ -244,10 +244,10 @@ def _plane_corpus():
     corpus = [(n, fixtures.load_diagram(n)) for n in graphs]
     rng = random.Random(4)
     for i in range(6):
-        base, name = ("V 1 2 3\nV 3 2 1\n", "theta") if i % 2 else (
-            "V 1 4 3\nV 2 5 1\nV 3 6 2\nV 4 5 6\n", "k4")
+        base, name = (gen.THETA, "theta") if i % 2 else (gen.K4, "k4")
         c = 1 + i % 5
-        corpus.append((f"twisted_{name}_c{c}", twisted(rng, base, c)))
+        code = gen.twisted_graph(rng, base, c, 1 + c // 2)
+        corpus.append((f"twisted_{name}_c{c}", parse_diagram(code.text())))
     return [pytest.param(g, id=n) for n, g in corpus if not g.has_rays()]
 
 
