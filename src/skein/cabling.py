@@ -30,15 +30,23 @@ Crossingless terms are shared: one term object per (turnbacks,
 windings) and one diagram per winding list, built once per call, so the
 2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
 crossings hold one diagram each, so memory grows as 2^|E| times the
-crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 80
+crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 20
 cable crossings each) needs hundreds of MB.  Terms compare and hash by
 identity, so the evaluations tally them with one ``Counter`` pass, then
 count them as integers per coefficient and circle class: a coefficient is
 hashed and a winding list classified once per distinct term.  The
 crossingless terms of one value, or of one (x, y, z) monomial, are summed
 as one integer polynomial in d and converted to the coefficient ring
-once; only terms with crossings, which come from crossings of the input,
-call the bracket.
+once.
+
+``phi_plane`` of a diagram with crossings builds no terms: the cable
+crossings and the projector choices together are the smoothings of one
+vertexless diagram, whose 2^(4c + |E|) states one kernel call counts and
+:func:`skein.tl.bracket_sums` values, the states of each turnback count
+as one sum.  A kernel call holds at most 2^20 states (one byte each, two
+while the kernel copies its result) unless the 4c cable crossings alone
+need more; the projector choices above that are walked as ``cable``
+walks them, with one call per leaf.
 """
 
 from __future__ import annotations
@@ -52,12 +60,19 @@ from .core import state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
 from .rings import ONE, LaurentPoly, LocalizedElement, _to_localized
-from .tl import bracket
+from .tl import bracket_sums
+
+# unused here, but skeinbench/tracing.py rebinds this name in this module
+from .tl import bracket  # noqa: F401
 
 #: winding contribution of each ray token: (around hole 1, around hole 2)
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
+
+#: most states of one kernel call in ``phi_plane`` while the cable
+#: crossings allow it: one byte each
+_KERNEL_STATES = 1 << 20
 
 #: the ``bytes.translate`` table that adds 1 to every byte
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -111,8 +126,9 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     an unordered, unoriented multiset: each circle's winding is the larger
     of (w1, w2) and (-w1, -w2), and the list is sorted.
 
-    Both paths first join the arcs that never carry a turnback straight.
-    Each open strand end then holds its far end and its winding.
+    Both paths first join the arcs that never carry a turnback straight
+    (see :class:`_Strands`).  Each open strand end then holds its far end
+    and its winding.
 
     With crossings, or when some arc winds, the terms are the leaves of one
     depth-first walk over the class bits, the highest outermost and
@@ -120,19 +136,13 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     the chains by first anchor from the far ends.
 
     Without crossings and without winding, every circle winds (0, 0), so a
-    term is given by its (turnbacks, circles).  Every open strand end is
-    then one of the four junctions of a turnback arc, and the choices are
-    the smoothings of a vertexless diagram: its arcs are the open strands,
-    strand k with the ends 2k and 2k + 1 by first junction, and class k's
-    turnback arc is crossing k with the ends at its junctions n .. n + 3 in
-    order, so the A-smoothing is the turnback and the B-smoothing the
-    straight pair.  A free circle is one more crossing, on two fresh
-    strands (a0, a1) and (b0, b1) as (a0, b0, b1, a1): straight closes two
-    circles and the turnback one.  :func:`skein.core.state_circle_counts`
-    counts the circles of all states at once; cable mask m is state mask
-    ``full ^ m``, so the counts are read reversed.  The turnbacks per mask
-    are bytes too, and one pass maps each (turnbacks, circles) pair to its
-    shared term.
+    term is given by its (turnbacks, circles).  The choices are then the
+    smoothings of the vertexless diagram of :meth:`_Strands.smoothing_diagram`
+    with one projector crossing per edge class and free circle, and
+    :func:`skein.core.state_circle_counts` counts the circles of all states
+    at once; cable mask m is state mask ``full ^ m``, so the counts are
+    read reversed.  The turnbacks per mask are bytes too, and one pass maps
+    each (turnbacks, circles) pair to its shared term.
 
     Terms without crossings are shared: equal (coefficient, windings) give
     one immutable term object and equal windings one diagram, so ``terms``
@@ -148,91 +158,11 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     that.  A key that is not the least arc of an edge class, or an arc
     outside the key's class, raises ``InvalidDiagramError``.
     """
-    for vi, slots in enumerate(g.vertices):
-        if len(slots) == 0:
-            raise InvalidDiagramError(f"vertex {vi} is isolated; cabling undefined")
-    arcs = g.arcs
-    classes = g.edge_classes()
-    turn_arcs = [bisect_left(arcs, a) for a in _turnback_arcs(classes, insertion)]
-
-    # Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
-    # with end id e (from end_ids()) is 2e + s, so arc i owns the four
-    # junctions 4i..4i+3, and a straight strand joins n to n ^ 3, a
-    # turnback n to n ^ 1.  Above them, crossing ci has the 16 anchors
-    # n_junctions + 16ci + 4grid + side, grids ordered NW, NE, SW, SE and
-    # sides W, S, E, N: each run of 4 anchors is one cable crossing's slots.
-    n_junctions = 4 * g.num_arcs
-    vertex_ids, crossing_ids = g.end_ids()
-    static: list[tuple[int, int]] = []  # vertex polygons and crossing grids
-    for ids in vertex_ids:
-        k = len(ids)
-        for i in range(k):
-            static.append((2 * ids[i] + 1, 2 * ids[(i + 1) % k]))
-    for ci, (e0, e1, e2, e3) in enumerate(crossing_ids):
-        # vertical (over) cable at slots 2 and 4 of each grid crossing
-        nw, ne, sw, se = (n_junctions + 16 * ci + 4 * grid for grid in range(4))
-        static += [
-            (2 * e0, nw), (nw + 2, ne), (ne + 2, 2 * e2 + 1),
-            (2 * e0 + 1, sw), (sw + 2, se), (se + 2, 2 * e2),
-            (2 * e1, sw + 1), (sw + 3, nw + 1), (nw + 3, 2 * e3 + 1),
-            (2 * e1 + 1, se + 1), (se + 3, ne + 1), (ne + 3, 2 * e3),
-        ]
-    n_nodes = n_junctions + 16 * len(crossing_ids)
-
-    # The open strands, kept at their ends as in core.state_circle_counts:
-    # far[x] is the strand's other end and wind[x] the strand's winding
-    # walked from x (packed, see _pack), so wind[far[x]] == -wind[x], and a
-    # join keeps both.  At first every static segment is a strand.
-    far = [0] * n_nodes
-    wind = [0] * n_nodes
-    for u, v in static:
-        far[u], far[v] = v, u
-    # winding of a straight strand walked from end 0 to end 1 of its arc; a
-    # turnback strand reads w + reverse(w) and winds nowhere
-    arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
-    # the unoriented winding of each closed circle
-    closed: list[tuple[int, int]] = []
-
-    def join(p: int, q: int, w: int) -> None:
-        """Join the strands at ends p and q by a cable strand that winds w
-        from p to q."""
-        a = far[p]
-        if a == q:
-            w1, w2 = _unpack(w + wind[q])
-            closed.append(max((w1, w2), (-w1, -w2)))
-            return
-        b = far[q]
-        far[a] = b
-        far[b] = a
-        w = wind[a] + w + wind[q]
-        wind[a] = w
-        wind[b] = -w
-
-    def unjoin(p: int, q: int) -> None:
-        """Undo join(p, q, ...): p and q no longer end a strand, so they
-        still hold what their old far ends need back."""
-        a = far[p]
-        if a == q:
-            closed.pop()
-            return
-        b = far[q]
-        far[a] = p
-        far[b] = q
-        wind[a] = -wind[p]
-        wind[b] = -wind[q]
-
-    # arcs without a turnback are straight in every term
-    turned_arc = set(turn_arcs)
-    for i in range(g.num_arcs):
-        if i not in turned_arc:
-            n = 4 * i
-            join(n, n + 3, arc_wind[i])
-            join(n + 1, n + 2, arc_wind[i])
-
-    n_classes = len(classes) + g.free_circles
-    coeffs = [ONE]
-    for _ in range(n_classes):
-        coeffs.append(coeffs[-1] * _NEG_DINV)
+    strands = _Strands(g, insertion)
+    turn_arcs = strands.turn_arcs
+    closed = strands.closed
+    n_classes = len(turn_arcs) + g.free_circles
+    coeffs = _turnback_coeffs(n_classes)
     # crossingless terms, one per (turnbacks, windings), and their diagrams,
     # one per winding list
     shared_terms: dict[tuple[int, tuple], CabledTerm] = {}
@@ -247,22 +177,11 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
             term = shared_terms[turned, windings] = CabledTerm(coeffs[turned], diagram, windings)
         return term
 
-    if not crossing_ids and not any(arc_wind):
-        # the open strands as arcs of a vertexless diagram, numbered by
-        # first junction, and its crossings: the turnback arcs, then the
-        # free circles
-        end_id: dict[int, int] = {}
-        for n in (4 * a + s for a in turn_arcs for s in range(4)):
-            if n not in end_id:
-                end_id[n] = len(end_id)
-                end_id[far[n]] = len(end_id)
-        crossings = [tuple(map(end_id.__getitem__, range(4 * a, 4 * a + 4))) for a in turn_arcs]
-        fresh = len(end_id)
-        ends = fresh + 4 * g.free_circles
-        crossings += [(e, e + 2, e + 3, e + 1) for e in range(fresh, ends, 4)]
+    if not g.crossings and not any(strands.arc_wind):
+        n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
         # per cable mask m: its circles, those of state mask full ^ m, and
         # its turnbacks, popcount(m), as bytes
-        circles = state_circle_counts(ends // 2, crossings)[::-1]
+        circles = state_circle_counts(n_arcs, crossings)[::-1]
         turnbacks = b"\0"
         for _ in range(n_classes):
             turnbacks += turnbacks.translate(_PLUS_ONE)
@@ -271,7 +190,9 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         return CabledExpansion(n_classes, tuple(map(lookup.__getitem__, zip(turnbacks, circles))))
 
     # chains run anchor to anchor; they are numbered by first anchor
-    anchors = [n for seg in static for n in seg if n >= n_junctions]
+    n_junctions = strands.n_junctions
+    far = strands.far
+    anchors = [n for seg in strands.static for n in seg if n >= n_junctions]
     terms: list[CabledTerm] = []
 
     def visit(bit: int, turned: int, free: int) -> None:
@@ -282,7 +203,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
             if not anchors:
                 terms.append(shared_term(turned, windings))
                 return
-            chain = [-1] * (n_nodes - n_junctions)
+            chain = [-1] * (len(far) - n_junctions)
             n_chains = 0
             for x in anchors:
                 if chain[x - n_junctions] < 0:
@@ -292,29 +213,172 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
             diagram = GraphDiagram([], crossings, len(windings))
             terms.append(CabledTerm(coeffs[turned], diagram, windings))
             return
-        if bit >= len(classes):
+        if bit >= len(turn_arcs):
             # a free circle cables to two circles, or to one under its turnback
             visit(bit - 1, turned, free)
             visit(bit - 1, turned + 1, free - 1)
             return
-        n = 4 * turn_arcs[bit]
-        w = arc_wind[turn_arcs[bit]]
-        join(n, n + 3, w)
-        join(n + 1, n + 2, w)
-        visit(bit - 1, turned, free)
-        unjoin(n + 1, n + 2)
-        unjoin(n, n + 3)
-        join(n, n + 1, 0)
-        join(n + 2, n + 3, 0)
-        visit(bit - 1, turned + 1, free)
-        unjoin(n + 2, n + 3)
-        unjoin(n, n + 1)
+        arc = turn_arcs[bit]
+        for turn in (0, 1):
+            strands.place(arc, turn)
+            visit(bit - 1, turned + turn, free)
+            strands.unplace(arc, turn)
 
     visit(n_classes - 1, 0, 2 * g.free_circles)
     # visit refers to itself through its closure cell; unbinding it frees
     # the cycle now, not at the next garbage collection
     visit = None
     return CabledExpansion(n_classes, tuple(terms))
+
+
+class _Strands:
+    """The open strands of the 2-cable of ``g``: the vertex polygons and
+    crossing grids, with every arc that never carries a turnback joined
+    straight.  ``place`` and ``unplace`` choose and undo the projector term
+    of a turnback arc.
+
+    Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
+    with end id e (from end_ids()) is 2e + s, so arc i owns the four
+    junctions 4i..4i+3, and a straight strand joins n to n ^ 3, a turnback
+    n to n ^ 1.  Above them, crossing ci has the 16 anchors n_junctions +
+    16ci + 4grid + side, grids ordered NW, NE, SW, SE and sides W, S, E, N:
+    each run of 4 anchors is one cable crossing's slots.
+
+    The open strands are kept at their ends as in
+    :func:`skein.core.state_circle_counts`: ``far[x]`` is the strand's other
+    end and ``wind[x]`` the strand's winding walked from x (packed, see
+    :func:`_pack`), so ``wind[far[x]] == -wind[x]``, and a join keeps both.
+    ``closed`` holds the unoriented winding of each closed circle.
+    """
+
+    __slots__ = ("turn_arcs", "arc_wind", "n_junctions", "static", "far", "wind", "closed")
+
+    def __init__(self, g: GraphDiagram, insertion: Mapping[int, int] | None) -> None:
+        for vi, slots in enumerate(g.vertices):
+            if len(slots) == 0:
+                raise InvalidDiagramError(f"vertex {vi} is isolated; cabling undefined")
+        arcs = g.arcs
+        classes = g.edge_classes()
+        self.turn_arcs = [bisect_left(arcs, a) for a in _turnback_arcs(classes, insertion)]
+        self.n_junctions = n_junctions = 4 * g.num_arcs
+        vertex_ids, crossing_ids = g.end_ids()
+        static: list[tuple[int, int]] = []  # vertex polygons and crossing grids
+        for ids in vertex_ids:
+            k = len(ids)
+            for i in range(k):
+                static.append((2 * ids[i] + 1, 2 * ids[(i + 1) % k]))
+        for ci, (e0, e1, e2, e3) in enumerate(crossing_ids):
+            # vertical (over) cable at slots 2 and 4 of each grid crossing
+            nw, ne, sw, se = (n_junctions + 16 * ci + 4 * grid for grid in range(4))
+            static += [
+                (2 * e0, nw), (nw + 2, ne), (ne + 2, 2 * e2 + 1),
+                (2 * e0 + 1, sw), (sw + 2, se), (se + 2, 2 * e2),
+                (2 * e1, sw + 1), (sw + 3, nw + 1), (nw + 3, 2 * e3 + 1),
+                (2 * e1 + 1, se + 1), (se + 3, ne + 1), (ne + 3, 2 * e3),
+            ]
+        self.static = static
+        n_nodes = n_junctions + 16 * len(crossing_ids)
+        # at first every static segment is a strand
+        self.far = far = [0] * n_nodes
+        self.wind = [0] * n_nodes
+        for u, v in static:
+            far[u], far[v] = v, u
+        # winding of a straight strand walked from end 0 to end 1 of its arc;
+        # a turnback strand reads w + reverse(w) and winds nowhere
+        self.arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
+        self.closed: list[tuple[int, int]] = []
+        turned_arc = set(self.turn_arcs)
+        for i in range(g.num_arcs):
+            if i not in turned_arc:
+                self.place(i, 0)
+
+    def join(self, p: int, q: int, w: int) -> None:
+        """Join the strands at ends p and q by a cable strand that winds w
+        from p to q."""
+        far, wind = self.far, self.wind
+        a = far[p]
+        if a == q:
+            w1, w2 = _unpack(w + wind[q])
+            self.closed.append(max((w1, w2), (-w1, -w2)))
+            return
+        b = far[q]
+        far[a] = b
+        far[b] = a
+        w = wind[a] + w + wind[q]
+        wind[a] = w
+        wind[b] = -w
+
+    def unjoin(self, p: int, q: int) -> None:
+        """Undo join(p, q, ...): p and q no longer end a strand, so they
+        still hold what their old far ends need back."""
+        far, wind = self.far, self.wind
+        a = far[p]
+        if a == q:
+            self.closed.pop()
+            return
+        b = far[q]
+        far[a] = p
+        far[b] = q
+        wind[a] = -wind[p]
+        wind[b] = -wind[q]
+
+    def place(self, arc: int, turn: int) -> None:
+        """Join the four junctions of ``arc`` by its turnback (``turn`` = 1)
+        or by its two straight strands."""
+        n = 4 * arc
+        if turn:
+            self.join(n, n + 1, 0)
+            self.join(n + 2, n + 3, 0)
+        else:
+            w = self.arc_wind[arc]
+            self.join(n, n + 3, w)
+            self.join(n + 1, n + 2, w)
+
+    def unplace(self, arc: int, turn: int) -> None:
+        """Undo place(arc, turn)."""
+        n = 4 * arc
+        if turn:
+            self.unjoin(n + 2, n + 3)
+            self.unjoin(n, n + 1)
+        else:
+            self.unjoin(n + 1, n + 2)
+            self.unjoin(n, n + 3)
+
+    def smoothing_diagram(
+        self, free_circles: int, n_turned: int | None = None
+    ) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """The open strands as the arcs of a vertexless diagram, in the
+        arc-end ids of :func:`skein.core.state_circle_counts`, and its
+        crossings: the cable crossings, then the first ``n_turned`` (by
+        default every) turnback arc, each a crossing on its junctions n ..
+        n + 3 in order, so that its A-smoothing is the turnback and its
+        B-smoothing the straight pair, then ``free_circles`` free circles.
+        A free circle is a crossing on two fresh strands (a0, a1) and (b0,
+        b1) as (a0, b0, b1, a1): straight closes two circles and the
+        turnback one.  Strand k has the ends 2k and 2k + 1, numbered by
+        first node in crossing order."""
+        far = self.far
+        quads = [range(n, n + 4) for n in range(self.n_junctions, len(far), 4)]
+        quads += [range(4 * a, 4 * a + 4) for a in self.turn_arcs[:n_turned]]
+        end_id: dict[int, int] = {}
+        for quad in quads:
+            for n in quad:
+                if n not in end_id:
+                    end_id[n] = len(end_id)
+                    end_id[far[n]] = len(end_id)
+        crossings = [tuple(map(end_id.__getitem__, quad)) for quad in quads]
+        fresh = len(end_id)
+        ends = fresh + 4 * free_circles
+        crossings += [(e, e + 2, e + 3, e + 1) for e in range(fresh, ends, 4)]
+        return ends // 2, crossings
+
+
+def _turnback_coeffs(n: int) -> list[LocalizedElement]:
+    """(-1/d)^t for t = 0 .. n."""
+    coeffs = [ONE]
+    for _ in range(n):
+        coeffs.append(coeffs[-1] * _NEG_DINV)
+    return coeffs
 
 
 class _Lookup(dict):
@@ -354,31 +418,90 @@ def _turnback_arcs(
 def phi_plane(
     g: GraphDiagram, insertion: Mapping[int, int] | None = None
 ) -> LocalizedElement:
-    """Cabled evaluation in the plane: weighted sum of Kauffman brackets.
+    """Cabled evaluation in the plane: weighted sum of Kauffman brackets,
+    phi = sum over cable terms of (-1/d)^turnbacks * bracket(term).
 
-    Terms are tallied per distinct term object (terms compare by identity,
-    and ``cable`` shares one object among equal crossingless terms).
-    Crossingless terms are then counted per (turnbacks, circles) and summed
-    as one d-polynomial (see :func:`_d_polynomial`); terms with crossings,
-    one object each, add their brackets per coefficient, so a coefficient
-    is hashed once per distinct term.  Both sums then add up over one
-    denominator, normalized once.  ``insertion`` is passed to ``cable``.
+    The path is picked from ``g.crossings``.  Without crossings every term
+    is crossingless, and ``cable`` already counts the circles of all terms
+    in one kernel call over the projector crossings alone.  Its terms are
+    tallied per distinct term object (terms compare by identity, and
+    ``cable`` shares one object among equal crossingless terms), counted
+    per (turnbacks, circles) and summed as one d-polynomial (see
+    :func:`_d_polynomial`).
+
+    With crossings the whole cable is one vertexless smoothing diagram
+    (:meth:`_Strands.smoothing_diagram`): its arcs are the open strands,
+    its low crossings the C = 4c cable crossings and its high crossings one
+    projector crossing per edge class and free circle, P in all, whose
+    A-smoothing is the turnback.  One :func:`skein.core.state_circle_counts`
+    call counts the circles of every (projector choice, smoothing) state;
+    each block of 2^C states is one term's bracket, and
+    :func:`skein.tl.bracket_sums` sums the blocks with t turnbacks at
+    once, so
+
+        phi = sum_t (-1/d)^t * sum over blocks with t turnbacks of bracket(block).
+
+    No term diagram is built and ``bracket`` is not called.  Memory bound:
+    a kernel call holds one byte per state (two while it copies its
+    result), at most 2^20 states while C <= 20.  When C + P > 20 the
+    P - max(0, 20 - C) highest projector choices are walked, joined and
+    undone on the strands as ``cable`` walks them, with one kernel call of
+    2^max(C, 20) states per leaf.
+    ``insertion`` places the projector of an edge class on the inserted
+    arc, as in ``cable``.
     """
     if g.has_rays():
         raise InvalidDiagramError("phi_plane needs a plane diagram (found ray words)")
+    if g.crossings:
+        return _phi_crossed(g, insertion)
     counts: dict[tuple[int, int], int] = {}
-    sums: dict[LocalizedElement, LaurentPoly] = {}
-    zero = LaurentPoly.zero()
     for term, mult in Counter(cable(g, insertion).terms).items():
-        if term.diagram.crossings:
-            sums[term.coeff] = sums.get(term.coeff, zero) + bracket(term.diagram).scale(mult)
-        else:
-            key = (term.coeff.d_power, term.diagram.free_circles)
-            counts[key] = counts.get(key, 0) + mult
-    return LocalizedElement.sum_of_products(
-        [*((value, (coeff,)) for coeff, value in sums.items()),
-         (LaurentPoly.one(), (_d_polynomial(counts),))]
-    )
+        key = (term.coeff.d_power, term.diagram.free_circles)
+        counts[key] = counts.get(key, 0) + mult
+    return _d_polynomial(counts)
+
+
+def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> LocalizedElement:
+    """``phi_plane`` of a diagram with crossings: the projector choices
+    above the kernel budget are walked, the rest are smoothings of the
+    kernel's states."""
+    strands = _Strands(g, insertion)
+    turn_arcs = strands.turn_arcs
+    n_classes = len(turn_arcs) + g.free_circles
+    c = 4 * len(g.crossings)
+    # the lowest projector bits stay in the kernel call, 2^(c + kept) states
+    kept = max(0, min(n_classes, _KERNEL_STATES.bit_length() - 1 - c))
+    kept_free = max(0, kept - len(turn_arcs))
+    sums: dict[int, LaurentPoly] = {}  # by turnbacks
+
+    def visit(bit: int, turned: int, free: int) -> None:
+        # ``free`` counts the circles the walked free circles cabled to
+        if bit < kept:
+            n_arcs, crossings = strands.smoothing_diagram(kept_free, kept)
+            counts = state_circle_counts(n_arcs, crossings)
+            by_straight = bracket_sums(counts, n_arcs, c, free + len(strands.closed))
+            # j of the kept projector crossings are B-smoothed: straight
+            for j, value in enumerate(by_straight):
+                t = turned + kept - j
+                sums[t] = sums[t] + value if t in sums else value
+            return
+        if bit >= len(turn_arcs):
+            # a free circle cables to two circles, or to one under its turnback
+            visit(bit - 1, turned, free + 2)
+            visit(bit - 1, turned + 1, free + 1)
+            return
+        arc = turn_arcs[bit]
+        for turn in (0, 1):
+            strands.place(arc, turn)
+            visit(bit - 1, turned + turn, free)
+            strands.unplace(arc, turn)
+
+    visit(n_classes - 1, 0, 0)
+    # visit refers to itself through its closure cell; unbinding it frees
+    # the cycle now, not at the next garbage collection
+    visit = None
+    coeffs = _turnback_coeffs(n_classes)
+    return LocalizedElement.sum_of_products((value, (coeffs[t],)) for t, value in sums.items())
 
 
 def _d_polynomial(counts: Mapping[tuple[int, int], int]) -> LocalizedElement:

@@ -8,9 +8,10 @@ build step and has no compiled backend.
 * :func:`components` -- connected components by union-find.
 * :func:`state_circle_counts` -- circle counts of all 2^c smoothing states of
   a vertexless diagram, the inner loop of the Kauffman bracket state sum
-  (:func:`skein.tl.bracket`) and of the 2-cabling of a diagram without
-  crossings (:func:`skein.cabling.cable`), whose projector choices are the
-  smoothings of a vertexless diagram on its open strands.
+  (:func:`skein.tl.bracket`) and of the 2-cabling
+  (:mod:`skein.cabling`), whose projector choices are the smoothings of a
+  vertexless diagram on its open strands, together with the cable
+  crossings when the diagram has crossings.
 * :func:`resolution_states` -- the flat multigraph of each of the 3^c
   resolution states of a diagram, the outer loop of the Yamada state sum.
 

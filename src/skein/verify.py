@@ -243,6 +243,19 @@ def suite_phi() -> tuple[bool, list[str]]:
         conds.append(
             (phi_plane(g) == yamada(g, memo), f"cabled bracket equals Y on crossed {name}")
         )
+    # the reference for the crossed state sum: cable()'s terms, one bracket each
+    crossed = ["hopf", "kink_pos", "kink_neg", "r2_unknot", "r2_twostrand", "r3_a", "r3_b"]
+    term_sums_ok = True
+    for name in crossed:
+        g = fixtures.load_diagram(name)
+        expect = LocalizedElement.sum_of_products(
+            (bracket(term.diagram), (term.coeff,)) for term in cable(g).terms
+        )
+        term_sums_ok = term_sums_ok and phi_plane(g) == expect
+    conds.append(
+        (term_sums_ok,
+         f"cabled bracket equals the sum of its terms' brackets on {len(crossed)} crossed fixtures")
+    )
     for n1, n2 in [("theta", "circle"), ("bouquet2", "handcuff")]:
         g1, g2 = fixtures.load_diagram(n1), fixtures.load_diagram(n2)
         conds.append(

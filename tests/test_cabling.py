@@ -6,7 +6,7 @@ import tracemalloc
 import gen
 import pytest
 
-from skein import fixtures
+from skein import cabling, fixtures
 from skein.cabling import (
     CabledExpansion,
     CabledTerm,
@@ -378,15 +378,20 @@ def _assert_same_terms(got, ref):
         ), f"mask {mask}"
 
 
+def _bracket_sum(terms):
+    """phi_plane as the sum of coeff * bracket over cabled terms."""
+    expect = ZERO
+    for t in terms:
+        expect = expect + t.coeff * LocalizedElement(bracket(t.diagram))
+    return expect
+
+
 @pytest.mark.parametrize("g", _reference_corpus())
 def test_cable_matches_the_reference_term_by_term(g):
     reference = _reference_cable(g)
     _assert_same_terms(cable(g), reference)
     if not g.has_rays():
-        expect = ZERO
-        for t in reference.terms:
-            expect = expect + t.coeff * LocalizedElement(bracket(t.diagram))
-        assert phi_plane(g) == expect
+        assert phi_plane(g) == _bracket_sum(reference.terms)
     if not g.crossings:
         expect = PolyXYZ()
         for t in reference.terms:
@@ -395,6 +400,59 @@ def test_cable_matches_the_reference_term_by_term(g):
                 (m.x_power, m.y_power, m.z_power, 0), t.coeff * D**m.contractible
             )
         assert phi_punctured(g) == expect
+
+
+def _crossed_plane_corpus():
+    return [p for p in _reference_corpus() if p.values[0].crossings and not p.values[0].has_rays()]
+
+
+def test_crossed_plane_corpus_holds_free_circles_next_to_crossings():
+    ids = {p.id for p in _crossed_plane_corpus()}
+    assert {"kink_pos_circle", "two_crossing_theta_circle"} <= ids
+
+
+def _recording_kernel(monkeypatch):
+    """Wrap the kernel name ``cabling`` calls; return the list of the
+    state counts of its calls."""
+    sizes = []
+    kernel = cabling.state_circle_counts
+
+    def recorded(n_arcs, crossings):
+        counts = kernel(n_arcs, crossings)
+        sizes.append(len(counts))
+        return counts
+
+    monkeypatch.setattr(cabling, "state_circle_counts", recorded)
+    return sizes
+
+
+def test_crossed_theta_is_one_kernel_call(monkeypatch):
+    sizes = _recording_kernel(monkeypatch)
+    g = _two_crossing_theta()
+    value = phi_plane(g)
+    # 4 cable crossings per crossing, one projector crossing per edge class
+    assert sizes == [2 ** (4 * 2 + 3)]
+    assert value == _bracket_sum(_reference_cable(g).terms) == yamada(g, memo={})
+
+
+@pytest.mark.parametrize("g", _crossed_plane_corpus())
+def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
+    # with 2^6 states per kernel call the projector choices above the
+    # budget are walked, one kernel call per leaf; each call holds at most
+    # the budget, or the 2^C states of the C cable crossings when those
+    # alone exceed it
+    monkeypatch.setattr(cabling, "_KERNEL_STATES", 1 << 6)
+    sizes = _recording_kernel(monkeypatch)
+    c = 4 * len(g.crossings)
+    projectors = len(g.edge_classes()) + g.free_circles
+    walked = projectors - max(0, min(projectors, 6 - c))
+    for cls in g.edge_classes():
+        for arc in cls:
+            del sizes[:]
+            reference = _reference_cable(g, {cls[0]: (arc, 0)})
+            assert phi_plane(g, {cls[0]: arc}) == _bracket_sum(reference.terms)
+            assert len(sizes) == 2**walked
+            assert max(sizes) <= max(1 << 6, 1 << c)
 
 
 def _flat_plane_fixtures():

@@ -68,6 +68,20 @@ def test_plane_cabling_of_k4_makes_one_cable_call_and_no_bracket_calls():
     assert tracer.calls["tl.bracket"] == 0
 
 
+def test_plane_cabling_of_a_crossed_theta_builds_no_terms_and_no_brackets():
+    # one kernel call over the whole cable, through the name skein.cabling
+    # binds; the tracer rebinds only skein.tl's, so the kernel counters read
+    # 0 and its time is booked to the caller's frame
+    code = gen.from_text(gen.THETA)
+    gen.add_twist(code, 0, 0, [1, -1])
+    tracer = _traced(phi_plane, parse_diagram(code.text()))
+    assert tracer.calls["tl.bracket"] == 0
+    assert tracer.calls["cabling.cable"] == 0
+    assert tracer.counters["cabling.terms"] == 0
+    assert tracer.calls["core.state_circle_counts"] == 0
+    assert tracer.counters["core.circle_states"] == 0
+
+
 def test_petersen_yamada_keeps_its_key_and_flat_evaluation_counts():
     # the integer flat layer does the same work: one key per recursion
     # node, one flat evaluation per resolution state
