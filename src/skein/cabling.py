@@ -12,41 +12,16 @@ Conventions: at every vertex or crossing slot the two cable ends of an arc
 are ordered counterclockwise ("first", "second"); along an arc the strand
 that is ccw-first at one end is ccw-second at the other.
 
-Cost: 2^|E| terms.  ``cable`` numbers the static part (vertex polygons and
-crossing grids) once per call on integer node ids and joins the arcs that
-never carry a turnback straight once.  On a diagram without crossings
-whose ray words wind nowhere (plane diagrams, and ray words such as
-``1+ 1-`` that sum to 0), every circle winds (0, 0) and the projector
-choices are the smoothings of a vertexless diagram on the open strands,
-so one call of the bracket kernel
-:func:`skein.core.state_circle_counts` counts the circles of all terms,
-reusing repeated blocks as it does for the bracket.  Every other input
-takes one depth-first walk over the projector choices, over one array of
-open strand ends, as the state sums of :mod:`skein.core` walk
-smoothings: a choice joins the four cable ends of its turnback arc, the
-way back undoes the joins, and a join carries the strands' windings, so a
-term costs O(1) joins plus its own output.
-Crossingless terms are shared: one term object per (turnbacks,
-windings) and one diagram per winding list, built once per call, so the
-2^|E| entries of a flat diagram hold a few dozen objects.  Terms with
-crossings hold one diagram each, so memory grows as 2^|E| times the
-crossings of the input: ``cable(petersen_diagram)`` (2^15 terms of 20
-cable crossings each) needs hundreds of MB.  Terms compare and hash by
-identity, so the evaluations tally them with one ``Counter`` pass, then
-count them as integers per coefficient and circle class: a coefficient is
-hashed and a winding list classified once per distinct term.  The
-crossingless terms of one value, or of one (x, y, z) monomial, are summed
-as one integer polynomial in d and converted to the coefficient ring
-once.
-
-``phi_plane`` of a diagram with crossings builds no terms: the cable
-crossings and the projector choices together are the smoothings of one
-vertexless diagram, whose 2^(4c + |E|) states one kernel call counts and
-:func:`skein.tl.bracket_sums` values, the states of each turnback count
-as one sum.  A kernel call holds at most 2^20 states (one byte each, two
-while the kernel copies its result) unless the 4c cable crossings alone
-need more; the projector choices above that are walked as ``cable``
-walks them, with one call per leaf.
+Where the work is done.  :class:`_Strands` builds the cable's open strands
+once per call, and :meth:`_Strands.walk` is the one walk over the 2^|E|
+projector choices; :func:`cable` and :func:`phi_plane` each hand it a leaf.
+Choices whose circles need no windings are instead counted all at once, as
+the smoothings of one vertexless diagram
+(:meth:`_Strands.smoothing_diagram`), by the bracket kernel
+:func:`skein.core.state_circle_counts`: in :func:`cable` on crossingless,
+unwound input, and in :func:`phi_plane` on input with crossings, for the
+choices below its kernel budget.  Each function's docstring describes its
+path.
 """
 
 from __future__ import annotations
@@ -130,25 +105,27 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     (see :class:`_Strands`).  Each open strand end then holds its far end
     and its winding.
 
-    With crossings, or when some arc winds, the terms are the leaves of one
-    depth-first walk over the class bits, the highest outermost and
-    straight before turnback, so they come in mask order.  A leaf numbers
-    the chains by first anchor from the far ends.
+    With crossings, or when some arc winds, the terms are the leaves of
+    :meth:`_Strands.walk` over every class.  A leaf numbers the chains by
+    first anchor from the far ends.
 
     Without crossings and without winding, every circle winds (0, 0), so a
     term is given by its (turnbacks, circles).  The choices are then the
     smoothings of the vertexless diagram of :meth:`_Strands.smoothing_diagram`
     with one projector crossing per edge class and free circle, and
     :func:`skein.core.state_circle_counts` counts the circles of all states
-    at once; cable mask m is state mask ``full ^ m``, so the counts are
-    read reversed.  The turnbacks per mask are bytes too, and one pass maps
-    each (turnbacks, circles) pair to its shared term.
+    at once, reusing repeated blocks as it does for the bracket; cable mask
+    m is state mask ``full ^ m``, so the counts are read reversed.  The
+    turnbacks per mask are bytes too, and one pass maps each (turnbacks,
+    circles) pair to its shared term.
 
     Terms without crossings are shared: equal (coefficient, windings) give
     one immutable term object and equal windings one diagram, so ``terms``
     has 2^|E| entries but, on a flat diagram, only as many distinct objects
     as (turnbacks, windings) pairs.  Terms with crossings get one object
-    each (see the module docstring for the memory this takes).
+    and one diagram each, so memory grows as 2^|E| times the crossings of
+    the input: ``cable(petersen_diagram)`` (2^15 terms of 20 cable
+    crossings each) needs hundreds of MB.
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -159,9 +136,8 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     outside the key's class, raises ``InvalidDiagramError``.
     """
     strands = _Strands(g, insertion)
-    turn_arcs = strands.turn_arcs
     closed = strands.closed
-    n_classes = len(turn_arcs) + g.free_circles
+    n_classes = len(strands.turn_arcs) + g.free_circles
     coeffs = _turnback_coeffs(n_classes)
     # crossingless terms, one per (turnbacks, windings), and their diagrams,
     # one per winding list
@@ -195,39 +171,23 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     anchors = [n for seg in strands.static for n in seg if n >= n_junctions]
     terms: list[CabledTerm] = []
 
-    def visit(bit: int, turned: int, free: int) -> None:
-        # ``free`` counts the circles the free circles have cabled to
-        if bit < 0:
-            # (0, 0) is the least unoriented winding, so this is sorted
-            windings = ((0, 0),) * free + tuple(sorted(closed))
-            if not anchors:
-                terms.append(shared_term(turned, windings))
-                return
-            chain = [-1] * (len(far) - n_junctions)
-            n_chains = 0
-            for x in anchors:
-                if chain[x - n_junctions] < 0:
-                    chain[x - n_junctions] = chain[far[x] - n_junctions] = n_chains
-                    n_chains += 1
-            crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
-            diagram = GraphDiagram([], crossings, len(windings))
-            terms.append(CabledTerm(coeffs[turned], diagram, windings))
+    def leaf(turned: int, free: int) -> None:
+        # (0, 0) is the least unoriented winding, so this is sorted
+        windings = ((0, 0),) * free + tuple(sorted(closed))
+        if not anchors:
+            terms.append(shared_term(turned, windings))
             return
-        if bit >= len(turn_arcs):
-            # a free circle cables to two circles, or to one under its turnback
-            visit(bit - 1, turned, free)
-            visit(bit - 1, turned + 1, free - 1)
-            return
-        arc = turn_arcs[bit]
-        for turn in (0, 1):
-            strands.place(arc, turn)
-            visit(bit - 1, turned + turn, free)
-            strands.unplace(arc, turn)
+        chain = [-1] * (len(far) - n_junctions)
+        n_chains = 0
+        for x in anchors:
+            if chain[x - n_junctions] < 0:
+                chain[x - n_junctions] = chain[far[x] - n_junctions] = n_chains
+                n_chains += 1
+        crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
+        diagram = GraphDiagram([], crossings, len(windings))
+        terms.append(CabledTerm(coeffs[turned], diagram, windings))
 
-    visit(n_classes - 1, 0, 2 * g.free_circles)
-    # visit refers to itself through its closure cell; unbinding it frees
-    # the cycle now, not at the next garbage collection
-    visit = None
+    strands.walk(n_classes, 0, leaf)
     return CabledExpansion(n_classes, tuple(terms))
 
 
@@ -235,7 +195,7 @@ class _Strands:
     """The open strands of the 2-cable of ``g``: the vertex polygons and
     crossing grids, with every arc that never carries a turnback joined
     straight.  ``place`` and ``unplace`` choose and undo the projector term
-    of a turnback arc.
+    of a turnback arc, and ``walk`` walks all the choices.
 
     Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
     with end id e (from end_ids()) is 2e + s, so arc i owns the four
@@ -344,6 +304,32 @@ class _Strands:
             self.unjoin(n + 1, n + 2)
             self.unjoin(n, n + 3)
 
+    def walk(
+        self, n_classes: int, kept: int, leaf: Callable[[int, int], None],
+        turned: int = 0, free: int = 0,
+    ) -> None:
+        """Choose the projector term of classes ``n_classes - 1`` .. ``kept``,
+        the highest first and straight before turnback, so the choices come
+        in mask order, and call ``leaf(turned, free)`` once per choice with
+        the strands joined: ``turned`` counts the turnbacks chosen, ``free``
+        the circles the chosen free circles cabled to.  Classes from
+        ``len(turn_arcs)`` up are free circles: straight, one cables to 2
+        circles, under its turnback to 1.  A turnback arc is placed, walked
+        below and unplaced, so a choice costs O(1) joins."""
+        if n_classes == kept:
+            leaf(turned, free)
+            return
+        bit = n_classes - 1
+        if bit >= len(self.turn_arcs):
+            self.walk(bit, kept, leaf, turned, free + 2)
+            self.walk(bit, kept, leaf, turned + 1, free + 1)
+            return
+        arc = self.turn_arcs[bit]
+        for turn in (0, 1):
+            self.place(arc, turn)
+            self.walk(bit, kept, leaf, turned + turn, free)
+            self.unplace(arc, turn)
+
     def smoothing_diagram(
         self, free_circles: int, n_turned: int | None = None
     ) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -429,7 +415,8 @@ def phi_plane(
     per (turnbacks, circles) and summed as one d-polynomial (see
     :func:`_d_polynomial`).
 
-    With crossings the whole cable is one vertexless smoothing diagram
+    With crossings no term diagram is built and ``bracket`` is not called.
+    The whole cable is one vertexless smoothing diagram
     (:meth:`_Strands.smoothing_diagram`): its arcs are the open strands,
     its low crossings the C = 4c cable crossings and its high crossings one
     projector crossing per edge class and free circle, P in all, whose
@@ -441,11 +428,10 @@ def phi_plane(
 
         phi = sum_t (-1/d)^t * sum over blocks with t turnbacks of bracket(block).
 
-    No term diagram is built and ``bracket`` is not called.  Memory bound:
-    a kernel call holds one byte per state (two while it copies its
-    result), at most 2^20 states while C <= 20.  When C + P > 20 the
-    P - max(0, 20 - C) highest projector choices are walked, joined and
-    undone on the strands as ``cable`` walks them, with one kernel call of
+    A kernel call holds one byte per state (two while it copies its
+    result), so it keeps at most 2^20 states unless the C cable crossings
+    alone need more: the P - max(0, 20 - C) highest projector choices are
+    then chosen by :meth:`_Strands.walk`, with one kernel call of
     2^max(C, 20) states per leaf.
     ``insertion`` places the projector of an edge class on the inserted
     arc, as in ``cable``.
@@ -462,9 +448,7 @@ def phi_plane(
 
 
 def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> LocalizedElement:
-    """``phi_plane`` of a diagram with crossings: the projector choices
-    above the kernel budget are walked, the rest are smoothings of the
-    kernel's states."""
+    """``phi_plane`` of a diagram with crossings."""
     strands = _Strands(g, insertion)
     turn_arcs = strands.turn_arcs
     n_classes = len(turn_arcs) + g.free_circles
@@ -474,32 +458,16 @@ def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> Locali
     kept_free = max(0, kept - len(turn_arcs))
     sums: dict[int, LaurentPoly] = {}  # by turnbacks
 
-    def visit(bit: int, turned: int, free: int) -> None:
-        # ``free`` counts the circles the walked free circles cabled to
-        if bit < kept:
-            n_arcs, crossings = strands.smoothing_diagram(kept_free, kept)
-            counts = state_circle_counts(n_arcs, crossings)
-            by_straight = bracket_sums(counts, n_arcs, c, free + len(strands.closed))
-            # j of the kept projector crossings are B-smoothed: straight
-            for j, value in enumerate(by_straight):
-                t = turned + kept - j
-                sums[t] = sums[t] + value if t in sums else value
-            return
-        if bit >= len(turn_arcs):
-            # a free circle cables to two circles, or to one under its turnback
-            visit(bit - 1, turned, free + 2)
-            visit(bit - 1, turned + 1, free + 1)
-            return
-        arc = turn_arcs[bit]
-        for turn in (0, 1):
-            strands.place(arc, turn)
-            visit(bit - 1, turned + turn, free)
-            strands.unplace(arc, turn)
+    def leaf(turned: int, free: int) -> None:
+        n_arcs, crossings = strands.smoothing_diagram(kept_free, kept)
+        counts = state_circle_counts(n_arcs, crossings)
+        by_straight = bracket_sums(counts, n_arcs, c, free + len(strands.closed))
+        # j of the kept projector crossings are B-smoothed: straight
+        for j, value in enumerate(by_straight):
+            t = turned + kept - j
+            sums[t] = sums[t] + value if t in sums else value
 
-    visit(n_classes - 1, 0, 0)
-    # visit refers to itself through its closure cell; unbinding it frees
-    # the cycle now, not at the next garbage collection
-    visit = None
+    strands.walk(n_classes, kept, leaf)
     coeffs = _turnback_coeffs(n_classes)
     return LocalizedElement.sum_of_products((value, (coeffs[t],)) for t, value in sums.items())
 

@@ -8,25 +8,18 @@ build step and has no compiled backend.
 * :func:`components` -- connected components by union-find.
 * :func:`state_circle_counts` -- circle counts of all 2^c smoothing states of
   a vertexless diagram, the inner loop of the Kauffman bracket state sum
-  (:func:`skein.tl.bracket`) and of the 2-cabling
-  (:mod:`skein.cabling`), whose projector choices are the smoothings of a
-  vertexless diagram on its open strands, together with the cable
-  crossings when the diagram has crossings.
+  (:func:`skein.tl.bracket`) and of the plane evaluation of the 2-cabling
+  (:mod:`skein.cabling`).
 * :func:`resolution_states` -- the flat multigraph of each of the 3^c
   resolution states of a diagram, the outer loop of the Yamada state sum.
 
-The two state sums are depth-first walks over the arc-end ids of
+Both state sums walk depth first over the arc-end ids of
 :meth:`GraphDiagram.end_ids`, numbered as the :mod:`skein.diagrams` module
-docstring states.  They keep the open strands in a mate array
-(``mate[e]`` is the far end of the strand ending at arc end e, initially
-e ^ 1), join strands at each smoothing and undo the join on the way back,
-so a step costs O(1) work instead of a union-find over all arc ends.  The
-bracket walk also descends below a crossing only once per distinct pairing
-of the strands at the boundary of the crossings below it, and fills every
-later block with that pairing by copying the first, shifted by the circles
-closed before each.  Its cost is thus set by the number of boundary
-pairings per level, not by the 2^c states; only the copies, in C, touch
-each state.
+docstring states.  They keep the open strands in a mate array (``mate[e]``
+is the far end of the strand ending at arc end e, initially e ^ 1), join
+strands at each smoothing and undo the join on the way back, so a step
+costs O(1) work instead of a union-find over all arc ends.  Each function's
+docstring describes the rest of its walk.
 """
 
 from __future__ import annotations
@@ -318,17 +311,17 @@ def resolution_states(
 
     ``vertices[v]`` and ``crossings[i]`` hold the arc-end ids of the slots
     of flat vertex v and crossing i; every id below 2 * n_arcs appears in
-    exactly one slot.  Each crossing becomes a flat vertex, or takes the B-
-    or the A-smoothing (as in :func:`state_circle_counts`), in that order,
+    exactly one slot, which is checked when this is called, before any
+    state is made.  Each crossing becomes a flat vertex, or takes the B- or
+    the A-smoothing (as in :func:`state_circle_counts`), in that order,
     crossing 0 the most significant.  The k-th crossing resolved as a vertex
     becomes vertex ``len(vertices) + k``.  Yields ``(a_exponent,
     vertex_resolutions, num_vertices, edges, circles)`` per state, with
     a_exponent = 4 * (#A - #B) and edges as vertex pairs.
 
-    The walk keeps an explicit stack, so no cycle outlives it.  Vertex
-    slots are the terminals of the open strands: in a leaf state each strand
-    runs between two of them, an edge; circles are the joins that closed a
-    strand.
+    Vertex slots are the terminals of the open strands: in a leaf state
+    each strand runs between two of them, an edge; circles are the joins
+    that closed a strand.
     """
     _check_slots(n_arcs, vertices, crossings)
     mate = [e ^ 1 for e in range(2 * n_arcs)]
@@ -338,54 +331,44 @@ def resolution_states(
         for e in ends:
             owner[e] = v
         terminals.extend(ends)
-    n_vertices = nv = len(vertices)
-    a_exp = closed = 0
-    # per resolved crossing on the current path: its kind (0 vertex, 1 B,
-    # 2 A) and the counters as they were before it
-    path: list[tuple[int, int, int, int]] = []
-    kind = 0
-    while True:
-        i = len(path)
-        if i < len(crossings):
-            path.append((kind, a_exp, closed, nv))
-            ends = crossings[i]
-            if kind == 0:
-                for e in ends:
-                    owner[e] = nv
-                terminals.extend(ends)
-                nv += 1
-            else:
-                e0, e1, e2, e3 = ends
-                for x, y in ((e0, e3), (e1, e2)) if kind == 1 else ((e0, e1), (e2, e3)):
-                    a = mate[x]
-                    b = mate[y]
-                    mate[a] = b
-                    mate[b] = a
-                    closed += a == y
-                a_exp += 4 if kind == 2 else -4
-            kind = 0
-            continue
-        yield (
-            a_exp,
-            nv - n_vertices,
-            nv,
-            [(owner[e], owner[mate[e]]) for e in terminals if e < mate[e]],
-            closed,
+    n = len(vertices)
+    return _resolve(crossings, 0, mate, owner, terminals, n, n, 0, 0)
+
+
+def _resolve(
+    crossings: Sequence[tuple[int, int, int, int]], i: int, mate: list[int], owner: list[int],
+    terminals: list[int], n_vertices: int, nv: int, a_exp: int, closed: int,
+) -> Iterator[tuple[int, int, int, list[tuple[int, int]], int]]:
+    """The states of :func:`resolution_states` with crossings[:i] resolved:
+    ``nv`` vertices so far, A-exponent ``a_exp`` and ``closed`` circles.
+    Crossing i is joined as :func:`state_circle_counts` joins, and the
+    joins are undone on the way back."""
+    if i == len(crossings):
+        edges = [(owner[e], owner[mate[e]]) for e in terminals if e < mate[e]]
+        yield a_exp, nv - n_vertices, nv, edges, closed
+        return
+    ends = crossings[i]
+    for e in ends:
+        owner[e] = nv
+    terminals.extend(ends)
+    yield from _resolve(crossings, i + 1, mate, owner, terminals, n_vertices, nv + 1, a_exp, closed)
+    del terminals[-4:]
+    e0, e1, e2, e3 = ends
+    # the B-smoothing (0-3, 1-2), then the A-smoothing (0-1, 2-3)
+    for x, y, z, w, da in ((e0, e3, e1, e2, -4), (e0, e1, e2, e3, 4)):
+        a = mate[x]
+        b = mate[y]
+        mate[a] = b
+        mate[b] = a
+        p = mate[z]
+        q = mate[w]
+        mate[p] = q
+        mate[q] = p
+        closes = (a == y) + (p == w)
+        yield from _resolve(
+            crossings, i + 1, mate, owner, terminals, n_vertices, nv, a_exp + da, closed + closes
         )
-        # back up to the deepest crossing with a resolution left to take
-        while path:
-            kind, a_exp, closed, nv = path.pop()
-            e0, e1, e2, e3 = crossings[len(path)]
-            if kind == 0:
-                del terminals[-4:]
-            else:
-                # undo the joins in reverse; joined ends still name their
-                # strands' far ends
-                for x, y in ((e1, e2), (e0, e3)) if kind == 1 else ((e2, e3), (e0, e1)):
-                    mate[mate[x]] = x
-                    mate[mate[y]] = y
-            if kind < 2:
-                kind += 1
-                break
-        else:
-            return
+        mate[p] = z
+        mate[q] = w
+        mate[a] = x
+        mate[b] = y

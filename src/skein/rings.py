@@ -492,12 +492,21 @@ class LocalizedElement:
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        return LocalizedElement.sum_of_products(((_LP_ONE, (self,)), (_LP_ONE, (other,))))
+        return self._combine(other, LaurentPoly.__add__)
 
     def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        return LocalizedElement.sum_of_products(((_LP_ONE, (self,)), (-_LP_ONE, (other,))))
+        return self._combine(other, LaurentPoly.__sub__)
+
+    def _combine(self, other: "LocalizedElement", op: Callable) -> "LocalizedElement":
+        """op of the numerators lifted to the common denominator, normalized
+        once."""
+        k = max(self.d_power, other.d_power)
+        phi = _phi_merge(self.phi, other.phi, max) if self.phi or other.phi else ()
+        num = op(_lift(self.num, self.d_power, self.phi, k, phi),
+                 _lift(other.num, other.d_power, other.phi, k, phi))
+        return LocalizedElement(num, k, phi)
 
     def __neg__(self) -> "LocalizedElement":
         return LocalizedElement._canonical(-self.num, self.d_power, self.phi)

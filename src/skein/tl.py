@@ -369,19 +369,16 @@ def add_strand(elem: TangleElement) -> TangleElement:
     return TangleElement(n + 1, out)
 
 
+@lru_cache(maxsize=None)
 def jones_wenzl(n: int) -> TangleElement:
-    """The projector on n strands via the Wenzl recursion.
+    """The projector on n strands via the Wenzl recursion, cached per n
+    (an n below 1 raises ValueError, which is not cached).
 
     p(1) is the single strand; p(k+1) = p(k) - mu_k p(k) U_k p(k) with
     mu_1 = 1/d and mu_{k+1} = 1/(d - mu_k).  For n=2 this is 1 - (1/d) U_1.
     """
     if n < 1:
         raise ValueError("jones_wenzl needs n >= 1")
-    return _jones_wenzl_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _jones_wenzl_cached(n: int) -> TangleElement:
     proj = TangleElement.identity(1)
     mu: LocalizedElement | None = None
     for k in range(1, n):

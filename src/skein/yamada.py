@@ -18,7 +18,6 @@ with beta the first Betti number and c the component count of (V, F).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Sequence
 
 from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
@@ -35,8 +34,8 @@ from .rings import (
     _to_localized,
 )
 
-#: soft limit on the 3^c expansion; beyond it a warning is emitted
-EXPANSION_WARN_CROSSINGS = 16
+#: most crossings ``yamada`` expands: its 3^c resolution states, 3^16 at most
+MAX_RESOLVED_CROSSINGS = 16
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
 
@@ -255,14 +254,17 @@ def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> Loc
     equal values per (A-exponent, vertex resolutions) and sums count *
     A^e (-d)^v * value over the distinct triples with
     LocalizedElement.sum_of_products, which normalizes the value once.  The
-    flat states share ``memo``, or a fresh memo when none is given.
+    flat states share ``memo``, or a fresh memo when none is given.  A
+    diagram of more than MAX_RESOLVED_CROSSINGS crossings raises
+    InvalidDiagramError, which states its 3^c states.
     """
     if g.has_rays():
         raise InvalidDiagramError("yamada is defined on plane diagrams (no ray words)")
-    if len(g.crossings) > EXPANSION_WARN_CROSSINGS:
-        warnings.warn(
-            f"expanding 3^{len(g.crossings)} resolution states; this may take long",
-            stacklevel=2,
+    c = len(g.crossings)
+    if c > MAX_RESOLVED_CROSSINGS:
+        raise InvalidDiagramError(
+            f"yamada would expand 3^{c} = {3**c} resolution states; "
+            f"the limit is {MAX_RESOLVED_CROSSINGS} crossings"
         )
     if memo is None:
         memo = {}

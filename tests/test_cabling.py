@@ -1,5 +1,6 @@
 """The edge-doubling map: expansion structure, plane and punctured evaluation."""
 
+import gc
 import random
 import tracemalloc
 
@@ -453,6 +454,22 @@ def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
             assert phi_plane(g, {cls[0]: arc}) == _bracket_sum(reference.terms)
             assert len(sizes) == 2**walked
             assert max(sizes) <= max(1 << 6, 1 << c)
+
+
+def test_projector_walks_leave_no_reference_cycles(monkeypatch):
+    # a cycle would keep the walk's strands and terms alive until the next
+    # collection; both walks recurse through _Strands.walk
+    monkeypatch.setattr(cabling, "_KERNEL_STATES", 1 << 6)
+    rayed = _rayed_crossing_corpus()[0]
+    theta = _two_crossing_theta()
+    gc.collect()
+    gc.disable()
+    try:
+        cable(rayed)
+        phi_plane(theta)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _flat_plane_fixtures():

@@ -660,8 +660,9 @@ def test_kernels_reject_ids_not_in_exactly_one_slot():
         core.state_circle_counts(2, [(0, 1, 2, 2)])
     with pytest.raises(ValueError, match="exactly one slot"):
         core.state_circle_counts(3, [(0, 1, 2, 3)])
+    # resolution_states checks when it is called, before its first state
     with pytest.raises(ValueError, match="exactly one slot"):
-        next(core.resolution_states(2, [(0, 1)], [(0, 1, 2, 3)]))
+        core.resolution_states(2, [(0, 1)], [(0, 1, 2, 3)])
 
 
 def test_canon_key_rejects_counts_past_the_byte_limit():

@@ -200,14 +200,16 @@ def test_multiplicativity_on_disjoint_unions():
         assert yamada(disjoint_union(g1, g2)) == yamada(g1) * yamada(g2)
 
 
-def test_crossing_warn_threshold(monkeypatch):
+def test_crossing_budget_raises_past_its_limit(monkeypatch):
     import importlib
 
     ym = importlib.import_module("skein.yamada")
-    monkeypatch.setattr(ym, "EXPANSION_WARN_CROSSINGS", 2)
+    monkeypatch.setattr(ym, "MAX_RESOLVED_CROSSINGS", 2)
     g = parse_diagram("X 1 1 2 2\nX 3 3 4 4\nX 5 5 6 6")
-    with pytest.warns(UserWarning):
+    with pytest.raises(InvalidDiagramError, match=r"3\^3 = 27 resolution states"):
         yamada(g, memo={})
+    monkeypatch.setattr(ym, "MAX_RESOLVED_CROSSINGS", 3)
+    assert yamada(g, memo={}) == yamada(parse_diagram("X 1 1 2 2"), memo={}) ** 3
 
 
 def test_result_denominator_sanity_bound():
