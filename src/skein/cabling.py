@@ -13,15 +13,14 @@ are ordered counterclockwise ("first", "second"); along an arc the strand
 that is ccw-first at one end is ccw-second at the other.
 
 Where the work is done.  :class:`_Strands` builds the cable's open strands
-once per call, and :meth:`_Strands.walk` is the one walk over the 2^|E|
-projector choices; :func:`cable` and :func:`phi_plane` each hand it a leaf.
-Choices whose circles need no windings are instead counted all at once, as
-the smoothings of one vertexless diagram
-(:meth:`_Strands.smoothing_diagram`), by the bracket kernel
-:func:`skein.core.state_circle_counts`: in :func:`cable` on crossingless,
-unwound input, and in :func:`phi_plane` on input with crossings, for the
-choices below its kernel budget.  Each function's docstring describes its
-path.
+once per call.  :func:`cable` walks the 2^|E| projector choices with
+:meth:`_Strands.walk`, except on crossingless, unwound input, where the
+bracket kernel :func:`skein.core.state_circle_counts` counts the circles of
+all choices at once, as the smoothings of one vertexless diagram
+(:meth:`_Strands.smoothing_diagram`).  :func:`phi_plane` on input with
+crossings builds no term: it evaluates the same diagram, cable crossings
+included, by one frontier sweep (:func:`skein.core.frontier_sweep`).  Each
+function's docstring describes its path.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import state_circle_counts
+from .core import frontier_sweep, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
 from .rings import ONE, LaurentPoly, LocalizedElement, _to_localized
-from .tl import bracket_sums
+from .tl import _read_digits
 
 # unused here, but skeinbench/tracing.py rebinds this name in this module
 from .tl import bracket  # noqa: F401
@@ -45,9 +44,9 @@ _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
 
-#: most states of one kernel call in ``phi_plane`` while the cable
-#: crossings allow it: one byte each
-_KERNEL_STATES = 1 << 20
+#: most live states of the frontier sweep in ``phi_plane`` (see
+#: :func:`skein.core.frontier_sweep` for the memory this bounds)
+_SWEEP_STATES = 1 << 14
 
 #: the ``bytes.translate`` table that adds 1 to every byte
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -187,7 +186,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         diagram = GraphDiagram([], crossings, len(windings))
         terms.append(CabledTerm(coeffs[turned], diagram, windings))
 
-    strands.walk(n_classes, 0, leaf)
+    strands.walk(n_classes, leaf)
     return CabledExpansion(n_classes, tuple(terms))
 
 
@@ -305,47 +304,44 @@ class _Strands:
             self.unjoin(n, n + 3)
 
     def walk(
-        self, n_classes: int, kept: int, leaf: Callable[[int, int], None],
-        turned: int = 0, free: int = 0,
+        self, n_classes: int, leaf: Callable[[int, int], None], turned: int = 0, free: int = 0
     ) -> None:
-        """Choose the projector term of classes ``n_classes - 1`` .. ``kept``,
-        the highest first and straight before turnback, so the choices come
-        in mask order, and call ``leaf(turned, free)`` once per choice with
-        the strands joined: ``turned`` counts the turnbacks chosen, ``free``
-        the circles the chosen free circles cabled to.  Classes from
+        """Choose the projector term of classes ``n_classes - 1`` .. 0, the
+        highest first and straight before turnback, so the choices come in
+        mask order, and call ``leaf(turned, free)`` once per choice with the
+        strands joined: ``turned`` counts the turnbacks chosen, ``free`` the
+        circles the chosen free circles cabled to.  Classes from
         ``len(turn_arcs)`` up are free circles: straight, one cables to 2
         circles, under its turnback to 1.  A turnback arc is placed, walked
         below and unplaced, so a choice costs O(1) joins."""
-        if n_classes == kept:
+        if not n_classes:
             leaf(turned, free)
             return
         bit = n_classes - 1
         if bit >= len(self.turn_arcs):
-            self.walk(bit, kept, leaf, turned, free + 2)
-            self.walk(bit, kept, leaf, turned + 1, free + 1)
+            self.walk(bit, leaf, turned, free + 2)
+            self.walk(bit, leaf, turned + 1, free + 1)
             return
         arc = self.turn_arcs[bit]
         for turn in (0, 1):
             self.place(arc, turn)
-            self.walk(bit, kept, leaf, turned + turn, free)
+            self.walk(bit, leaf, turned + turn, free)
             self.unplace(arc, turn)
 
-    def smoothing_diagram(
-        self, free_circles: int, n_turned: int | None = None
-    ) -> tuple[int, list[tuple[int, int, int, int]]]:
+    def smoothing_diagram(self, free_circles: int) -> tuple[int, list[tuple[int, int, int, int]]]:
         """The open strands as the arcs of a vertexless diagram, in the
         arc-end ids of :func:`skein.core.state_circle_counts`, and its
-        crossings: the cable crossings, then the first ``n_turned`` (by
-        default every) turnback arc, each a crossing on its junctions n ..
-        n + 3 in order, so that its A-smoothing is the turnback and its
-        B-smoothing the straight pair, then ``free_circles`` free circles.
+        crossings: the cable crossings, then every turnback arc, each a
+        crossing on its junctions n .. n + 3 in order, so that its
+        A-smoothing is the turnback and its B-smoothing the straight pair,
+        then ``free_circles`` free circles.
         A free circle is a crossing on two fresh strands (a0, a1) and (b0,
         b1) as (a0, b0, b1, a1): straight closes two circles and the
         turnback one.  Strand k has the ends 2k and 2k + 1, numbered by
         first node in crossing order."""
         far = self.far
         quads = [range(n, n + 4) for n in range(self.n_junctions, len(far), 4)]
-        quads += [range(4 * a, 4 * a + 4) for a in self.turn_arcs[:n_turned]]
+        quads += [range(4 * a, 4 * a + 4) for a in self.turn_arcs]
         end_id: dict[int, int] = {}
         for quad in quads:
             for n in quad:
@@ -418,21 +414,20 @@ def phi_plane(
     With crossings no term diagram is built and ``bracket`` is not called.
     The whole cable is one vertexless smoothing diagram
     (:meth:`_Strands.smoothing_diagram`): its arcs are the open strands,
-    its low crossings the C = 4c cable crossings and its high crossings one
+    its first C = 4c crossings the cable crossings and the others one
     projector crossing per edge class and free circle, P in all, whose
-    A-smoothing is the turnback.  One :func:`skein.core.state_circle_counts`
-    call counts the circles of every (projector choice, smoothing) state;
-    each block of 2^C states is one term's bracket, and
-    :func:`skein.tl.bracket_sums` sums the blocks with t turnbacks at
-    once, so
+    A-smoothing is the turnback.  As (-1/d)^t = (-1)^t d^(P - t) / d^P,
 
-        phi = sum_t (-1/d)^t * sum over blocks with t turnbacks of bracket(block).
+        phi = (1/d^P) * sum over states of A^(#A - #B) (-1)^turnbacks
+              d^(straight pairs + circles),
 
-    A kernel call holds one byte per state (two while it copies its
-    result), so it keeps at most 2^20 states unless the C cable crossings
-    alone need more: the P - max(0, 20 - C) highest projector choices are
-    then chosen by :meth:`_Strands.walk`, with one kernel call of
-    2^max(C, 20) states per leaf.
+    the circles closed by the straight arcs included, and one
+    :func:`skein.core.frontier_sweep` sums it, taking the crossings in a
+    greedy order, so the cost follows the live states of the sweep (260 at
+    most on ``petersen_diagram``), not the 2^(C + P) states.  A sweep past
+    ``_SWEEP_STATES`` (2^14) live states raises InvalidDiagramError, which
+    states the count; the sweep's docstring bounds the memory by it.
+
     ``insertion`` places the projector of an edge class on the inserted
     arc, as in ``cable``.
     """
@@ -450,26 +445,14 @@ def phi_plane(
 def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> LocalizedElement:
     """``phi_plane`` of a diagram with crossings."""
     strands = _Strands(g, insertion)
-    turn_arcs = strands.turn_arcs
-    n_classes = len(turn_arcs) + g.free_circles
+    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
     c = 4 * len(g.crossings)
-    # the lowest projector bits stay in the kernel call, 2^(c + kept) states
-    kept = max(0, min(n_classes, _KERNEL_STATES.bit_length() - 1 - c))
-    kept_free = max(0, kept - len(turn_arcs))
-    sums: dict[int, LaurentPoly] = {}  # by turnbacks
-
-    def leaf(turned: int, free: int) -> None:
-        n_arcs, crossings = strands.smoothing_diagram(kept_free, kept)
-        counts = state_circle_counts(n_arcs, crossings)
-        by_straight = bracket_sums(counts, n_arcs, c, free + len(strands.closed))
-        # j of the kept projector crossings are B-smoothed: straight
-        for j, value in enumerate(by_straight):
-            t = turned + kept - j
-            sums[t] = sums[t] + value if t in sums else value
-
-    strands.walk(n_classes, kept, leaf)
-    coeffs = _turnback_coeffs(n_classes)
-    return LocalizedElement.sum_of_products((value, (coeffs[t],)) for t, value in sums.items())
+    try:
+        total, width, e = frontier_sweep(n_arcs, crossings, c, len(strands.closed), _SWEEP_STATES)
+    except ValueError as exc:
+        raise InvalidDiagramError(f"phi_plane: {exc}") from None
+    # 1/d^P: the sweep weighed a straight pair d and a turnback -1
+    return LocalizedElement(_read_digits(total, width, e), len(crossings) - c)
 
 
 def _d_polynomial(counts: Mapping[tuple[int, int], int]) -> LocalizedElement:

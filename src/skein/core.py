@@ -12,14 +12,20 @@ build step and has no compiled backend.
   (:mod:`skein.cabling`).
 * :func:`resolution_states` -- the flat multigraph of each of the 3^c
   resolution states of a diagram, the outer loop of the Yamada state sum.
+* :func:`frontier_sweep` -- the weighted state sum of a vertexless diagram
+  of bracket and projector crossings, one crossing at a time over the
+  pairings of the open ends, with one packed coefficient per pairing: the
+  plane evaluation of the 2-cabling of a diagram with crossings
+  (:func:`skein.cabling.phi_plane`).
 
-Both state sums walk depth first over the arc-end ids of
+The two walks run depth first over the arc-end ids of
 :meth:`GraphDiagram.end_ids`, numbered as the :mod:`skein.diagrams` module
 docstring states.  They keep the open strands in a mate array (``mate[e]``
 is the far end of the strand ending at arc end e, initially e ^ 1), join
 strands at each smoothing and undo the join on the way back, so a step
-costs O(1) work instead of a union-find over all arc ends.  Each function's
-docstring describes the rest of its walk.
+costs O(1) work instead of a union-find over all arc ends.  The sweep joins
+the same way in a local mate table per state and step.  Each function's
+docstring describes the rest of its work.
 """
 
 from __future__ import annotations
@@ -274,6 +280,183 @@ def _shift(delta: int) -> bytes:
     """The ``bytes.translate`` table that adds delta to every byte, mod 256."""
     s = delta & 255
     return bytes(range(s, 256)) + bytes(range(s))
+
+
+def frontier_sweep(
+    n_arcs: int, crossings: Sequence[tuple[int, int, int, int]], n_cable: int, loops: int,
+    max_states: int,
+) -> tuple[int, int, int]:
+    """The weighted state sum of a vertexless diagram, by one frontier sweep.
+
+    ``crossings`` are as in :func:`state_circle_counts`, with the A- and
+    B-smoothings as there.  The first ``n_cable`` are bracket crossings: the
+    A-smoothing weighs A, the B-smoothing A^-1.  The others are projector
+    crossings: the A-smoothing (a turnback) weighs -1 and the B-smoothing
+    (a straight pair) d.  Every circle of a state, and ``loops`` more,
+    weighs d = -A^2 - A^-2.  Returns ``(total, width, e)``: the sum over all
+    states of their weights is the Laurent polynomial whose coefficient of
+    A^(e + 2i) is the signed base-2^width digit i of ``total``
+    (:func:`skein.tl._read_digits`).
+
+    Order.  The crossings are taken greedily, each time the one with the
+    fewest ends whose arcs lead to a crossing not yet taken (the fewest new
+    open ends), ties to the lowest index.  Taking a crossing lowers the
+    scores of its neighbours, so the order costs O(c^2).
+
+    State.  The open ends are the ends at crossings not yet taken whose
+    arcs lead to a taken one, and the taken crossings' strands pair them.
+    An open end keeps one slot while it is open, and a state is the tuple,
+    over the slots, of the slot of each open end's mate.  The slot of a
+    taken end is a hole, which holds its own index, until a new open end
+    fills it, the lowest hole first, and trailing holes are dropped.
+    Taking a crossing copies a state into a local mate table, adds the arcs
+    to the new open ends and the arcs with both ends at the crossing, and
+    joins the smoothing's two pairs as :func:`state_circle_counts` joins;
+    joining the two ends of one strand closes a circle.  The table's slots
+    are the new state.  Equal states are summed, so the live states are the
+    distinct pairings of the open ends.
+
+    Coefficient.  One int per state: a polynomial in u = A^2 at u =
+    2^width, each state's weight times u^most, where ``most`` bounds the
+    d-factors of any state.  The A-smoothing of a bracket crossing
+    multiplies by 2^width, and d = -(u^2 + 1)/u is the shift and add
+    ``-(((v << 2 width) + v) >> width)``, exact because the factor u^most is
+    never used up.  At the end the total is taken times A^-n_cable u^-most,
+    as ``e`` states.  Both bounds are carried along the order before the
+    states are swept.  A smoothing closes at most one circle per join whose
+    two ends were open or share an arc, so ``most`` adds up, per crossing,
+    the larger such count a or b of its two smoothings (a straight pair
+    counts one more).  The absolute coefficient sum of the total is at most
+    2^loops times the product over the crossings of 2^a + 2^b, and
+    ``width`` is one bit more than that bound, so every digit reads back
+    exactly.
+
+    A sweep past ``max_states`` live states raises ValueError, which states
+    the count.  A step holds the states before it and at most twice as many
+    after it, so at most 3 max_states states are alive at once, each a
+    tuple of slots and a coefficient of at most (n_cable + 2 most + 1)
+    width bits: the memory is bounded by 3 max_states times that size.
+    """
+    _check_slots(n_arcs, crossings)
+    plans, bound, most = _sweep_plans(n_arcs, crossings, n_cable)
+    bound <<= loops
+    most += loops
+    width = bound.bit_length() + 1
+    width2 = 2 * width
+    one = 1 << width * most
+    for _ in range(loops):
+        one = -(((one << width2) + one) >> width)
+    states = {(): one}
+    for projector, ext, reset, keep, x0, y0, z0, w0 in plans:
+        # the A-smoothing joins (x0, y0) and (z0, w0) and weighs u = A^2 at
+        # a bracket crossing (its A^-1 is in e), -1 at a projector crossing;
+        # the B-smoothing joins (x0, w0) and (y0, z0) and weighs 1, or d
+        smoothings = (
+            (x0, y0, z0, w0, -1 if projector else 1 << width, 0),
+            (x0, w0, y0, z0, 1, projector),
+        )
+        new: dict[tuple[int, ...], int] = {}
+        get = new.get
+        for key, v in states.items():
+            for x, y, z, w, factor, closed in smoothings:
+                mate = [*key, *ext]
+                a = mate[x]
+                b = mate[y]
+                mate[a] = b
+                mate[b] = a
+                p = mate[z]
+                q = mate[w]
+                mate[p] = q
+                mate[q] = p
+                for slot in reset:
+                    mate[slot] = slot
+                after = tuple(mate[:keep])
+                c = v * factor
+                closed += (a == y) + (p == w)
+                while closed:
+                    c = -(((c << width2) + c) >> width)
+                    closed -= 1
+                new[after] = get(after, 0) + c
+        if len(new) > max_states:
+            raise ValueError(
+                f"the frontier sweep holds {len(new)} live states, "
+                f"past its budget of {max_states}"
+            )
+        states = new
+    return states[()], width, -n_cable - 2 * most
+
+
+def _sweep_plans(
+    n_arcs: int, crossings: Sequence[tuple[int, int, int, int]], n_cable: int
+) -> tuple[list[tuple], int, int]:
+    """The steps of :func:`frontier_sweep`, one per crossing in the greedy
+    order, and its two bounds without the extra loops: the absolute
+    coefficient sum and the most d-factors.  A step is (whether the
+    crossing is a projector crossing, the local mate table past the old
+    slots, the holes it makes, the number of slots after it, and the table
+    entries of the crossing's four ends)."""
+    n = len(crossings)
+    at = [0] * (2 * n_arcs)  # the crossing of each end
+    for ci, (e0, e1, e2, e3) in enumerate(crossings):
+        at[e0] = at[e1] = at[e2] = at[e3] = ci
+    # per crossing, the crossing at the other end of each of its arcs
+    nbrs = [(at[e0 ^ 1], at[e1 ^ 1], at[e2 ^ 1], at[e3 ^ 1]) for e0, e1, e2, e3 in crossings]
+    score = [4 - cs.count(ci) for ci, cs in enumerate(nbrs)]
+    taken = [False] * n
+    front: list[int | None] = []  # the open end in each slot
+    plans = []
+    bound = 1
+    most = 0
+    for _ in range(n):
+        ci = score.index(min(score))
+        score[ci] = 5  # above any score left
+        ends = crossings[ci]
+        # the local mate table: the slots, then one entry per end here that
+        # was not open
+        node = {}  # the table entry of each end here
+        consumed = []
+        outward = []
+        closable = []  # whether each end here can close a circle
+        for e, cj in zip(ends, nbrs[ci]):
+            if taken[cj]:
+                node[e] = front.index(e)
+                consumed.append(node[e])
+            elif cj != ci:
+                outward.append(e)
+                score[cj] -= 1
+            closable.append(taken[cj] or cj == ci)
+        # the new open ends fill the lowest holes, then new slots; a new
+        # slot, like a hole, holds its own index until the joins set it
+        old = len(front)
+        size = old + max(0, len(outward) - front.count(None))
+        front += [None] * (size - old)
+        ext = list(range(old, size))  # the table past the old slots
+        x = size
+        for e in outward:
+            k = front.index(None)
+            front[k] = e ^ 1
+            node[e] = x
+            ext.append(k)
+            x += 1
+        for e in ends:
+            if e not in node:  # an arc with both ends here
+                node[e] = x
+                node[e ^ 1] = x + 1
+                ext += (x + 1, x)
+                x += 2
+        for k in consumed:
+            front[k] = None
+        while front and front[-1] is None:
+            front.pop()
+        c0, c1, c2, c3 = closable
+        a = (c0 and c1) + (c2 and c3)
+        b = (c0 and c3) + (c1 and c2) + (ci >= n_cable)
+        bound *= (1 << a) + (1 << b)
+        most += max(a, b)
+        taken[ci] = True
+        reset = [k for k in consumed if k < len(front)]  # the holes made here
+        plans.append((ci >= n_cable, ext, reset, len(front), *map(node.__getitem__, ends)))
+    return plans, bound, most
 
 
 def components(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:

@@ -41,45 +41,38 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
     _, crossing_ends = g.end_ids()
     counts = state_circle_counts(g.num_arcs, crossing_ends)
-    return bracket_sums(counts, g.num_arcs, len(g.crossings), g.free_circles)[0]
+    return bracket_sums(counts, g.num_arcs, len(g.crossings), g.free_circles)
 
 
-def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> list[LaurentPoly]:
-    """The bracket state sums of a vertexless diagram of ``n_arcs`` arcs,
-    from its circle counts, as :func:`state_circle_counts` returns them.
+def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:
+    """The bracket state sum of a vertexless diagram of ``n_arcs`` arcs and
+    ``c`` crossings from its circle counts, as :func:`state_circle_counts`
+    returns them, with ``free`` more circles in every state.
 
-    Bits 0 .. c-1 of a state smooth the c crossings of the bracket; the h
-    bits above them, h = log2(len(counts)) - c, are smoothings too but carry
-    no weight: entry j of the result sums the states with j of them set
-    (B-smoothed), so the bracket itself is entry 0 with h = 0.  A state
-    with b B-smoothings among the c crossings and n circles, ``free`` more
-    added, weighs A^(c - 2b) d^n = (-1)^n A^-c u^(c - b - n) (u^2 + 1)^n,
-    u = A^2.  Each sum is taken at u = 2^K (Kronecker substitution), so
-    that each weight, times u^m for m the most circles of any state, is one
-    integer whose signed base-2^K digits are the A-coefficients.  An entry
-    sums at most 2^(c + h) states, whose coefficients have absolute sum at
-    most 2^(c + h + m), so K = c + h + m + 2 keeps every digit of every
-    partial sum below 2^(K-1) in absolute value, and the digits of each
-    total read back exactly.
+    A state with b B-smoothings and n circles, ``free`` included, weighs
+    A^(c - 2b) d^n = (-1)^n A^-c u^(c - b - n) (u^2 + 1)^n, u = A^2.  The
+    sum is taken at u = 2^K (Kronecker substitution), so that each weight,
+    times u^m for m the most circles of any state, is one integer whose
+    signed base-2^K digits are the A-coefficients.  The 2^c states have
+    coefficients of absolute sum at most 2^(c + m), so K = c + m + 2 keeps
+    every digit of every partial sum below 2^(K-1) in absolute value, and
+    the digits of the total read back exactly.
 
-    The 2^c states sharing their bits above c are one contiguous run of
-    counts, valued as one bracket.  With k = ``block_crossings(c)`` and the
-    state's crossing bits ``hi * 2^k + lo``, the 2^k counts sharing ``hi``
-    form one contiguous block.  Per run, the pairs (B-smoothings of ``hi``,
-    block) are counted, and each block is valued from its two halves: the
-    states of the first half have the top bit of ``lo`` A-smoothed, one
-    B-smoothing fewer than those of the second, so they weigh u times
-    more.  Values are kept per distinct byte string across runs, and
+    With k = ``block_crossings(c)`` and the state bits ``hi * 2^k + lo``,
+    the 2^k counts sharing ``hi`` form one contiguous block.  The pairs
+    (B-smoothings of ``hi``, block) are counted, and each block is valued
+    from its two halves: the states of the first half have the top bit of
+    ``lo`` A-smoothed, one B-smoothing fewer than those of the second, so
+    they weigh u times more.  Values are kept per distinct byte string, and
     :func:`state_circle_counts` copies repeated blocks at every level, so a
     half shared by many blocks is valued once.  Each value held has at most
     (k + 2m + 1)K bits, one per distinct string of at most 2^k counts.
     """
     k = block_crossings(c)
     size = 1 << k
-    h = (len(counts) >> c).bit_length() - 1
     # the most circles of any state: a scan per candidate count, in C
     most = next(n for n in range(n_arcs, -1, -1) if n in counts) + free
-    width = c + h + most + 2
+    width = c + most + 2
     u2_plus_1 = (1 << 2 * width) + 1
     values: dict[bytes, int] = {}
 
@@ -100,17 +93,15 @@ def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> list[LaurentP
             values[block] = v
         return v
 
-    totals = [0] * (h + 1)
-    for start in range(0, len(counts), 1 << c):
-        blocks = (counts[i : i + size] for i in range(start, start + (1 << c), size))
-        pairs = Counter(zip(map(int.bit_count, range(1 << (c - k))), blocks))
-        totals[(start >> c).bit_count()] += sum(
-            mult * value(block) << width * (c - k - hi_b) for (hi_b, block), mult in pairs.items()
-        )
+    blocks = (counts[i : i + size] for i in range(0, len(counts), size))
+    pairs = Counter(zip(map(int.bit_count, range(1 << (c - k))), blocks))
+    total = sum(
+        mult * value(block) << width * (c - k - hi_b) for (hi_b, block), mult in pairs.items()
+    )
     # value refers to itself through its closure cell; unbinding it frees
     # the cycle, and the values with it, now
     value = None
-    return [_read_digits(total, width, -c - 2 * most) for total in totals]
+    return _read_digits(total, width, -c - 2 * most)
 
 
 def _read_digits(total: int, width: int, e: int) -> LaurentPoly:

@@ -7,7 +7,7 @@ import tracemalloc
 import gen
 import pytest
 
-from skein import cabling, fixtures
+from skein import cabling, core, fixtures
 from skein.cabling import (
     CabledExpansion,
     CabledTerm,
@@ -20,7 +20,7 @@ from skein.cabling import (
 from skein.diagrams import GraphDiagram, InvalidDiagramError, disjoint_union, parse_diagram
 from skein.polyxyz import PolyXYZ
 from skein.rings import CIRCLE_FACTOR, D, D_INV, ONE, ZERO, LaurentPoly, LocalizedElement
-from skein.tl import bracket
+from skein.tl import _read_digits, bracket
 from skein.yamada import yamada
 
 NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
@@ -427,39 +427,29 @@ def _recording_kernel(monkeypatch):
     return sizes
 
 
-def test_crossed_theta_is_one_kernel_call(monkeypatch):
+def test_crossed_theta_makes_no_kernel_call(monkeypatch):
+    # the frontier sweep evaluates the whole cable: no 2^(C + P) kernel call
     sizes = _recording_kernel(monkeypatch)
     g = _two_crossing_theta()
     value = phi_plane(g)
-    # 4 cable crossings per crossing, one projector crossing per edge class
-    assert sizes == [2 ** (4 * 2 + 3)]
+    assert sizes == []
     assert value == _bracket_sum(_reference_cable(g).terms) == yamada(g, memo={})
 
 
 @pytest.mark.parametrize("g", _crossed_plane_corpus())
 def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
-    # with 2^6 states per kernel call the projector choices above the
-    # budget are walked, one kernel call per leaf; each call holds at most
-    # the budget, or the 2^C states of the C cable crossings when those
-    # alone exceed it
-    monkeypatch.setattr(cabling, "_KERNEL_STATES", 1 << 6)
-    sizes = _recording_kernel(monkeypatch)
-    c = 4 * len(g.crossings)
-    projectors = len(g.edge_classes()) + g.free_circles
-    walked = projectors - max(0, min(projectors, 6 - c))
+    # the sweep that replaced the kernel call and the projector walk above
+    # its budget, at every insertion point and within 2^6 live states
+    monkeypatch.setattr(cabling, "_SWEEP_STATES", 1 << 6)
     for cls in g.edge_classes():
         for arc in cls:
-            del sizes[:]
             reference = _reference_cable(g, {cls[0]: (arc, 0)})
             assert phi_plane(g, {cls[0]: arc}) == _bracket_sum(reference.terms)
-            assert len(sizes) == 2**walked
-            assert max(sizes) <= max(1 << 6, 1 << c)
 
 
-def test_projector_walks_leave_no_reference_cycles(monkeypatch):
-    # a cycle would keep the walk's strands and terms alive until the next
-    # collection; both walks recurse through _Strands.walk
-    monkeypatch.setattr(cabling, "_KERNEL_STATES", 1 << 6)
+def test_projector_walks_leave_no_reference_cycles():
+    # a cycle would keep the walk's strands and terms, or the sweep's
+    # states, alive until the next collection
     rayed = _rayed_crossing_corpus()[0]
     theta = _two_crossing_theta()
     gc.collect()
@@ -647,3 +637,86 @@ def test_filling_the_holes_of_seeded_rayed_diagrams(name):
         assert ok, rayed
         checked += 1
     assert checked >= 2
+
+
+# -- phi_plane with crossings: the frontier sweep over the cable's smoothing diagram
+
+
+def _twisted_corpus():
+    """Seeded twisted thetas and K4s of 1 to 4 crossings in 1 to 3 twist
+    regions, 0, 1 or 2 free circles each."""
+    rng = random.Random(2027)
+    corpus = []
+    for text in (gen.THETA, gen.K4):
+        for c in (1, 2, 3, 4):
+            for k in range(8):
+                code = gen.twisted_graph(rng, text, c, 1 + rng.randrange(min(c, 3)))
+                g = parse_diagram(code.text())
+                corpus.append(GraphDiagram(g.vertices, g.crossings, k % 3))
+    return corpus
+
+
+def test_sweep_matches_the_reference_on_seeded_twisted_graphs():
+    corpus = _twisted_corpus()
+    assert len(corpus) >= 60 and sum(g.free_circles > 0 for g in corpus) >= 40
+    assert max(len(g.crossings) for g in corpus) == 4
+    for i, g in enumerate(corpus):
+        assert phi_plane(g) == _bracket_sum(cable(g).terms), i
+
+
+def test_sweep_equals_yamada_on_planar_twisted_graphs():
+    rng = random.Random(2028)
+    for i in range(30):
+        c = 1 + i % 6
+        code = gen.twisted_graph(rng, (gen.THETA, gen.K4)[i % 2], c, 1 + rng.randrange(min(c, 3)))
+        gen.assert_planar(code)
+        g = parse_diagram(code.text())
+        assert phi_plane(g) == yamada(g, memo={}), code.text()
+
+
+def _kinked_theta(kinks, free):
+    """A theta with a chain of ``kinks`` kinks on one edge, and ``free``
+    free circles."""
+    lines = ["V e0 2 3", f"V 3 2 e{kinks}"]
+    lines += [f"X e{i} k{i} k{i} e{i + 1}" for i in range(kinks)]
+    return parse_diagram("\n".join(lines) + "\n" + "O\n" * free)
+
+
+def test_kinks_and_free_circles_fill_the_digit_width():
+    # 3 kinks and 20 free circles: the largest digit of the packed total
+    # takes more than half the width the sweep derives from its bound, so a
+    # width guessed at half of it would read back wrong digits
+    g = _kinked_theta(3, 20)
+    strands = cabling._Strands(g, None)
+    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
+    total, width, e = core.frontier_sweep(
+        n_arcs, crossings, 4 * len(g.crossings), len(strands.closed), 1 << 14
+    )
+    digits = _read_digits(total, width, e)
+    assert max(abs(c) for _, c in digits.items()).bit_length() > width // 2
+    # a free circle cables to d^2 - 1; Yamada's expansion is independent
+    value = phi_plane(g)
+    assert value == phi_plane(_kinked_theta(3, 0)) * (D * D - ONE) ** 20
+    assert value == yamada(g, memo={})
+
+
+def test_petersen_diagram_is_the_same_at_two_insertion_points():
+    g = fixtures.load_diagram("petersen_diagram")
+    cls = next(cls for cls in g.edge_classes() if len(cls) > 1)
+    assert phi_plane(g, {cls[0]: cls[-1]}) == phi_plane(g)
+
+
+def test_planar_petersen_plane_value_equals_yamada():
+    code = gen.planar_petersen(fixtures.fixture_path("petersen_diagram.graph").read_text())
+    g = parse_diagram(code.text())
+    assert phi_plane(g) == yamada(g, memo={})
+
+
+def test_sweep_past_its_budget_raises_with_the_count(monkeypatch):
+    # the two-crossing theta peaks at 10 live states, after 1, 2, 4 and 8
+    g = _two_crossing_theta()
+    monkeypatch.setattr(cabling, "_SWEEP_STATES", 9)
+    with pytest.raises(InvalidDiagramError, match=r"holds 10 live states, past its budget of 9"):
+        phi_plane(g)
+    monkeypatch.setattr(cabling, "_SWEEP_STATES", 10)
+    assert phi_plane(g) == yamada(g, memo={})

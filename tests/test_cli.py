@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,6 +186,27 @@ def test_cli_phi_machine_coefficients_parse_back():
         assert expected and list(doc[key]) == list(expected)
         for name, coeff in doc[key].items():
             assert parse_poly_document(json.dumps(coeff)) == expected[name]
+
+
+def test_cli_phi_of_the_petersen_diagram_finishes(capsys):
+    # the frontier sweep holds at most 260 states here; the 2^15 kernel calls
+    # of 2^20 states each that it replaced did not finish in a minute
+    start = time.perf_counter()
+    rc = main(["phi", "fixture:petersen_diagram"])
+    assert rc == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith("phi = (10*A^40 - 26*A^36")
+
+
+def test_cli_phi_past_the_sweep_budget_exits_2(monkeypatch, capsys):
+    from skein import cabling
+
+    monkeypatch.setattr(cabling, "_SWEEP_STATES", 16)
+    assert main(["phi", "fixture:petersen_diagram"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: phi_plane: the frontier sweep holds ")
+    assert err.rstrip().endswith("live states, past its budget of 16")
 
 
 def test_cli_phi_annulus():

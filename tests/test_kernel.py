@@ -612,6 +612,35 @@ def test_bracket_equals_the_temperley_lieb_trace():
         assert bracket(g) == _tl_trace(3, word)
 
 
+def _swept_bracket(n_arcs, crossings, free):
+    """The bracket by the frontier sweep, every crossing a bracket crossing."""
+    total, width, e = core.frontier_sweep(n_arcs, crossings, len(crossings), free, 1 << 14)
+    return tl._read_digits(total, width, e)
+
+
+def test_frontier_sweep_of_bracket_crossings_is_the_bracket():
+    # free circles, kinks, split pairs, shuffled crossing orders, and random
+    # pairings that no plane diagram has
+    small, odd, free, shuffled = _assembly_corpus()
+    edge = [parse_diagram(text) for text in EDGE_CASES if "V" not in text]
+    for g in [TORI[k] for k in (1, 2, 3, 16, 24)] + edge + small + odd + free + shuffled:
+        assert _swept_bracket(*_kernel_args(g), g.free_circles) == bracket(g)
+    rng = random.Random(1406)
+    for c in range(1, 11):
+        n_arcs, crossings = _random_link_ends(rng, c)
+        counts = core.state_circle_counts(n_arcs, crossings)
+        assert _swept_bracket(n_arcs, crossings, 0) == tl.bracket_sums(counts, n_arcs, c, 0)
+
+
+def test_frontier_sweep_checks_its_slots_and_its_budget():
+    with pytest.raises(ValueError, match="exactly one slot"):
+        core.frontier_sweep(2, [(0, 1, 2, 2)], 1, 0, 8)
+    # T(2, 6) holds 2 pairings of the open ends at its widest
+    assert _swept_bracket(*_kernel_args(TORI[6]), 0) == bracket(TORI[6])
+    with pytest.raises(ValueError, match="holds 2 live states, past its budget of 1"):
+        core.frontier_sweep(*_kernel_args(TORI[6]), 6, 0, 1)
+
+
 def test_resolution_states_against_reference():
     rng = random.Random(7)
     cases = [_random_diagram(rng, rng.randint(0, 5), 2 * rng.randint(0, 4)) for _ in range(60)]
