@@ -13,10 +13,11 @@ are ordered counterclockwise ("first", "second"); along an arc the strand
 that is ccw-first at one end is ccw-second at the other.
 
 Where the work is done.  :class:`_Strands` builds the cable's open strands
-once per call.  :func:`cable` walks the 2^|E| projector choices with
-:meth:`_Strands.walk`, except on crossingless, unwound input, where the
-bracket kernel :func:`skein.core.state_circle_counts` counts the circles of
-all choices at once, as the smoothings of one vertexless diagram
+once per call.  :func:`cable` builds each of the 2^|E| terms by joining
+the turnback arcs into a fresh copy of them, except on crossingless,
+unwound input, where the bracket kernel
+:func:`skein.core.state_circle_counts` counts the circles of all choices
+at once, as the smoothings of one vertexless diagram
 (:meth:`_Strands.smoothing_diagram`).  :func:`phi_plane` on input with
 crossings builds no term: it evaluates the same diagram, cable crossings
 included, by one frontier sweep (:func:`skein.core.frontier_sweep`).  Each
@@ -43,6 +44,12 @@ from .tl import bracket  # noqa: F401
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
 _NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
+
+#: most edge classes and free circles ``cable`` expands: 2^20 terms.  A
+#: crossingless expansion holds about 10 bytes per term (tracemalloc peak of
+#: the 3x4 grid with 3 free circles, 2^20 terms: 10.3 MiB); a term with
+#: crossings holds its own diagram, about 2 KB for 8 cable crossings
+MAX_CABLED_CLASSES = 20
 
 #: most live states of the frontier sweep in ``phi_plane`` (see
 #: :func:`skein.core.frontier_sweep` for the memory this bounds)
@@ -104,9 +111,12 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     (see :class:`_Strands`).  Each open strand end then holds its far end
     and its winding.
 
-    With crossings, or when some arc winds, the terms are the leaves of
-    :meth:`_Strands.walk` over every class.  A leaf numbers the chains by
-    first anchor from the far ends.
+    With crossings, or when some arc winds, each term starts from a copy
+    of those strands and places every turnback arc by its bit of the mask
+    (:meth:`_Strands.place`), so a term costs one copy of the strands and
+    two joins per turnback arc.  The bits above the edge classes are the
+    free circles: straight, one cables to 2 circles, under its turnback
+    to 1.  The term numbers its chains by first anchor from the far ends.
 
     Without crossings and without winding, every circle winds (0, 0), so a
     term is given by its (turnbacks, circles).  The choices are then the
@@ -124,7 +134,9 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     as (turnbacks, windings) pairs.  Terms with crossings get one object
     and one diagram each, so memory grows as 2^|E| times the crossings of
     the input: ``cable(petersen_diagram)`` (2^15 terms of 20 cable
-    crossings each) needs hundreds of MB.
+    crossings each) needs hundreds of MB.  More than MAX_CABLED_CLASSES
+    edge classes and free circles raise InvalidDiagramError, which states
+    the 2^|E| terms, before any term or kernel call.
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -137,6 +149,11 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     strands = _Strands(g, insertion)
     closed = strands.closed
     n_classes = len(strands.turn_arcs) + g.free_circles
+    if n_classes > MAX_CABLED_CLASSES:
+        raise InvalidDiagramError(
+            f"cable would expand 2^{n_classes} = {1 << n_classes} projector terms; "
+            f"the limit is {MAX_CABLED_CLASSES} edge classes and free circles"
+        )
     coeffs = _turnback_coeffs(n_classes)
     # crossingless terms, one per (turnbacks, windings), and their diagrams,
     # one per winding list
@@ -164,18 +181,25 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         lookup = _Lookup(lambda t, c: shared_term(t, ((0, 0),) * (c + len(closed))))
         return CabledExpansion(n_classes, tuple(map(lookup.__getitem__, zip(turnbacks, circles))))
 
-    # chains run anchor to anchor; they are numbered by first anchor
+    # each term joins the turnback arcs into a copy of the strands; its
+    # chains run anchor to anchor and are numbered by first anchor
     n_junctions = strands.n_junctions
-    far = strands.far
+    n_turn = len(strands.turn_arcs)
+    start = strands.far, strands.wind, closed
     anchors = [n for seg in strands.static for n in seg if n >= n_junctions]
     terms: list[CabledTerm] = []
-
-    def leaf(turned: int, free: int) -> None:
+    for mask in range(1 << n_classes):
+        strands.far, strands.wind, strands.closed = (x[:] for x in start)
+        for bit, arc in enumerate(strands.turn_arcs):
+            strands.place(arc, mask >> bit & 1)
+        free = 2 * g.free_circles - (mask >> n_turn).bit_count()
         # (0, 0) is the least unoriented winding, so this is sorted
-        windings = ((0, 0),) * free + tuple(sorted(closed))
+        windings = ((0, 0),) * free + tuple(sorted(strands.closed))
+        turned = mask.bit_count()
         if not anchors:
             terms.append(shared_term(turned, windings))
-            return
+            continue
+        far = strands.far
         chain = [-1] * (len(far) - n_junctions)
         n_chains = 0
         for x in anchors:
@@ -185,16 +209,14 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         crossings = [chain[k : k + 4] for k in range(0, len(chain), 4)]
         diagram = GraphDiagram([], crossings, len(windings))
         terms.append(CabledTerm(coeffs[turned], diagram, windings))
-
-    strands.walk(n_classes, leaf)
     return CabledExpansion(n_classes, tuple(terms))
 
 
 class _Strands:
     """The open strands of the 2-cable of ``g``: the vertex polygons and
     crossing grids, with every arc that never carries a turnback joined
-    straight.  ``place`` and ``unplace`` choose and undo the projector term
-    of a turnback arc, and ``walk`` walks all the choices.
+    straight.  ``place`` joins a turnback arc by the projector term a
+    choice picks for it.
 
     Node ids.  Cable end s (0 = ccw-first, 1 = ccw-second) at the arc end
     with end id e (from end_ids()) is 2e + s, so arc i owns the four
@@ -244,7 +266,9 @@ class _Strands:
             far[u], far[v] = v, u
         # winding of a straight strand walked from end 0 to end 1 of its arc;
         # a turnback strand reads w + reverse(w) and winds nowhere
-        self.arc_wind = [sum(_pack(*_TOKEN_WINDING[t]) for t in g.ray_word(a)) for a in arcs]
+        self.arc_wind = arc_wind = [0] * g.num_arcs
+        for a, word in g.ray_words.items():
+            arc_wind[bisect_left(arcs, a)] = sum(_pack(*_TOKEN_WINDING[t]) for t in word)
         self.closed: list[tuple[int, int]] = []
         turned_arc = set(self.turn_arcs)
         for i in range(g.num_arcs):
@@ -267,20 +291,6 @@ class _Strands:
         wind[a] = w
         wind[b] = -w
 
-    def unjoin(self, p: int, q: int) -> None:
-        """Undo join(p, q, ...): p and q no longer end a strand, so they
-        still hold what their old far ends need back."""
-        far, wind = self.far, self.wind
-        a = far[p]
-        if a == q:
-            self.closed.pop()
-            return
-        b = far[q]
-        far[a] = p
-        far[b] = q
-        wind[a] = -wind[p]
-        wind[b] = -wind[q]
-
     def place(self, arc: int, turn: int) -> None:
         """Join the four junctions of ``arc`` by its turnback (``turn`` = 1)
         or by its two straight strands."""
@@ -292,41 +302,6 @@ class _Strands:
             w = self.arc_wind[arc]
             self.join(n, n + 3, w)
             self.join(n + 1, n + 2, w)
-
-    def unplace(self, arc: int, turn: int) -> None:
-        """Undo place(arc, turn)."""
-        n = 4 * arc
-        if turn:
-            self.unjoin(n + 2, n + 3)
-            self.unjoin(n, n + 1)
-        else:
-            self.unjoin(n + 1, n + 2)
-            self.unjoin(n, n + 3)
-
-    def walk(
-        self, n_classes: int, leaf: Callable[[int, int], None], turned: int = 0, free: int = 0
-    ) -> None:
-        """Choose the projector term of classes ``n_classes - 1`` .. 0, the
-        highest first and straight before turnback, so the choices come in
-        mask order, and call ``leaf(turned, free)`` once per choice with the
-        strands joined: ``turned`` counts the turnbacks chosen, ``free`` the
-        circles the chosen free circles cabled to.  Classes from
-        ``len(turn_arcs)`` up are free circles: straight, one cables to 2
-        circles, under its turnback to 1.  A turnback arc is placed, walked
-        below and unplaced, so a choice costs O(1) joins."""
-        if not n_classes:
-            leaf(turned, free)
-            return
-        bit = n_classes - 1
-        if bit >= len(self.turn_arcs):
-            self.walk(bit, leaf, turned, free + 2)
-            self.walk(bit, leaf, turned + 1, free + 1)
-            return
-        arc = self.turn_arcs[bit]
-        for turn in (0, 1):
-            self.place(arc, turn)
-            self.walk(bit, leaf, turned + turn, free)
-            self.unplace(arc, turn)
 
     def smoothing_diagram(self, free_circles: int) -> tuple[int, list[tuple[int, int, int, int]]]:
         """The open strands as the arcs of a vertexless diagram, in the

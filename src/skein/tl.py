@@ -22,6 +22,10 @@ from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingE
 # Kauffman bracket of a diagram
 # ---------------------------------------------------------------------------
 
+#: most crossings ``bracket`` expands: its circle counter holds two bytes per
+#: state, so 2^26 states peak at 128 MiB (tracemalloc, T(2, 26))
+MAX_BRACKET_CROSSINGS = 26
+
 
 def block_crossings(c: int) -> int:
     """How many of c crossings :func:`bracket` tallies as one block: k =
@@ -35,13 +39,21 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
     """State-sum Kauffman bracket; requires a link diagram (no flat vertices).
 
     One :func:`state_circle_counts` call counts the circles of all 2^c
-    states, and :func:`bracket_sums` values them.
+    states, and :func:`bracket_sums` values them.  A diagram of more than
+    MAX_BRACKET_CROSSINGS crossings raises InvalidDiagramError, which
+    states its 2^c states.
     """
     if g.vertices:
         raise InvalidDiagramError("bracket is defined on link diagrams (flat vertex present)")
+    c = len(g.crossings)
+    if c > MAX_BRACKET_CROSSINGS:
+        raise InvalidDiagramError(
+            f"bracket would count 2^{c} = {1 << c} smoothing states; "
+            f"the limit is {MAX_BRACKET_CROSSINGS} crossings"
+        )
     _, crossing_ends = g.end_ids()
     counts = state_circle_counts(g.num_arcs, crossing_ends)
-    return bracket_sums(counts, g.num_arcs, len(g.crossings), g.free_circles)
+    return bracket_sums(counts, g.num_arcs, c, g.free_circles)
 
 
 def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:

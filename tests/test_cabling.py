@@ -339,8 +339,8 @@ def _reference_corpus():
                 corpus.append((f"twisted_{base}_c{c}_{k}", parse_diagram(code.text())))
     corpus += [("grid2x3", parse_diagram(gen.grid(2, 3).text())),
                ("grid3x3", parse_diagram(gen.grid(3, 3).text()))]
-    # free circles next to a wound ray or next to crossings: the walk's bits
-    # above the edge classes
+    # free circles next to a wound ray or next to crossings: the mask bits
+    # above the edge classes of the per-term build
     kink = fixtures.load_diagram("kink_pos")
     two = _two_crossing_theta()
     corpus += [("theta_one_ray_circle", parse_diagram(gen.THETA + "RAY 1 1+\nO\n")),
@@ -348,8 +348,8 @@ def _reference_corpus():
                ("kink_pos_circle", GraphDiagram(kink.vertices, kink.crossings, 1)),
                ("two_crossing_theta_circle", GraphDiagram(two.vertices, two.crossings, 1))]
     # both paths of cable() on rayed flat diagrams: ray words that all sum to
-    # 0 (the bracket kernel), and one ray that winds (the winding walk; hole
-    # 1 in the inner face at outer edge 1)
+    # 0 (the bracket kernel), and one ray that winds (the per-term build;
+    # hole 1 in the inner face at outer edge 1)
     k4 = fixtures.load_diagram("k4")
     corpus += [("k4_cancelling_rays", _with_cancelling_rays(k4)),
                ("k4_one_ray", GraphDiagram(k4.vertices, ray_words={1: ["1+"]}))]
@@ -436,6 +436,24 @@ def test_crossed_theta_makes_no_kernel_call(monkeypatch):
     assert value == _bracket_sum(_reference_cable(g).terms) == yamada(g, memo={})
 
 
+@pytest.mark.parametrize(
+    "evaluate, g",
+    [
+        (phi_plane, fixtures.load_diagram("k4")),
+        (phi_plane, parse_diagram(gen.grid(3, 3).text())),
+        (phi_punctured, fixtures.load_diagram("theta")),
+        (phi_punctured, _with_cancelling_rays(fixtures.load_diagram("k4"))),
+    ],
+    ids=["plane_k4", "plane_grid3x3", "punctured_theta", "punctured_k4_cancelling_rays"],
+)
+def test_crossingless_evaluation_makes_one_kernel_call_over_every_term(monkeypatch, evaluate, g):
+    # the unwound crossingless path counts all 2^|E| terms in one call; a
+    # term built by joins would make none
+    sizes = _recording_kernel(monkeypatch)
+    evaluate(g)
+    assert sizes == [2 ** len(g.edge_classes())]
+
+
 @pytest.mark.parametrize("g", _crossed_plane_corpus())
 def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
     # the sweep that replaced the kernel call and the projector walk above
@@ -448,7 +466,7 @@ def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
 
 
 def test_projector_walks_leave_no_reference_cycles():
-    # a cycle would keep the walk's strands and terms, or the sweep's
+    # a cycle would keep cable()'s strands and terms, or the sweep's
     # states, alive until the next collection
     rayed = _rayed_crossing_corpus()[0]
     theta = _two_crossing_theta()
@@ -510,7 +528,7 @@ def test_cable_matches_the_reference_at_every_insertion_point(g):
 
 def test_rayed_crossing_corpus_winds_where_the_walk_joins():
     # ray words on arcs between two crossings and on arcs that never carry a
-    # turnback wind the strands the walk joins before and inside its choices;
+    # turnback wind the strands cable() joins before and inside each term;
     # those strands end in chains, which list no winding, while the circles,
     # closed through vertex polygons, must keep theirs
     inner = straight = wound = 0

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import gen
 import pytest
 
 from skein import fixtures
@@ -207,6 +208,33 @@ def test_cli_phi_past_the_sweep_budget_exits_2(monkeypatch, capsys):
     assert not out
     assert err.startswith("error: phi_plane: the frontier sweep holds ")
     assert err.rstrip().endswith("live states, past its budget of 16")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("bracket", gen.braid_closure(2, [(0, 1)] * 60)), ("phi", gen.grid(6, 6))],
+    ids=["bracket_torus_2_60", "phi_grid6x6"],
+)
+def test_cli_past_a_state_budget_exits_2_before_counting(
+    monkeypatch, capsys, tmp_path, command, code
+):
+    # T(2, 60) has 2^60 smoothing states and the flat 6x6 grid 2^60 cable
+    # terms: both are refused before the circle counter is called
+    from skein import cabling, tl
+
+    def kernel(n_arcs, crossings):
+        raise AssertionError(f"circle counter called on {len(crossings)} crossings")
+
+    monkeypatch.setattr(tl, "state_circle_counts", kernel)
+    monkeypatch.setattr(cabling, "state_circle_counts", kernel)
+    path = tmp_path / "big.graph"
+    path.write_text(code.text())
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"2^60 = {2**60} " in lines[0]
 
 
 def test_cli_phi_annulus():

@@ -69,9 +69,9 @@ def test_plane_cabling_of_k4_makes_one_cable_call_and_no_bracket_calls():
 
 
 def test_plane_cabling_of_a_crossed_theta_builds_no_terms_and_no_brackets():
-    # one kernel call over the whole cable, through the name skein.cabling
-    # binds; the tracer rebinds only skein.tl's, so the kernel counters read
-    # 0 and its time is booked to the caller's frame
+    # one frontier sweep over the whole cable, which the tracer has no layer
+    # for: no cable call, no term, no bracket and no circle count, and the
+    # sweep's time is booked to the caller's frame
     code = gen.from_text(gen.THETA)
     gen.add_twist(code, 0, 0, [1, -1])
     tracer = _traced(phi_plane, parse_diagram(code.text()))
