@@ -31,10 +31,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import frontier_sweep, state_circle_counts
+from .core import SweepBudgetError, frontier_sweep, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
-from .rings import ONE, LaurentPoly, LocalizedElement, _to_localized
+from .rings import LaurentPoly, LocalizedElement, _to_localized
 from .tl import _read_digits
 
 # unused here, but skeinbench/tracing.py rebinds this name in this module
@@ -43,13 +43,17 @@ from .tl import bracket  # noqa: F401
 #: winding contribution of each ray token: (around hole 1, around hole 2)
 _TOKEN_WINDING = {"1+": (1, 0), "1-": (-1, 0), "2+": (0, 1), "2-": (0, -1)}
 
-_NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
-
 #: most edge classes and free circles ``cable`` expands: 2^20 terms.  A
 #: crossingless expansion holds about 10 bytes per term (tracemalloc peak of
-#: the 3x4 grid with 3 free circles, 2^20 terms: 10.3 MiB); a term with
-#: crossings holds its own diagram, about 2 KB for 8 cable crossings
+#: the 3x4 grid with 3 free circles, 2^20 terms: 10.3 MiB)
 MAX_CABLED_CLASSES = 20
+
+#: most cable crossings, summed over its terms, that ``cable`` builds on
+#: input with crossings: each term holds its own diagram, 158 to 332 bytes
+#: per cable crossing (tracemalloc peaks of seeded twisted K4s with free
+#: circles, from 16 input crossings per term down to 1), so at most about
+#: 21 MiB at this limit
+MAX_CABLED_CROSSINGS = 1 << 16
 
 #: most live states of the frontier sweep in ``phi_plane`` (see
 #: :func:`skein.core.frontier_sweep` for the memory this bounds)
@@ -103,7 +107,8 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
 
     Terms come in mask order: bit k of the mask picks the turnback on the
     k-th edge class (then on each free circle), and the term's coefficient
-    is (-1/d)^popcount(mask).  A term lists the windings of its circles as
+    is (-1/d)^popcount(mask), built directly in its canonical form
+    (-1)^t / d^t.  A term lists the windings of its circles as
     an unordered, unoriented multiset: each circle's winding is the larger
     of (w1, w2) and (-w1, -w2), and the list is sorted.
 
@@ -125,18 +130,21 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     :func:`skein.core.state_circle_counts` counts the circles of all states
     at once, reusing repeated blocks as it does for the bracket; cable mask
     m is state mask ``full ^ m``, so the counts are read reversed.  The
-    turnbacks per mask are bytes too, and one pass maps each (turnbacks,
-    circles) pair to its shared term.
+    turnbacks per mask are bytes too, and one pass looks each term up in
+    the row of its turnback count, a dict keyed by circle count (see
+    :class:`_Row`), with no tuple key built per term.
 
     Terms without crossings are shared: equal (coefficient, windings) give
     one immutable term object and equal windings one diagram, so ``terms``
     has 2^|E| entries but, on a flat diagram, only as many distinct objects
     as (turnbacks, windings) pairs.  Terms with crossings get one object
     and one diagram each, so memory grows as 2^|E| times the crossings of
-    the input: ``cable(petersen_diagram)`` (2^15 terms of 20 cable
-    crossings each) needs hundreds of MB.  More than MAX_CABLED_CLASSES
-    edge classes and free circles raise InvalidDiagramError, which states
-    the 2^|E| terms, before any term or kernel call.
+    the input.  More than MAX_CABLED_CLASSES edge classes and free circles
+    raise InvalidDiagramError, which states the 2^|E| terms, and so does
+    input with crossings whose terms would hold more than
+    MAX_CABLED_CROSSINGS (2^16) cable crossings in all, at most about 21
+    MiB: ``cable(petersen_diagram)``, 2^15 terms of 20 cable crossings
+    each, is refused.  Both checks come before any term or kernel call.
 
     ``insertion`` optionally moves the turnback of an edge class: it maps
     the least arc label of the class to the arc of that class that carries
@@ -153,6 +161,12 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         raise InvalidDiagramError(
             f"cable would expand 2^{n_classes} = {1 << n_classes} projector terms; "
             f"the limit is {MAX_CABLED_CLASSES} edge classes and free circles"
+        )
+    n_cabled = (4 * len(g.crossings)) << n_classes
+    if n_cabled > MAX_CABLED_CROSSINGS:
+        raise InvalidDiagramError(
+            f"cable would build 2^{n_classes} terms of {4 * len(g.crossings)} cable crossings, "
+            f"{n_cabled} in all; the limit is {MAX_CABLED_CROSSINGS}"
         )
     coeffs = _turnback_coeffs(n_classes)
     # crossingless terms, one per (turnbacks, windings), and their diagrams,
@@ -177,9 +191,12 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         turnbacks = b"\0"
         for _ in range(n_classes):
             turnbacks += turnbacks.translate(_PLUS_ONE)
-        # the circles closed by the straight arcs are in every term
-        lookup = _Lookup(lambda t, c: shared_term(t, ((0, 0),) * (c + len(closed))))
-        return CabledExpansion(n_classes, tuple(map(lookup.__getitem__, zip(turnbacks, circles))))
+        # one row of terms per turnback count, by circle count; the circles
+        # closed by the straight arcs are in every term
+        rows = [_Row(shared_term, t, len(closed)) for t in range(n_classes + 1)]
+        return CabledExpansion(
+            n_classes, tuple(map(dict.__getitem__, map(rows.__getitem__, turnbacks), circles))
+        )
 
     # each term joins the turnback arcs into a copy of the strands; its
     # chains run anchor to anchor and are numbered by first anchor
@@ -331,26 +348,28 @@ class _Strands:
 
 
 def _turnback_coeffs(n: int) -> list[LocalizedElement]:
-    """(-1/d)^t for t = 0 .. n."""
-    coeffs = [ONE]
-    for _ in range(n):
-        coeffs.append(coeffs[-1] * _NEG_DINV)
-    return coeffs
+    """(-1/d)^t for t = 0 .. n, each built as its canonical form (-1)^t / d^t."""
+    return [
+        LocalizedElement._canonical(LaurentPoly.from_int((-1) ** t), t, ()) for t in range(n + 1)
+    ]
 
 
-class _Lookup(dict):
-    """Shared terms by (turnbacks, circles): a missing key is filled with
-    ``make(*key)``, so the terms take one pass and each distinct key one
-    call."""
+class _Row(dict):
+    """The shared crossingless terms of ``turned`` turnbacks by circle
+    count: a missing count c is filled with ``make(turned, windings)``, c
+    plus ``closed`` circles winding (0, 0), so the terms take one pass of
+    lookups and each distinct (turnbacks, circles) pair one call."""
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "turned", "closed")
 
-    def __init__(self, make: Callable[[int, int], CabledTerm]) -> None:
+    def __init__(self, make: Callable[[int, tuple], CabledTerm], turned: int, closed: int) -> None:
         super().__init__()
         self.make = make
+        self.turned = turned
+        self.closed = closed
 
-    def __missing__(self, key: tuple[int, int]) -> CabledTerm:
-        value = self[key] = self.make(*key)
+    def __missing__(self, circles: int) -> CabledTerm:
+        value = self[circles] = self.make(self.turned, ((0, 0),) * (circles + self.closed))
         return value
 
 
@@ -424,7 +443,7 @@ def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> Locali
     c = 4 * len(g.crossings)
     try:
         total, width, e = frontier_sweep(n_arcs, crossings, c, len(strands.closed), _SWEEP_STATES)
-    except ValueError as exc:
+    except SweepBudgetError as exc:
         raise InvalidDiagramError(f"phi_plane: {exc}") from None
     # 1/d^P: the sweep weighed a straight pair d and a turnback -1
     return LocalizedElement(_read_digits(total, width, e), len(crossings) - c)

@@ -30,12 +30,18 @@ docstring describes the rest of its work.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 #: largest vertex or edge count :func:`canon_key` can encode (one byte each)
 CANON_KEY_LIMIT = 255
+
+
+class SweepBudgetError(ValueError):
+    """Raised by :func:`frontier_sweep` past its live-state budget: the
+    input is too wide for the sweep, not malformed."""
 
 
 def backend_name() -> str:
@@ -314,7 +320,11 @@ def frontier_sweep(
     joins the smoothing's two pairs as :func:`state_circle_counts` joins;
     joining the two ends of one strand closes a circle.  The table's slots
     are the new state.  Equal states are summed, so the live states are the
-    distinct pairings of the open ends.
+    distinct pairings of the open ends.  A step's plan (:func:`_sweep_plans`)
+    fixes the table's layout, the holes to reset and the crossing's four
+    entries once, and the loop body writes out both smoothings, so a state
+    pays per smoothing one table copy, two joins, the resets, one tuple and
+    one shift and add per d-factor.
 
     Coefficient.  One int per state: a polynomial in u = A^2 at u =
     2^width, each state's weight times u^most, where ``most`` bounds the
@@ -331,11 +341,13 @@ def frontier_sweep(
     ``width`` is one bit more than that bound, so every digit reads back
     exactly.
 
-    A sweep past ``max_states`` live states raises ValueError, which states
-    the count.  A step holds the states before it and at most twice as many
-    after it, so at most 3 max_states states are alive at once, each a
-    tuple of slots and a coefficient of at most (n_cable + 2 most + 1)
-    width bits: the memory is bounded by 3 max_states times that size.
+    A sweep past ``max_states`` live states raises
+    :class:`SweepBudgetError`, a ValueError, which states the count; slots
+    that do not hold each arc-end id once raise a plain ValueError.  A step
+    holds the states before it and at most twice as many after it, so at
+    most 3 max_states states are alive at once, each a tuple of slots and a
+    coefficient of at most (n_cable + 2 most + 1) width bits: the memory is
+    bounded by 3 max_states times that size.
     """
     _check_slots(n_arcs, crossings)
     plans, bound, most = _sweep_plans(n_arcs, crossings, n_cable)
@@ -347,38 +359,51 @@ def frontier_sweep(
     for _ in range(loops):
         one = -(((one << width2) + one) >> width)
     states = {(): one}
-    for projector, ext, reset, keep, x0, y0, z0, w0 in plans:
-        # the A-smoothing joins (x0, y0) and (z0, w0) and weighs u = A^2 at
-        # a bracket crossing (its A^-1 is in e), -1 at a projector crossing;
-        # the B-smoothing joins (x0, w0) and (y0, z0) and weighs 1, or d
-        smoothings = (
-            (x0, y0, z0, w0, -1 if projector else 1 << width, 0),
-            (x0, w0, y0, z0, 1, projector),
-        )
+    for projector, ext, reset, keep, x, y, z, w in plans:
+        # the A-smoothing joins (x, y) and (z, w) and weighs u = A^2 at a
+        # bracket crossing (its A^-1 is in e), -1 at a projector crossing;
+        # the B-smoothing joins (x, w) and (y, z) and weighs 1, or d
         new: dict[tuple[int, ...], int] = {}
         get = new.get
         for key, v in states.items():
-            for x, y, z, w, factor, closed in smoothings:
-                mate = [*key, *ext]
-                a = mate[x]
-                b = mate[y]
-                mate[a] = b
-                mate[b] = a
-                p = mate[z]
-                q = mate[w]
-                mate[p] = q
-                mate[q] = p
-                for slot in reset:
-                    mate[slot] = slot
-                after = tuple(mate[:keep])
-                c = v * factor
-                closed += (a == y) + (p == w)
-                while closed:
-                    c = -(((c << width2) + c) >> width)
-                    closed -= 1
-                new[after] = get(after, 0) + c
+            mate = [*key, *ext]
+            a = mate[x]
+            b = mate[y]
+            mate[a] = b
+            mate[b] = a
+            p = mate[z]
+            q = mate[w]
+            mate[p] = q
+            mate[q] = p
+            for slot in reset:
+                mate[slot] = slot
+            after = tuple(mate[:keep])
+            c = -v if projector else v << width
+            closed = (a == y) + (p == w)
+            while closed:
+                c = -(((c << width2) + c) >> width)
+                closed -= 1
+            new[after] = get(after, 0) + c
+            mate = [*key, *ext]
+            a = mate[x]
+            b = mate[w]
+            mate[a] = b
+            mate[b] = a
+            p = mate[y]
+            q = mate[z]
+            mate[p] = q
+            mate[q] = p
+            for slot in reset:
+                mate[slot] = slot
+            after = tuple(mate[:keep])
+            c = v
+            closed = (a == w) + (p == z) + projector
+            while closed:
+                c = -(((c << width2) + c) >> width)
+                closed -= 1
+            new[after] = get(after, 0) + c
         if len(new) > max_states:
-            raise ValueError(
+            raise SweepBudgetError(
                 f"the frontier sweep holds {len(new)} live states, "
                 f"past its budget of {max_states}"
             )
@@ -394,7 +419,12 @@ def _sweep_plans(
     coefficient sum and the most d-factors.  A step is (whether the
     crossing is a projector crossing, the local mate table past the old
     slots, the holes it makes, the number of slots after it, and the table
-    entries of the crossing's four ends)."""
+    entries of the crossing's four ends).
+
+    A step finds the slot of each open end here in a dict from open end to
+    slot and fills the lowest holes from an ascending list of them, so
+    besides the O(c) choice of the crossing it costs a dict lookup and a
+    few list operations per end, never a scan of the slots."""
     n = len(crossings)
     at = [0] * (2 * n_arcs)  # the crossing of each end
     for ci, (e0, e1, e2, e3) in enumerate(crossings):
@@ -403,7 +433,9 @@ def _sweep_plans(
     nbrs = [(at[e0 ^ 1], at[e1 ^ 1], at[e2 ^ 1], at[e3 ^ 1]) for e0, e1, e2, e3 in crossings]
     score = [4 - cs.count(ci) for ci, cs in enumerate(nbrs)]
     taken = [False] * n
-    front: list[int | None] = []  # the open end in each slot
+    slot_of: dict[int, int] = {}  # the slot of each open end
+    size = 0  # the number of slots, holes included
+    holes: list[int] = []  # the holes below size, ascending
     plans = []
     bound = 1
     most = 0
@@ -419,43 +451,50 @@ def _sweep_plans(
         closable = []  # whether each end here can close a circle
         for e, cj in zip(ends, nbrs[ci]):
             if taken[cj]:
-                node[e] = front.index(e)
-                consumed.append(node[e])
+                node[e] = k = slot_of.pop(e)
+                consumed.append(k)
+                closable.append(True)
             elif cj != ci:
                 outward.append(e)
                 score[cj] -= 1
-            closable.append(taken[cj] or cj == ci)
+                closable.append(False)
+            else:
+                closable.append(True)
         # the new open ends fill the lowest holes, then new slots; a new
         # slot, like a hole, holds its own index until the joins set it
-        old = len(front)
-        size = old + max(0, len(outward) - front.count(None))
-        front += [None] * (size - old)
-        ext = list(range(old, size))  # the table past the old slots
+        old = size
+        ext = []  # the table past the old slots
+        if len(outward) > len(holes):
+            size += len(outward) - len(holes)
+            holes += range(old, size)
+            ext += range(old, size)
         x = size
-        for e in outward:
-            k = front.index(None)
-            front[k] = e ^ 1
+        for e, k in zip(outward, holes):
+            slot_of[e ^ 1] = k
             node[e] = x
             ext.append(k)
             x += 1
-        for e in ends:
-            if e not in node:  # an arc with both ends here
-                node[e] = x
-                node[e ^ 1] = x + 1
-                ext += (x + 1, x)
-                x += 2
+        del holes[: len(outward)]
+        if len(node) < 4:
+            for e in ends:
+                if e not in node:  # an arc with both ends here
+                    node[e] = x
+                    node[e ^ 1] = x + 1
+                    ext += (x + 1, x)
+                    x += 2
         for k in consumed:
-            front[k] = None
-        while front and front[-1] is None:
-            front.pop()
+            insort(holes, k)
+        while holes and holes[-1] == size - 1:
+            holes.pop()
+            size -= 1
         c0, c1, c2, c3 = closable
         a = (c0 and c1) + (c2 and c3)
         b = (c0 and c3) + (c1 and c2) + (ci >= n_cable)
         bound *= (1 << a) + (1 << b)
         most += max(a, b)
         taken[ci] = True
-        reset = [k for k in consumed if k < len(front)]  # the holes made here
-        plans.append((ci >= n_cable, ext, reset, len(front), *map(node.__getitem__, ends)))
+        reset = [k for k in consumed if k < size]  # the holes made here
+        plans.append((ci >= n_cable, ext, reset, size, *map(node.__getitem__, ends)))
     return plans, bound, most
 
 

@@ -306,6 +306,37 @@ def _divisible_by_d(poly: LaurentPoly) -> bool:
     return not folded
 
 
+def _divide_out_d(poly: LaurentPoly, k: int) -> tuple[LaurentPoly, int]:
+    """poly / d^j and k - j, for the largest j <= k such that d^j divides
+    poly, which is nonzero.
+
+    As d = -A^-2 (A^4 + 1), each power is one synthetic division of the
+    dense coefficient list c (c[i] the coefficient of A^(low + i)) by
+    1 + A^4: q[i] = c[i] - q[i - 4], exact when the top four c[i] equal
+    q[i - 4].  The unit (-A^2)^j is applied once, at the end.
+    """
+    terms = poly._terms
+    low = min(terms)
+    c = [0] * (max(terms) - low + 1)
+    for e, v in terms.items():
+        c[e - low] = v
+    j = 0
+    while j < k and (n := len(c) - 4) > 0:
+        q = c[:n]
+        for i in range(4, n):
+            q[i] -= q[i - 4]
+        if c[n:] != (q[n - 4 :] if n >= 4 else [0] * (4 - n) + q):
+            break
+        c = q
+        j += 1
+    sign = -1 if j & 1 else 1
+    low += 2 * j
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = {low + i: sign * v for i, v in enumerate(c) if v}
+    out._hash = None
+    return out, k - j
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(m: int) -> LaurentPoly:
     """Phi_m(A): A^m - 1 divided exactly by Phi_k for each proper divisor k."""
@@ -393,7 +424,11 @@ class LocalizedElement:
     denominator is a power of d, every Yamada value among them, share the
     empty ``phi``.  Canonical form: no factor of the denominator divides the
     numerator, which holds the unit powers of A.  Equality and hashing act on
-    it, so values are usable as dictionary keys.  A divisor (``inverse``,
+    it, so values are usable as dictionary keys.  The constructor reaches
+    it by testing d | num with one fold (A^4 -> -1, the common indivisible
+    case stops there), then dividing out each power of d by one dense
+    synthetic pass (:func:`_divide_out_d`); only the other Phi_m take the
+    generic :meth:`LaurentPoly.exact_div`.  A divisor (``inverse``,
     ``/``, negative ``**``) must be +-A^j times cyclotomic polynomials; any
     other (A + 2, say) raises RingError.
     """
@@ -406,12 +441,8 @@ class LocalizedElement:
         if numerator.is_zero():
             numerator, d_power, phi = _LP_ZERO, 0, ()
         else:
-            while d_power > 0 and _divisible_by_d(numerator):
-                quotient = numerator.exact_div(D_LAURENT)
-                if quotient is None:  # pragma: no cover - fold test is exact
-                    break
-                numerator = quotient
-                d_power -= 1
+            if d_power and _divisible_by_d(numerator):
+                numerator, d_power = _divide_out_d(numerator, d_power)
             if phi:
                 left = []
                 for m, k in phi:

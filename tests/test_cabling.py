@@ -19,7 +19,16 @@ from skein.cabling import (
 )
 from skein.diagrams import GraphDiagram, InvalidDiagramError, disjoint_union, parse_diagram
 from skein.polyxyz import PolyXYZ
-from skein.rings import CIRCLE_FACTOR, D, D_INV, ONE, ZERO, LaurentPoly, LocalizedElement
+from skein.rings import (
+    CIRCLE_FACTOR,
+    D,
+    D_INV,
+    D_LAURENT,
+    ONE,
+    ZERO,
+    LaurentPoly,
+    LocalizedElement,
+)
 from skein.tl import _read_digits, bracket
 from skein.yamada import yamada
 
@@ -577,6 +586,41 @@ def test_crossingless_terms_share_one_diagram_per_winding_list():
     assert retained < 200_000
 
 
+def test_cable_with_crossings_refuses_terms_past_its_cable_crossing_budget(monkeypatch):
+    # 2^14 terms of 8 cable crossings each, refused before any term is
+    # built; the sweep has no such budget
+    g = _two_crossing_theta()
+    wide = GraphDiagram(g.vertices, g.crossings, 11)
+    message = r"2\^14 terms of 8 cable crossings, 131072 in all; the limit is 65536$"
+    with pytest.raises(InvalidDiagramError, match="cable would build " + message):
+        cable(wide)
+    assert phi_plane(wide) == phi_plane(g) * CIRCLE_FACTOR**11
+    # the theta alone: 2^3 terms of 8, at the limit and one past it
+    monkeypatch.setattr(cabling, "MAX_CABLED_CROSSINGS", 64)
+    assert len(cable(g).terms) == 8
+    monkeypatch.setattr(cabling, "MAX_CABLED_CROSSINGS", 63)
+    with pytest.raises(InvalidDiagramError, match="64 in all; the limit is 63$"):
+        cable(g)
+
+
+def test_crossed_terms_hold_at_most_the_stated_bytes_per_cable_crossing():
+    # one input crossing per term costs the most per cable crossing; the
+    # budget's stated 21 MiB allows 332 bytes each
+    code = gen.from_text(gen.THETA)
+    gen.add_twist(code, 0, 0, [1])
+    g = parse_diagram(code.text())
+    g = GraphDiagram(g.vertices, g.crossings, 7)
+    tracemalloc.start()
+    try:
+        expansion = cable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(expansion.terms) == 2**10
+    assert peak < 332 * (4 << 10)
+    assert 332 * cabling.MAX_CABLED_CROSSINGS < 21 * 2**20
+
+
 def _reused_block_corpus():
     theta = fixtures.load_diagram("theta")
     circle = fixtures.load_diagram("circle")
@@ -728,6 +772,36 @@ def test_planar_petersen_plane_value_equals_yamada():
     code = gen.planar_petersen(fixtures.fixture_path("petersen_diagram.graph").read_text())
     g = parse_diagram(code.text())
     assert phi_plane(g) == yamada(g, memo={})
+
+
+def test_d_normalization_makes_no_generic_division(monkeypatch):
+    # the sweep's numerator is divided by d in synthetic passes, never by
+    # LaurentPoly.exact_div
+    corpus = _twisted_corpus()
+    rng = random.Random(29)
+    fractions = [
+        (LaurentPoly({rng.randint(-8, 8): rng.randint(-5, 5) for _ in range(4)}) * D_LAURENT**j, k)
+        for j in range(5)
+        for k in range(7)
+        for _ in range(4)
+    ]
+    expected = [phi_plane(g) for g in corpus], [LocalizedElement(*f) for f in fractions]
+
+    def refuse(self, divisor):
+        raise AssertionError("exact_div called")
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", refuse)
+    assert ([phi_plane(g) for g in corpus], [LocalizedElement(*f) for f in fractions]) == expected
+
+
+def test_a_malformed_smoothing_diagram_is_an_internal_error(monkeypatch):
+    # only the sweep's state budget is input outside the domain; a slot list
+    # that does not hold each arc-end id once is a bug in the caller
+    malformed = (2, [(0, 1, 2, 2)])
+    monkeypatch.setattr(cabling._Strands, "smoothing_diagram", lambda self, free: malformed)
+    with pytest.raises(ValueError, match="exactly one slot") as info:
+        phi_plane(_two_crossing_theta())
+    assert not isinstance(info.value, InvalidDiagramError)
 
 
 def test_sweep_past_its_budget_raises_with_the_count(monkeypatch):

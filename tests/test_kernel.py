@@ -633,11 +633,13 @@ def test_frontier_sweep_of_bracket_crossings_is_the_bracket():
 
 
 def test_frontier_sweep_checks_its_slots_and_its_budget():
-    with pytest.raises(ValueError, match="exactly one slot"):
+    # a bad slot list is a plain ValueError, the budget its own subclass
+    with pytest.raises(ValueError, match="exactly one slot") as info:
         core.frontier_sweep(2, [(0, 1, 2, 2)], 1, 0, 8)
+    assert not isinstance(info.value, core.SweepBudgetError)
     # T(2, 6) holds 2 pairings of the open ends at its widest
     assert _swept_bracket(*_kernel_args(TORI[6]), 0) == bracket(TORI[6])
-    with pytest.raises(ValueError, match="holds 2 live states, past its budget of 1"):
+    with pytest.raises(core.SweepBudgetError, match="holds 2 live states, past its budget of 1"):
         core.frontier_sweep(*_kernel_args(TORI[6]), 6, 0, 1)
 
 

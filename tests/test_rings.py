@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import test_cabling
 
+from skein import cabling, core
 from skein.rings import (
     CIRCLE_FACTOR,
     D,
@@ -17,6 +19,7 @@ from skein.rings import (
     LaurentPoly,
     LocalizedElement,
     RingError,
+    _divisible_by_d,
     _to_localized,
     gfp_divrem,
     gfp_gcd,
@@ -24,7 +27,7 @@ from skein.rings import (
     require_prime,
 )
 from skein.polyio import poly_document
-from skein.tl import chebyshev_delta, jones_wenzl, markov_trace
+from skein.tl import _read_digits, chebyshev_delta, jones_wenzl, markov_trace
 
 
 def lp(pairs):
@@ -109,6 +112,53 @@ def test_ring_axioms_random():
         assert a + ZERO == a
         assert a * ONE == a
         assert a - a == ZERO
+
+
+def _reference_d_division(num, k):
+    """The constructor's division by d as it was before the synthetic pass:
+    the fold test, then one generic exact_div per power of d."""
+    if num.is_zero():
+        return num, 0
+    while k > 0 and _divisible_by_d(num):
+        num = num.exact_div(D_LAURENT)
+        k -= 1
+    return num, k
+
+
+def _kinked_theta_numerator():
+    """The sweep's numerator and d-power for a theta with 3 kinks and 20
+    free circles, whose digits fill the sweep's width."""
+    g = test_cabling._kinked_theta(3, 20)
+    strands = cabling._Strands(g, None)
+    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
+    c = 4 * len(g.crossings)
+    total, width, e = core.frontier_sweep(n_arcs, crossings, c, len(strands.closed), 1 << 14)
+    return _read_digits(total, width, e), len(crossings) - c
+
+
+def test_synthetic_d_division_matches_the_generic_division():
+    rng = random.Random(29)
+    cases = [(LaurentPoly.zero(), k) for k in range(3)]
+    cases.append(_kinked_theta_numerator())
+    for _ in range(400):
+        # spans under 4 exponents, one parity or mixed parities
+        lo, span = rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 9, 17))
+        step = rng.choice((1, 2, 4))
+        p = LaurentPoly(
+            {lo + step * rng.randrange(span): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))}
+        )
+        j = rng.randint(0, 8)
+        # d_power below, at and above the power of d that divides
+        cases += [(p * D_LAURENT**j, k) for k in (max(j - 2, 0), j, j + 3)]
+    divisible = 0
+    for num, k in cases:
+        got = LocalizedElement(num, k)
+        ref_num, ref_k = _reference_d_division(num, k)
+        assert (got.num, got.d_power) == (ref_num, ref_k), (num, k)
+        assert hash(got.num) == hash(ref_num)
+        assert hash(got) == hash(LocalizedElement._canonical(ref_num, ref_k, ()))
+        divisible += ref_k < k
+    assert divisible > 300
 
 
 _LP_ONE_PLUS_D = D_LAURENT + LaurentPoly({0: 1})
