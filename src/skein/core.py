@@ -30,6 +30,8 @@ docstring describes the rest of its work.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import insort
 from functools import lru_cache
 from operator import itemgetter
@@ -47,11 +49,6 @@ class SweepBudgetError(ValueError):
 def backend_name() -> str:
     """Name of the kernel implementation; always ``"pure"``."""
     return "pure"
-
-
-def _dense_ranks(signatures: list) -> list[int]:
-    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [order[s] for s in signatures]
 
 
 def _refine(colors: list[int], count: int, nbr: list[list[int]]) -> tuple[list[int], int]:
@@ -88,9 +85,11 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
 
     Isomorphic inputs map to identical keys.  The key is the lexicographic
     minimum, over all vertex orderings compatible with an iterated
-    neighborhood-color refinement, of the sorted relabeled edge list.
-    Supports at most CANON_KEY_LIMIT vertices and edges; larger inputs raise
-    ValueError.
+    neighborhood-color refinement, of the sorted relabeled edge list: an
+    individualization-refinement search (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014) that prunes only twin
+    vertices and compares every leaf it reaches.  Supports at most
+    CANON_KEY_LIMIT vertices and edges; larger inputs raise ValueError.
     """
     m = len(edges)
     if n > CANON_KEY_LIMIT or m > CANON_KEY_LIMIT:
@@ -100,75 +99,68 @@ def canon_key(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
         )
     if n == 0:
         return bytes([0, m])
-    loops = [0] * n
     nbr: list[list[int]] = [[] for _ in range(n)]
+    loops: list[int] | None = None
     for u, v in edges:
         if u == v:
+            if loops is None:
+                loops = [0] * n
             loops[u] += 2
         else:
             nbr[u].append(v)
             nbr[v].append(u)
-    init = _dense_ranks([(len(nbr[v]) + loops[v], loops[v]) for v in range(n)])
-    colors, count = _refine(init, max(init) + 1, nbr)
-
-    tails = [u for u, _ in edges]
-    heads = [v for _, v in edges]
+    # the start colour is (degree, loop ends); without loops the degrees
+    # alone rank the same
+    if loops is None:
+        signatures: list = list(map(len, nbr))
+    else:
+        signatures = [(len(nb) + k, k) for nb, k in zip(nbr, loops)]
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    colors, count = _refine(list(map(rank.__getitem__, signatures)), len(rank), nbr)
+    # the individualization tree, depth first from the refined root, which
+    # is a leaf itself when its colors are already discrete; the leaves may
+    # be met in any order, as only their minimum counts
     best: list[int] | None = None
-
-    def twin_reps(cell: list[int]) -> list[int]:
-        # vertices swapped by an automorphism fixing everything else yield
-        # identical subtrees; branch on one representative per twin group.
-        # A cell's vertices share their initial colour, which includes the
-        # loop count, so twins need no loop check.
-        out: list[int] = []
-        for v in cell:
-            matched = False
-            for u in out:
-                a = sorted(x for x in nbr[u] if x != v)
-                b = sorted(x for x in nbr[v] if x != u)
-                if a == b:
-                    matched = True
-                    break
-            if not matched:
-                out.append(v)
-        return out
-
-    def search(colors: list[int], count: int) -> None:
-        nonlocal best
+    stack = [(colors, count)]
+    while stack:
+        colors, count = stack.pop()
         if count == n:
             # a leaf: each edge as the int a * 256 + b of its relabeled ends
             # a <= b, whose order is the order of the encoded byte pairs
-            get = colors.__getitem__
-            pairs = sorted(
-                [
-                    a << 8 | b if a <= b else b << 8 | a
-                    for a, b in zip(map(get, tails), map(get, heads))
-                ]
-            )
+            pairs = sorted([
+                a << 8 | b if (a := colors[u]) <= (b := colors[v]) else b << 8 | a
+                for u, v in edges
+            ])
             if best is None or pairs < best:
                 best = pairs
-            return
+            continue
         # the first cell of more than one vertex: ranks are dense, so the
         # sorted colors run 0, 1, ... up to the first repeat
         ordered = sorted(colors)
         target = next(c for i, c in enumerate(ordered) if ordered[i + 1] == c)
-        cell = [v for v in range(n) if colors[v] == target]
         shifted = [c + 1 for c in colors]
-        for v in twin_reps(cell):
-            # individualize v: rank 0 for v, every other rank one up
-            individual = shifted.copy()
-            individual[v] = 0
-            search(*_refine(individual, count + 1, nbr))
-
-    search(colors, count)
-    # search refers to itself through its closure cell; unbinding it frees
-    # the cycle now, not at the next garbage collection
-    search = None
-    assert best is not None
-    key = 0
-    for pair in best:
-        key = key << 16 | pair
-    return bytes((n, m)) + key.to_bytes(2 * m, "big")
+        # vertices swapped by an automorphism fixing everything else yield
+        # identical subtrees; branch on one representative per twin group.
+        # A cell's vertices share their start colour, which includes the
+        # loop count, so twins need no loop check.
+        reps: list[int] = []
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            for u in reps:
+                if sorted(x for x in nbr[u] if x != v) == sorted(x for x in nbr[v] if x != u):
+                    break
+            else:
+                reps.append(v)
+                # individualize v: rank 0 for v, every other rank one up
+                individual = shifted.copy()
+                individual[v] = 0
+                stack.append(_refine(individual, count + 1, nbr))
+    # the best leaf's pairs as big-endian 16-bit words in one buffer
+    key = array("H", best)
+    if sys.byteorder == "little":
+        key.byteswap()
+    return bytes((n, m)) + key.tobytes()
 
 
 def _check_slots(n_arcs: int, *slot_lists: Sequence[Sequence[int]]) -> None:
@@ -528,7 +520,7 @@ def resolution_states(
     n_arcs: int,
     vertices: Sequence[Sequence[int]],
     crossings: Sequence[tuple[int, int, int, int]],
-) -> Iterator[tuple[int, int, int, list[tuple[int, int]], int]]:
+) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...], int]]:
     """Flat residues of all 3^c resolution states of a diagram, lazily.
 
     ``vertices[v]`` and ``crossings[i]`` hold the arc-end ids of the slots
@@ -539,7 +531,8 @@ def resolution_states(
     crossing 0 the most significant.  The k-th crossing resolved as a vertex
     becomes vertex ``len(vertices) + k``.  Yields ``(a_exponent,
     vertex_resolutions, num_vertices, edges, circles)`` per state, with
-    a_exponent = 4 * (#A - #B) and edges as vertex pairs.
+    a_exponent = 4 * (#A - #B) and edges the sorted tuple of vertex pairs
+    (u, v), u <= v, as :class:`skein.diagrams.FlatState` holds them.
 
     Vertex slots are the terminals of the open strands: in a leaf state
     each strand runs between two of them, an edge; circles are the joins
@@ -560,14 +553,18 @@ def resolution_states(
 def _resolve(
     crossings: Sequence[tuple[int, int, int, int]], i: int, mate: list[int], owner: list[int],
     terminals: list[int], n_vertices: int, nv: int, a_exp: int, closed: int,
-) -> Iterator[tuple[int, int, int, list[tuple[int, int]], int]]:
+) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...], int]]:
     """The states of :func:`resolution_states` with crossings[:i] resolved:
     ``nv`` vertices so far, A-exponent ``a_exp`` and ``closed`` circles.
     Crossing i is joined as :func:`state_circle_counts` joins, and the
     joins are undone on the way back."""
     if i == len(crossings):
-        edges = [(owner[e], owner[mate[e]]) for e in terminals if e < mate[e]]
-        yield a_exp, nv - n_vertices, nv, edges, closed
+        edges = sorted([
+            (a, b) if (a := owner[e]) <= (b := owner[mate[e]]) else (b, a)
+            for e in terminals
+            if e < mate[e]
+        ])
+        yield a_exp, nv - n_vertices, nv, tuple(edges), closed
         return
     ends = crossings[i]
     for e in ends:

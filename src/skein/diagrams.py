@@ -52,6 +52,10 @@ class FlatState:
     circle_count: int = 0
 
     def __post_init__(self) -> None:
+        if self.num_vertices < 0 or self.circle_count < 0:
+            raise ValueError(
+                f"negative count: {self.num_vertices} vertices, {self.circle_count} circles"
+            )
         for u, v in self.edges:
             if not (0 <= u <= v < self.num_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range")
@@ -60,6 +64,18 @@ class FlatState:
     def make(num_vertices: int, edges: Iterable[tuple[int, int]], circles: int = 0) -> "FlatState":
         norm = tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges))
         return FlatState(num_vertices, norm, circles)
+
+    @staticmethod
+    def _unchecked(
+        num_vertices: int, edges: tuple[tuple[int, int], ...], circle_count: int
+    ) -> "FlatState":
+        """The state of fields that already pass ``__post_init__``'s checks,
+        without running them again."""
+        state = object.__new__(FlatState)
+        object.__setattr__(state, "num_vertices", num_vertices)
+        object.__setattr__(state, "edges", edges)
+        object.__setattr__(state, "circle_count", circle_count)
+        return state
 
 
 class GraphDiagram:
@@ -368,4 +384,4 @@ def to_flat_state(g: GraphDiagram) -> FlatState:
         raise InvalidDiagramError("diagram still has crossings")
     vertex_ends, _ = g.end_ids()
     ((_, _, n, edges, circles),) = resolution_states(g.num_arcs, vertex_ends, ())
-    return FlatState.make(n, edges, circles + g.free_circles)
+    return FlatState(n, edges, circles + g.free_circles)

@@ -6,10 +6,11 @@ diagram per state; the crossing-free residue depends only on the abstract
 multigraph and is evaluated by deletion-contraction with a memo table keyed
 on canonical multigraph forms.  The flat value W(G) is an integer Laurent
 polynomial in d, so the recursion computes it as a :class:`LaurentPoly`
-read in the variable d and :func:`flat_eval` converts its result to the
-coefficient ring once; the memo values are these d-polynomials, opaque to
-callers.  The memo lives for one call unless the caller passes one in.  An
-independent subset state sum serves as the oracle:
+read in the variable d, and :func:`flat_eval` converts it to the
+coefficient ring through a bounded cache, once per (W, circle count) it
+keeps; the memo values are these d-polynomials, opaque to callers.  The
+memo lives for one call unless the caller passes one in.  An independent
+subset state sum serves as the oracle:
 
     W(G) = sum over F subset of E of (-1/d)^{|E-F|} * d^{beta(F) + c(F)}
 
@@ -18,6 +19,7 @@ with beta the first Betti number and c the component count of (V, F).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
@@ -173,6 +175,15 @@ def _w_eval(
     return val
 
 
+@lru_cache(maxsize=256)
+def _localized(w: LaurentPoly, circles: int) -> LocalizedElement:
+    """W (d^2 - 1)^circles as a ring element: the circle factors applied to
+    the d-polynomial, then one conversion."""
+    for _ in range(circles):
+        w = w.shifted(2) - w
+    return _to_localized(w)
+
+
 def flat_eval(
     state: FlatState,
     memo: dict[bytes, LaurentPoly] | None = None,
@@ -183,10 +194,13 @@ def flat_eval(
     Loops are removed first (factor d - 1/d each); a non-loop edge e gives
     W(G) = W(G/e) - (1/d) W(G-e); k isolated vertices are worth d^k; each
     free circle contributes a factor d^2 - 1.  The recursion and ``memo``
-    hold W as LaurentPolys in the variable d, opaque to callers; the result
-    is converted to a LocalizedElement once.  States with more than
-    CANON_KEY_LIMIT vertices or edges exceed the memo key encoding and raise
-    InvalidDiagramError.  Without ``memo`` the call uses a fresh one.
+    hold W as LaurentPolys in the variable d, opaque to callers.  The ring
+    value of W and the circle count comes from ``_localized``, a
+    least-recently-used cache of at most 256 such pairs shared by every
+    call, so a value that many states reach is converted once.  States
+    with more than CANON_KEY_LIMIT vertices or edges exceed the memo key
+    encoding and raise InvalidDiagramError.  Without ``memo`` the call uses
+    a fresh one.
     """
     if state.num_vertices > CANON_KEY_LIMIT or len(state.edges) > CANON_KEY_LIMIT:
         raise InvalidDiagramError(
@@ -196,10 +210,7 @@ def flat_eval(
     if memo is None:
         memo = {}
     picker = edge_picker or _first_nonloop
-    w = _w_eval(state.num_vertices, state.edges, memo, picker)
-    for _ in range(state.circle_count):
-        w = w.shifted(2) - w
-    return _to_localized(w)
+    return _localized(_w_eval(state.num_vertices, state.edges, memo, picker), state.circle_count)
 
 
 def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
@@ -271,7 +282,8 @@ def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> Loc
     vertex_ends, crossing_ends = g.end_ids()
     counts: dict[tuple[int, int, LocalizedElement], int] = {}
     for a_exp, v, n, edges, circles in resolution_states(g.num_arcs, vertex_ends, crossing_ends):
-        value = flat_eval(FlatState.make(n, edges, circles + g.free_circles), memo)
+        # the walk's edges are sorted pairs u <= v below n: a valid state
+        value = flat_eval(FlatState._unchecked(n, edges, circles + g.free_circles), memo)
         key = (a_exp, v, value)
         counts[key] = counts.get(key, 0) + 1
     return LocalizedElement.sum_of_products(

@@ -207,10 +207,10 @@ def _symmetric_graphs():
     return [(n, sorted(tuple(sorted(e)) for e in edges)) for n, edges in out]
 
 
-def _fixture_flat_graphs():
-    """Every multigraph whose key the Yamada evaluation of a fixture asks
-    for: the flat residues and the graphs of their deletion-contraction.
-    The Petersen diagram's 4302 keys are left out for time."""
+def _keys_asked_by_yamada(diagrams):
+    """Every multigraph whose key the Yamada evaluation of ``diagrams``,
+    each with a fresh memo, asks for: the flat residues and the graphs of
+    their deletion-contraction."""
     yamada_module = sys.modules["skein.yamada"]
     seen = []
     real = yamada_module.canon_key
@@ -221,21 +221,46 @@ def _fixture_flat_graphs():
 
     yamada_module.canon_key = record
     try:
-        for name in fixtures.list_fixtures():
-            if name.endswith(".graph") and name != "petersen_diagram.graph":
-                g = fixtures.load_diagram(name)
-                if not g.has_rays():
-                    yamada(g, memo={})
+        for g in diagrams:
+            yamada(g, memo={})
     finally:
         yamada_module.canon_key = real
     return seen
+
+
+def _fixture_flat_graphs():
+    """The keys of every plane fixture but the Petersen diagram, whose 4302
+    keys are sampled on its planar drawing instead."""
+    names = [
+        name for name in fixtures.list_fixtures()
+        if name.endswith(".graph") and name != "petersen_diagram.graph"
+    ]
+    diagrams = [fixtures.load_diagram(name) for name in names]
+    return _keys_asked_by_yamada([g for g in diagrams if not g.has_rays()])
+
+
+def _resolve_flat_graphs():
+    """The keys of a twisted theta and a twisted K4 shaped like the
+    benchmark's ``resolve`` inputs: 6-7 crossings in 2-3 twist regions."""
+    rng = random.Random(1205)
+    codes = [gen.twisted_graph(rng, gen.THETA, 7, 2), gen.twisted_graph(rng, gen.K4, 6, 3)]
+    return _keys_asked_by_yamada([parse_diagram(code.text()) for code in codes])
+
+
+def _petersen_flat_sample(count=300):
+    """A seeded sample of the keys of the planar Petersen drawing."""
+    shipped = fixtures.fixture_path("petersen_diagram.graph").read_text()
+    keys = _keys_asked_by_yamada([parse_diagram(gen.planar_petersen(shipped).text())])
+    return random.Random(1206).sample(keys, count)
 
 
 def test_canon_key_bytes_match_the_reference():
     graphs = random_multigraphs(1201) + _symmetric_graphs()
     flat = _fixture_flat_graphs()
     assert len(flat) > 150
-    for n, edges in graphs + flat:
+    resolve = _resolve_flat_graphs()
+    assert len(resolve) > 1000
+    for n, edges in graphs + flat + resolve + _petersen_flat_sample():
         assert core.canon_key(n, edges) == _reference_canon_key(n, edges), (n, edges)
 
 
@@ -666,7 +691,7 @@ def test_torus_brackets_match_the_state_sum_by_mask():
 
 def test_kernels_leave_no_reference_cycles():
     # a cycle would keep the walk's state, the 2^c counts list with it,
-    # alive until the next collection; canon_key's search recurses too
+    # alive until the next collection, and so would one in canon_key's search
     g = TORI[8]
     theta = fixtures.load_diagram("theta")
     gc.collect()

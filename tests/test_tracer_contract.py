@@ -6,6 +6,7 @@ The tracer imports only the standard library.
 """
 
 import importlib
+import random
 
 import gen
 import pytest
@@ -88,3 +89,14 @@ def test_petersen_yamada_keeps_its_key_and_flat_evaluation_counts():
     tracer = _traced(yamada, fixtures.load_diagram("petersen_diagram"), memo={})
     assert tracer.calls["core.canon_key"] == 4302
     assert tracer.calls["yamada.dc"] == 243
+
+
+def test_twisted_k4_yamada_keeps_its_state_key_and_memo_counts():
+    # a resolve-shaped input: its 3^6 states, the keys their flat residues
+    # ask for and the memo they leave, whatever each state costs
+    g = parse_diagram(gen.twisted_graph(random.Random(6), gen.K4, 6, 3).text())
+    memo: dict = {}
+    tracer = _traced(yamada, g, memo=memo)
+    assert tracer.calls["yamada.dc"] == 3**6 == 729
+    assert tracer.calls["core.canon_key"] == 1191
+    assert len(memo) == 441

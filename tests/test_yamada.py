@@ -29,6 +29,7 @@ from skein.rings import (
     ZERO,
     LaurentPoly,
     LocalizedElement,
+    _to_localized,
 )
 from skein.core import canon_key, components
 from skein.yamada import (
@@ -36,7 +37,9 @@ from skein.yamada import (
     HAS_BRIDGE,
     SPLITS,
     _first_nonloop,
+    _localized,
     _split_or_bridge,
+    _w_eval,
     flat_eval,
     flat_eval_oracle,
     yamada,
@@ -87,6 +90,15 @@ def test_flat_handcuff_vanishes():
     state = FlatState.make(2, [(0, 0), (1, 1), (0, 1)])
     assert flat_eval(state, memo={}) == ZERO
     assert flat_eval_oracle(state) == ZERO
+
+
+def test_flat_state_rejects_negative_counts():
+    with pytest.raises(ValueError, match="negative"):
+        FlatState(2, ((0, 1), (0, 1)), -1)
+    with pytest.raises(ValueError, match="negative"):
+        FlatState(-1, (), 0)
+    with pytest.raises(ValueError, match="negative"):
+        FlatState.make(1, [(0, 0)], -2)
 
 
 def test_oracle_base_cases():
@@ -443,3 +455,41 @@ def test_flat_eval_memoizes_integer_d_polynomials_with_nonzero_ends():
             nonzero += 1
             assert w.min_exp() == key[0] - key[1]
     assert nonzero == 249
+
+
+def test_flat_eval_converts_each_value_through_a_bounded_cache():
+    # the ring value of (W, circles) with no cache: W from a fresh memo,
+    # converted and multiplied out each time
+    states = _corpus_states(1306)
+    assert {s.circle_count for s in states} == {0, 1, 2}
+    expected = [
+        _to_localized(_w_eval(s.num_vertices, s.edges, {}, _first_nonloop))
+        * CIRCLE_FACTOR**s.circle_count
+        for s in states
+    ]
+    bound = _localized.cache_info().maxsize
+    for flood in (False, True):
+        if flood:
+            # more distinct (W, circles) pairs than the cache holds, the
+            # constants W = j among them, evict the corpus's values
+            for j in range(1, bound + 20):
+                assert _localized(LaurentPoly.from_int(j), j % 2) == (
+                    CIRCLE_FACTOR ** (j % 2)
+                ).scale(j)
+            assert _localized.cache_info().currsize <= bound
+        memo = {}
+        for state, expect in zip(states, expected):
+            assert flat_eval(state, {}) == expect
+            assert flat_eval(state, memo) == expect
+
+
+def test_yamada_with_a_memo_shared_by_a_run_equals_fresh_memos():
+    # as the benchmark's resolve workload shares one memo over its run
+    rng = random.Random(1307)
+    diagrams = [
+        parse_diagram(gen.twisted_graph(rng, base, rng.randint(4, 6), 2).text())
+        for base in [gen.THETA, gen.K4] * 10
+    ]
+    shared = {}
+    for g in diagrams:
+        assert yamada(g, memo=shared) == yamada(g, memo={})
