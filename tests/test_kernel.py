@@ -1,6 +1,7 @@
 """The kernels: canonical-form invariance, keys byte for byte against the
-earlier ``canon_key``, the key encoder's limits, and the two state-sum walks
-against union-find references and an independent circle-count reference."""
+earlier ``canon_key``, its cache of labeled inputs, the key encoder's limits,
+and the two state-sum walks against union-find references and an independent
+circle-count reference."""
 
 import gc
 import random
@@ -262,6 +263,57 @@ def test_canon_key_bytes_match_the_reference():
     assert len(resolve) > 1000
     for n, edges in graphs + flat + resolve + _petersen_flat_sample():
         assert core.canon_key(n, edges) == _reference_canon_key(n, edges), (n, edges)
+
+
+def test_canon_key_cache_answers_repeats_with_the_reference_bytes():
+    graphs = random_multigraphs(1207, count=150) + _symmetric_graphs()
+    assert len(set((n, tuple(edges)) for n, edges in graphs)) <= 256
+    core._canon_key.cache_clear()
+    for n, edges in graphs:
+        core.canon_key(n, edges)
+    hits = core._canon_key.cache_info().hits
+    for n, edges in graphs:
+        assert core.canon_key(n, edges) == _reference_canon_key(n, edges), (n, edges)
+    # every second call was served by the cache
+    assert core._canon_key.cache_info().hits == hits + len(graphs)
+
+
+def test_canon_key_cache_never_returns_a_stale_key_for_a_mutated_list():
+    edges = [(0, 1), (1, 2)]
+    path = core.canon_key(3, edges)
+    edges.append((0, 2))
+    triangle = core.canon_key(3, edges)
+    assert triangle != path
+    assert triangle == _reference_canon_key(3, [(0, 1), (1, 2), (0, 2)])
+    edges[2] = (2, 2)
+    assert core.canon_key(3, edges) == _reference_canon_key(3, [(0, 1), (1, 2), (2, 2)])
+    assert core.canon_key(3, [(0, 1), (1, 2)]) == path
+
+
+def test_twisted_k4_yamada_keys_each_distinct_residue_once_while_cached():
+    # of the 1191 keys the 3^6 states ask for, 697 repeat an input the
+    # 256-entry cache still holds; the other 494 run the search
+    g = parse_diagram(gen.twisted_graph(random.Random(6), gen.K4, 6, 3).text())
+    core._canon_key.cache_clear()
+    yamada(g, memo={})
+    info = core._canon_key.cache_info()
+    assert (info.hits + info.misses, info.misses, info.hits) == (1191, 494, 697)
+
+
+def test_yamada_values_are_the_same_with_a_cold_and_a_warm_key_cache():
+    rng = random.Random(1208)
+    diagrams = [
+        parse_diagram(gen.twisted_graph(rng, base, c, 1 + rng.randrange(3)).text())
+        for base in (gen.THETA, gen.K4)
+        for c in (4, 5, 6)
+        for _ in range(4)
+    ]
+    cold = []
+    for g in diagrams:
+        core._canon_key.cache_clear()
+        cold.append(yamada(g, memo={}))
+    # warm: the cache keeps what every earlier diagram left in it
+    assert [yamada(g, memo={}) for g in diagrams] == cold
 
 
 def _reference_circles(n_arcs, crossings, mask):
@@ -724,10 +776,12 @@ def test_kernels_reject_ids_not_in_exactly_one_slot():
 def test_canon_key_rejects_counts_past_the_byte_limit():
     n = CANON_KEY_LIMIT
     assert len(core.canon_key(2, ((0, 1),) * n)) == 2 + 2 * n
-    with pytest.raises(ValueError, match="at most 255"):
-        core.canon_key(2, ((0, 1),) * (n + 1))
-    with pytest.raises(ValueError, match="at most 255"):
-        core.canon_key(n + 1, ())
+    # the key cache stores no exception: a repeated input raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at most 255"):
+            core.canon_key(2, ((0, 1),) * (n + 1))
+        with pytest.raises(ValueError, match="at most 255"):
+            core.canon_key(n + 1, ())
 
 
 def test_backend_is_reported():
