@@ -35,7 +35,6 @@ from .core import SweepBudgetError, frontier_sweep, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .polyxyz import PolyXYZ
 from .rings import LaurentPoly, LocalizedElement, _to_localized
-from .tl import _read_digits
 
 # unused here, but skeinbench/tracing.py rebinds this name in this module
 from .tl import bracket  # noqa: F401
@@ -54,10 +53,6 @@ MAX_CABLED_CLASSES = 20
 #: circles, from 16 input crossings per term down to 1), so at most about
 #: 21 MiB at this limit
 MAX_CABLED_CROSSINGS = 1 << 16
-
-#: most live states of the frontier sweep in ``phi_plane`` (see
-#: :func:`skein.core.frontier_sweep` for the memory this bounds)
-_SWEEP_STATES = 1 << 14
 
 #: the ``bytes.translate`` table that adds 1 to every byte
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -184,7 +179,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
         return term
 
     if not g.crossings and not any(strands.arc_wind):
-        n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
+        n_arcs, crossings, _, loops = strands.smoothing_diagram(g.free_circles)
         # per cable mask m: its circles, those of state mask full ^ m, and
         # its turnbacks, popcount(m), as bytes
         circles = state_circle_counts(n_arcs, crossings)[::-1]
@@ -193,7 +188,7 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
             turnbacks += turnbacks.translate(_PLUS_ONE)
         # one row of terms per turnback count, by circle count; the circles
         # closed by the straight arcs are in every term
-        rows = [_Row(shared_term, t, len(closed)) for t in range(n_classes + 1)]
+        rows = [_Row(shared_term, t, loops) for t in range(n_classes + 1)]
         return CabledExpansion(
             n_classes, tuple(map(dict.__getitem__, map(rows.__getitem__, turnbacks), circles))
         )
@@ -320,11 +315,13 @@ class _Strands:
             self.join(n, n + 3, w)
             self.join(n + 1, n + 2, w)
 
-    def smoothing_diagram(self, free_circles: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-        """The open strands as the arcs of a vertexless diagram, in the
-        arc-end ids of :func:`skein.core.state_circle_counts`, and its
-        crossings: the cable crossings, then every turnback arc, each a
-        crossing on its junctions n .. n + 3 in order, so that its
+    def smoothing_diagram(self, free_circles: int) -> tuple[int, list[tuple], int, int]:
+        """The open strands as a vertexless diagram, in the arguments of
+        :func:`skein.core.frontier_sweep`: its number of arcs, its crossings
+        in the arc-end ids of :func:`skein.core.state_circle_counts`, how
+        many of them are cable crossings, and the circles already closed.
+        The crossings are the cable crossings, then every turnback arc, each
+        a crossing on its junctions n .. n + 3 in order, so that its
         A-smoothing is the turnback and its B-smoothing the straight pair,
         then ``free_circles`` free circles.
         A free circle is a crossing on two fresh strands (a0, a1) and (b0,
@@ -333,6 +330,7 @@ class _Strands:
         first node in crossing order."""
         far = self.far
         quads = [range(n, n + 4) for n in range(self.n_junctions, len(far), 4)]
+        n_cable = len(quads)
         quads += [range(4 * a, 4 * a + 4) for a in self.turn_arcs]
         end_id: dict[int, int] = {}
         for quad in quads:
@@ -344,7 +342,7 @@ class _Strands:
         fresh = len(end_id)
         ends = fresh + 4 * free_circles
         crossings += [(e, e + 2, e + 3, e + 1) for e in range(fresh, ends, 4)]
-        return ends // 2, crossings
+        return ends // 2, crossings, n_cable, len(self.closed)
 
 
 def _turnback_coeffs(n: int) -> list[LocalizedElement]:
@@ -419,8 +417,8 @@ def phi_plane(
     :func:`skein.core.frontier_sweep` sums it, taking the crossings in a
     greedy order, so the cost follows the live states of the sweep (260 at
     most on ``petersen_diagram``), not the 2^(C + P) states.  A sweep past
-    ``_SWEEP_STATES`` (2^14) live states raises InvalidDiagramError, which
-    states the count; the sweep's docstring bounds the memory by it.
+    its budget of 2^14 live states raises InvalidDiagramError, which states
+    the count; the sweep's docstring bounds the memory by the budget.
 
     ``insertion`` places the projector of an edge class on the inserted
     arc, as in ``cable``.
@@ -438,15 +436,13 @@ def phi_plane(
 
 def _phi_crossed(g: GraphDiagram, insertion: Mapping[int, int] | None) -> LocalizedElement:
     """``phi_plane`` of a diagram with crossings."""
-    strands = _Strands(g, insertion)
-    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
-    c = 4 * len(g.crossings)
+    n_arcs, crossings, n_cable, loops = _Strands(g, insertion).smoothing_diagram(g.free_circles)
     try:
-        total, width, e = frontier_sweep(n_arcs, crossings, c, len(strands.closed), _SWEEP_STATES)
+        num = frontier_sweep(n_arcs, crossings, n_cable, loops)
     except SweepBudgetError as exc:
         raise InvalidDiagramError(f"phi_plane: {exc}") from None
     # 1/d^P: the sweep weighed a straight pair d and a turnback -1
-    return LocalizedElement(_read_digits(total, width, e), len(crossings) - c)
+    return LocalizedElement(num, len(crossings) - n_cable)
 
 
 def _d_polynomial(counts: Mapping[tuple[int, int], int]) -> LocalizedElement:

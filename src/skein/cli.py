@@ -164,7 +164,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for res in results:
         status = "pass" if res.passed else "FAIL"
-        print(f"[{status}] suite {res.name} ({res.seconds:.2f}s)")
+        print(f"[{status}] suite {res.name}")
+        # wall times vary from run to run, so they stay off stdout
+        print(f"suite {res.name}: {res.seconds:.2f}s", file=sys.stderr)
         if args.verbose or not res.passed:
             for line in res.details:
                 print(line)

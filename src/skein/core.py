@@ -15,8 +15,8 @@ build step and has no compiled backend.
 * :func:`resolution_states` -- the flat multigraph of each of the 3^c
   resolution states of a diagram, the outer loop of the Yamada state sum.
 * :func:`frontier_sweep` -- the weighted state sum of a vertexless diagram
-  of bracket and projector crossings, one crossing at a time over the
-  pairings of the open ends, with one packed coefficient per pairing: the
+  of bracket and projector crossings, one crossing at a time over at most
+  MAX_SWEEP_STATES pairings of the open ends, as a ``LaurentPoly``: the
   plane evaluation of the 2-cabling of a diagram with crossings
   (:func:`skein.cabling.phi_plane`).
 
@@ -39,8 +39,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from .rings import LaurentPoly
+
 #: largest vertex or edge count :func:`canon_key` can encode (one byte each)
 CANON_KEY_LIMIT = 255
+
+#: most live states of :func:`frontier_sweep`, read at each call
+MAX_SWEEP_STATES = 1 << 14
 
 
 class SweepBudgetError(ValueError):
@@ -298,9 +303,8 @@ def _shift(delta: int) -> bytes:
 
 
 def frontier_sweep(
-    n_arcs: int, crossings: Sequence[tuple[int, int, int, int]], n_cable: int, loops: int,
-    max_states: int,
-) -> tuple[int, int, int]:
+    n_arcs: int, crossings: Sequence[tuple[int, int, int, int]], n_cable: int, loops: int
+) -> LaurentPoly:
     """The weighted state sum of a vertexless diagram, by one frontier sweep.
 
     ``crossings`` are as in :func:`state_circle_counts`, with the A- and
@@ -308,10 +312,8 @@ def frontier_sweep(
     A-smoothing weighs A, the B-smoothing A^-1.  The others are projector
     crossings: the A-smoothing (a turnback) weighs -1 and the B-smoothing
     (a straight pair) d.  Every circle of a state, and ``loops`` more,
-    weighs d = -A^2 - A^-2.  Returns ``(total, width, e)``: the sum over all
-    states of their weights is the Laurent polynomial whose coefficient of
-    A^(e + 2i) is the signed base-2^width digit i of ``total``
-    (:func:`skein.tl._read_digits`).
+    weighs d = -A^2 - A^-2.  Returns the sum over all states of their
+    weights, exactly.
 
     Order.  The crossings are taken greedily, each time the one with the
     fewest ends whose arcs lead to a crossing not yet taken (the fewest new
@@ -340,23 +342,26 @@ def frontier_sweep(
     d-factors of any state.  The A-smoothing of a bracket crossing
     multiplies by 2^width, and d = -(u^2 + 1)/u is the shift and add
     ``-(((v << 2 width) + v) >> width)``, exact because the factor u^most is
-    never used up.  At the end the total is taken times A^-n_cable u^-most,
-    as ``e`` states.  Both bounds are carried along the order before the
-    states are swept.  A smoothing closes at most one circle per join whose
-    two ends were open or share an arc, so ``most`` adds up, per crossing,
-    the larger such count a or b of its two smoothings (a straight pair
-    counts one more).  The absolute coefficient sum of the total is at most
-    2^loops times the product over the crossings of 2^a + 2^b, and
-    ``width`` is one bit more than that bound, so every digit reads back
-    exactly.
+    never used up.  At the end the total is taken times A^-n_cable u^-most:
+    :func:`_read_digits` reads its signed base-2^width digit i back as the
+    coefficient of A^(-n_cable - 2 most + 2i).  Both bounds are carried
+    along the order before the states are swept.  A smoothing closes at
+    most one circle per join whose two ends were open or share an arc, so
+    ``most`` adds up, per crossing, the larger such count a or b of its two
+    smoothings (a straight pair counts one more).  The absolute coefficient
+    sum of the total is at most 2^loops times the product over the
+    crossings of 2^a + 2^b, and ``width`` is one bit more than that bound,
+    so every digit reads back exactly.
 
-    A sweep past ``max_states`` live states raises
+    A sweep past MAX_SWEEP_STATES live states raises
     :class:`SweepBudgetError`, a ValueError, which states the count; slots
     that do not hold each arc-end id once raise a plain ValueError.  A step
     holds the states before it and at most twice as many after it, so at
-    most 3 max_states states are alive at once, each a tuple of slots and a
-    coefficient of at most (n_cable + 2 most + 1) width bits: the memory is
-    bounded by 3 max_states times that size.
+    most 3 MAX_SWEEP_STATES states are alive at once, each a tuple of slots
+    and a coefficient of at most (n_cable + 2 most + 1) width bits: the
+    memory is bounded by 3 MAX_SWEEP_STATES times that size.  The greedy
+    order can pass the budget on small inputs, such as a theta with one
+    twist region of 12 crossings, which the 3^12 Yamada walk evaluates.
     """
     _check_slots(n_arcs, crossings)
     plans, bound, most = _sweep_plans(n_arcs, crossings, n_cable)
@@ -411,13 +416,29 @@ def frontier_sweep(
                 c = -(((c << width2) + c) >> width)
                 closed -= 1
             new[after] = get(after, 0) + c
-        if len(new) > max_states:
+        if len(new) > MAX_SWEEP_STATES:
             raise SweepBudgetError(
                 f"the frontier sweep holds {len(new)} live states, "
-                f"past its budget of {max_states}"
+                f"past its budget of {MAX_SWEEP_STATES}"
             )
         states = new
-    return states[()], width, -n_cable - 2 * most
+    return _read_digits(states[()], width, -n_cable - 2 * most)
+
+
+def _read_digits(total: int, width: int, e: int) -> LaurentPoly:
+    """The Laurent polynomial whose coefficient of A^(e + 2i) is signed
+    base-2^width digit i of ``total``, a Kronecker-packed sum."""
+    coeffs: dict[int, int] = {}
+    digit = 1 << width
+    while total:
+        r = total & (digit - 1)
+        if r >= digit >> 1:
+            r -= digit
+        if r:
+            coeffs[e] = r
+        total = (total - r) >> width
+        e += 2
+    return LaurentPoly(coeffs)
 
 
 def _sweep_plans(

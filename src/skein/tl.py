@@ -2,6 +2,7 @@
 
 The bracket of a link diagram is the 2^c state sum with smoothing weights
 A / A^-1 and a factor d per circle, normalized so the empty diagram is 1.
+It is summed Kronecker-packed and read back by the frontier sweep's reader.
 
 tau_n is modeled on crossingless perfect matchings of 2n boundary points
 (n bottom, n top); closed loops formed under stacking evaluate to d.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .core import components, state_circle_counts
+from .core import _read_digits, components, state_circle_counts
 from .diagrams import GraphDiagram, InvalidDiagramError
 from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingError
 
@@ -25,14 +26,6 @@ from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingE
 #: most crossings ``bracket`` expands: its circle counter holds two bytes per
 #: state, so 2^26 states peak at 128 MiB (tracemalloc, T(2, 26))
 MAX_BRACKET_CROSSINGS = 26
-
-
-def block_crossings(c: int) -> int:
-    """How many of c crossings :func:`bracket` tallies as one block: k =
-    c // 2.  State ``mask = hi * 2^k + lo`` then has crossings k-1 .. 0 in
-    ``lo``, and the 2^k states sharing ``hi`` are one contiguous block of
-    :func:`state_circle_counts`."""
-    return c // 2
 
 
 def bracket(g: GraphDiagram) -> LaurentPoly:
@@ -70,17 +63,17 @@ def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:
     every digit of every partial sum below 2^(K-1) in absolute value, and
     the digits of the total read back exactly.
 
-    With k = ``block_crossings(c)`` and the state bits ``hi * 2^k + lo``,
-    the 2^k counts sharing ``hi`` form one contiguous block.  The pairs
-    (B-smoothings of ``hi``, block) are counted, and each block is valued
-    from its two halves: the states of the first half have the top bit of
-    ``lo`` A-smoothed, one B-smoothing fewer than those of the second, so
-    they weigh u times more.  Values are kept per distinct byte string, and
+    With k = c // 2 and the state bits ``hi * 2^k + lo``, ``lo`` holding
+    crossings k-1 .. 0, the 2^k counts sharing ``hi`` form one contiguous
+    block.  The pairs (B-smoothings of ``hi``, block) are counted, and each
+    block is valued from its two halves: the states of the first half have
+    the top bit of ``lo`` A-smoothed, one B-smoothing fewer than those of
+    the second, so they weigh u times more.  Values are kept per distinct byte string, and
     :func:`state_circle_counts` copies repeated blocks at every level, so a
     half shared by many blocks is valued once.  Each value held has at most
     (k + 2m + 1)K bits, one per distinct string of at most 2^k counts.
     """
-    k = block_crossings(c)
+    k = c // 2
     size = 1 << k
     # the most circles of any state: a scan per candidate count, in C
     most = next(n for n in range(n_arcs, -1, -1) if n in counts) + free
@@ -114,22 +107,6 @@ def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:
     # the cycle, and the values with it, now
     value = None
     return _read_digits(total, width, -c - 2 * most)
-
-
-def _read_digits(total: int, width: int, e: int) -> LaurentPoly:
-    """The Laurent polynomial whose coefficient of A^(e + 2i) is signed
-    base-2^width digit i of ``total``."""
-    coeffs: dict[int, int] = {}
-    digit = 1 << width
-    while total:
-        r = total & (digit - 1)
-        if r >= digit >> 1:
-            r -= digit
-        if r:
-            coeffs[e] = r
-        total = (total - r) >> width
-        e += 2
-    return LaurentPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

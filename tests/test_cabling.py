@@ -17,7 +17,7 @@ from skein.cabling import (
     phi_plane,
     phi_punctured,
 )
-from skein.diagrams import GraphDiagram, InvalidDiagramError, disjoint_union, parse_diagram
+from skein.diagrams import GraphDiagram, InvalidDiagramError, disjoint_union, mirror, parse_diagram
 from skein.polyxyz import PolyXYZ
 from skein.rings import (
     CIRCLE_FACTOR,
@@ -29,7 +29,7 @@ from skein.rings import (
     LaurentPoly,
     LocalizedElement,
 )
-from skein.tl import _read_digits, bracket
+from skein.tl import bracket
 from skein.yamada import yamada
 
 NEG_DINV = LocalizedElement(LaurentPoly.from_int(-1), 1)
@@ -467,7 +467,7 @@ def test_crossingless_evaluation_makes_one_kernel_call_over_every_term(monkeypat
 def test_projector_walk_above_a_small_kernel_budget(monkeypatch, g):
     # the sweep that replaced the kernel call and the projector walk above
     # its budget, at every insertion point and within 2^6 live states
-    monkeypatch.setattr(cabling, "_SWEEP_STATES", 1 << 6)
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 1 << 6)
     for cls in g.edge_classes():
         for arc in cls:
             reference = _reference_cable(g, {cls[0]: (arc, 0)})
@@ -736,6 +736,49 @@ def test_sweep_equals_yamada_on_planar_twisted_graphs():
         assert phi_plane(g) == yamada(g, memo={}), code.text()
 
 
+def test_sweep_value_does_not_depend_on_the_crossing_order():
+    # the greedy order breaks ties by index: shuffling the cable crossings
+    # among themselves and the projector crossings among themselves changes
+    # the order the sweep takes, never the value it sums
+    rng = random.Random(2301)
+    for i in range(54):
+        c = 3 + i % 9
+        code = gen.twisted_graph(rng, (gen.THETA, gen.K4)[i % 2], c, 1 + rng.randrange(min(c, 3)))
+        g = parse_diagram(code.text())
+        strands = cabling._Strands(g, None)
+        n_arcs, crossings, n_cable, loops = strands.smoothing_diagram(g.free_circles)
+        value = core.frontier_sweep(n_arcs, crossings, n_cable, loops)
+        cabled, projectors = crossings[:n_cable], crossings[n_cable:]
+        rng.shuffle(cabled)
+        rng.shuffle(projectors)
+        assert core.frontier_sweep(n_arcs, cabled + projectors, n_cable, loops) == value, i
+
+
+def test_mirror_and_disjoint_union_laws_past_the_yamada_walk():
+    # 20 to 40 crossings, past the 3^c walk's 16: phi_plane(mirror g) is
+    # phi_plane(g) with A -> A^-1, and a disjoint union multiplies.  An
+    # input past the sweep's budget is refused with the typed error and
+    # counted, not drawn again
+    rng = random.Random(2302)
+    swept = []
+    refused = 0
+    for i in range(30):
+        c = rng.randint(20, 40)
+        code = gen.twisted_graph(rng, (gen.THETA, gen.K4)[i % 2], c, 1 + rng.randrange(3))
+        g = parse_diagram(code.text())
+        try:
+            value = phi_plane(g)
+            assert phi_plane(mirror(g)) == value.invert_variable(), i
+        except InvalidDiagramError as exc:
+            assert "past its budget" in str(exc)
+            refused += 1
+            continue
+        swept.append((g, value))
+    assert len(swept) >= 20 and refused == 30 - len(swept)
+    for (g, v), (h, w) in zip(swept[:8:2], swept[1:8:2]):
+        assert phi_plane(disjoint_union(g, h)) == v * w
+
+
 def _kinked_theta(kinks, free):
     """A theta with a chain of ``kinks`` kinks on one edge, and ``free``
     free circles."""
@@ -744,17 +787,21 @@ def _kinked_theta(kinks, free):
     return parse_diagram("\n".join(lines) + "\n" + "O\n" * free)
 
 
-def test_kinks_and_free_circles_fill_the_digit_width():
+def test_kinks_and_free_circles_fill_the_digit_width(monkeypatch):
     # 3 kinks and 20 free circles: the largest digit of the packed total
     # takes more than half the width the sweep derives from its bound, so a
     # width guessed at half of it would read back wrong digits
     g = _kinked_theta(3, 20)
-    strands = cabling._Strands(g, None)
-    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
-    total, width, e = core.frontier_sweep(
-        n_arcs, crossings, 4 * len(g.crossings), len(strands.closed), 1 << 14
-    )
-    digits = _read_digits(total, width, e)
+    widths = []
+    read_digits = core._read_digits
+
+    def recording(total, width, e):
+        widths.append(width)
+        return read_digits(total, width, e)
+
+    monkeypatch.setattr(core, "_read_digits", recording)
+    digits = core.frontier_sweep(*cabling._Strands(g, None).smoothing_diagram(g.free_circles))
+    (width,) = widths
     assert max(abs(c) for _, c in digits.items()).bit_length() > width // 2
     # a free circle cables to d^2 - 1; Yamada's expansion is independent
     value = phi_plane(g)
@@ -797,7 +844,7 @@ def test_d_normalization_makes_no_generic_division(monkeypatch):
 def test_a_malformed_smoothing_diagram_is_an_internal_error(monkeypatch):
     # only the sweep's state budget is input outside the domain; a slot list
     # that does not hold each arc-end id once is a bug in the caller
-    malformed = (2, [(0, 1, 2, 2)])
+    malformed = (2, [(0, 1, 2, 2)], 1, 0)
     monkeypatch.setattr(cabling._Strands, "smoothing_diagram", lambda self, free: malformed)
     with pytest.raises(ValueError, match="exactly one slot") as info:
         phi_plane(_two_crossing_theta())
@@ -807,8 +854,8 @@ def test_a_malformed_smoothing_diagram_is_an_internal_error(monkeypatch):
 def test_sweep_past_its_budget_raises_with_the_count(monkeypatch):
     # the two-crossing theta peaks at 10 live states, after 1, 2, 4 and 8
     g = _two_crossing_theta()
-    monkeypatch.setattr(cabling, "_SWEEP_STATES", 9)
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 9)
     with pytest.raises(InvalidDiagramError, match=r"holds 10 live states, past its budget of 9"):
         phi_plane(g)
-    monkeypatch.setattr(cabling, "_SWEEP_STATES", 10)
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 10)
     assert phi_plane(g) == yamada(g, memo={})

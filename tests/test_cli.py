@@ -1,6 +1,7 @@
 """File formats and the command-line surface (exit codes, round-trips)."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -200,9 +201,9 @@ def test_cli_phi_of_the_petersen_diagram_finishes(capsys):
 
 
 def test_cli_phi_past_the_sweep_budget_exits_2(monkeypatch, capsys):
-    from skein import cabling
+    from skein import core
 
-    monkeypatch.setattr(cabling, "_SWEEP_STATES", 16)
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 16)
     assert main(["phi", "fixture:petersen_diagram"]) == 2
     out, err = capsys.readouterr()
     assert not out
@@ -376,6 +377,14 @@ def test_cli_verify_single_suite():
     out = run_cli(["verify", "--suite", "jw"])
     assert out.returncode == 0
     assert "[pass] suite jw" in out.stdout
+
+
+def test_cli_verify_prints_the_same_stdout_on_every_run():
+    # the suite's wall time goes to stderr, so stdout depends on the code alone
+    first, second = (run_cli(["verify", "--suite", "jw"]) for _ in range(2))
+    assert first.stdout == second.stdout
+    assert first.stdout.startswith("[pass] suite jw\n")
+    assert re.fullmatch(r"suite jw: \d+\.\d\ds\n", first.stderr)
 
 
 def test_cli_verify_unknown_suite():

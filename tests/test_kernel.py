@@ -606,9 +606,10 @@ def test_bracket_holds_one_byte_per_state():
 
 
 def _distinct_block_ratio(g):
-    """Distinct blocks of 2^k counts over all blocks, k the tally's block size."""
+    """Distinct blocks of 2^k counts over all blocks, k = c // 2 the
+    tally's block size (see ``tl.bracket_sums``)."""
     counts = core.state_circle_counts(*_kernel_args(g))
-    size = 1 << tl.block_crossings(len(g.crossings))
+    size = 1 << len(g.crossings) // 2
     blocks = [tuple(counts[i : i + size]) for i in range(0, len(counts), size)]
     return len(set(blocks)) / len(blocks)
 
@@ -691,8 +692,7 @@ def test_bracket_equals_the_temperley_lieb_trace():
 
 def _swept_bracket(n_arcs, crossings, free):
     """The bracket by the frontier sweep, every crossing a bracket crossing."""
-    total, width, e = core.frontier_sweep(n_arcs, crossings, len(crossings), free, 1 << 14)
-    return tl._read_digits(total, width, e)
+    return core.frontier_sweep(n_arcs, crossings, len(crossings), free)
 
 
 def test_frontier_sweep_of_bracket_crossings_is_the_bracket():
@@ -709,15 +709,30 @@ def test_frontier_sweep_of_bracket_crossings_is_the_bracket():
         assert _swept_bracket(n_arcs, crossings, 0) == tl.bracket_sums(counts, n_arcs, c, 0)
 
 
-def test_frontier_sweep_checks_its_slots_and_its_budget():
+def test_frontier_sweep_of_the_closed_2_braid_has_its_closed_form():
+    # <T(2, k)> = A^k (d^2 - 1) + (-A^-3)^k, up to 200 crossings, far past
+    # the 2^c walk's 26; the walk agrees where it is cheap
+    d2_minus_1 = D_LAURENT * D_LAURENT - LaurentPoly.from_int(1)
+    for k in range(1, 201):
+        g = parse_diagram(gen.braid_closure(2, [(0, 1)] * k).text())
+        expect = d2_minus_1.shifted(k) + LaurentPoly.monomial((-1) ** k, -3 * k)
+        assert _swept_bracket(*_kernel_args(g), g.free_circles) == expect, k
+        if k <= 8:
+            assert bracket(g) == expect, k
+
+
+def test_frontier_sweep_checks_its_slots_and_its_budget(monkeypatch):
     # a bad slot list is a plain ValueError, the budget its own subclass
     with pytest.raises(ValueError, match="exactly one slot") as info:
-        core.frontier_sweep(2, [(0, 1, 2, 2)], 1, 0, 8)
+        core.frontier_sweep(2, [(0, 1, 2, 2)], 1, 0)
     assert not isinstance(info.value, core.SweepBudgetError)
-    # T(2, 6) holds 2 pairings of the open ends at its widest
+    # T(2, 6) holds 2 pairings of the open ends at its widest; the sweep
+    # reads its budget when it is called
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 2)
     assert _swept_bracket(*_kernel_args(TORI[6]), 0) == bracket(TORI[6])
+    monkeypatch.setattr(core, "MAX_SWEEP_STATES", 1)
     with pytest.raises(core.SweepBudgetError, match="holds 2 live states, past its budget of 1"):
-        core.frontier_sweep(*_kernel_args(TORI[6]), 6, 0, 1)
+        core.frontier_sweep(*_kernel_args(TORI[6]), 6, 0)
 
 
 def test_resolution_states_against_reference():

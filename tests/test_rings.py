@@ -27,7 +27,7 @@ from skein.rings import (
     require_prime,
 )
 from skein.polyio import poly_document
-from skein.tl import _read_digits, chebyshev_delta, jones_wenzl, markov_trace
+from skein.tl import chebyshev_delta, jones_wenzl, markov_trace
 
 
 def lp(pairs):
@@ -129,11 +129,8 @@ def _kinked_theta_numerator():
     """The sweep's numerator and d-power for a theta with 3 kinks and 20
     free circles, whose digits fill the sweep's width."""
     g = test_cabling._kinked_theta(3, 20)
-    strands = cabling._Strands(g, None)
-    n_arcs, crossings = strands.smoothing_diagram(g.free_circles)
-    c = 4 * len(g.crossings)
-    total, width, e = core.frontier_sweep(n_arcs, crossings, c, len(strands.closed), 1 << 14)
-    return _read_digits(total, width, e), len(crossings) - c
+    n_arcs, crossings, n_cable, loops = cabling._Strands(g, None).smoothing_diagram(g.free_circles)
+    return core.frontier_sweep(n_arcs, crossings, n_cable, loops), len(crossings) - n_cable
 
 
 def test_synthetic_d_division_matches_the_generic_division():
