@@ -125,8 +125,8 @@ def cable(g: GraphDiagram, insertion: Mapping[int, int] | None = None) -> Cabled
     :func:`skein.core.state_circle_counts` counts the circles of all states
     at once, reusing repeated blocks as it does for the bracket; cable mask
     m is state mask ``full ^ m``, so the counts are read reversed.  The
-    turnbacks per mask are bytes too, and one pass looks each term up in
-    the row of its turnback count, a dict keyed by circle count (see
+    turnbacks per mask are one byte each too, and one pass looks each term
+    up in the row of its turnback count, a dict keyed by circle count (see
     :class:`_Row`), with no tuple key built per term.
 
     Terms without crossings are shared: equal (coefficient, windings) give

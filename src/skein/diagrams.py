@@ -72,9 +72,8 @@ class FlatState:
         """The state of fields that already pass ``__post_init__``'s checks,
         without running them again."""
         state = object.__new__(FlatState)
-        object.__setattr__(state, "num_vertices", num_vertices)
-        object.__setattr__(state, "edges", edges)
-        object.__setattr__(state, "circle_count", circle_count)
+        fields = {"num_vertices": num_vertices, "edges": edges, "circle_count": circle_count}
+        object.__setattr__(state, "__dict__", fields)
         return state
 
 

@@ -23,8 +23,10 @@ from .rings import D, D_LAURENT, ONE, ZERO, LaurentPoly, LocalizedElement, RingE
 # Kauffman bracket of a diagram
 # ---------------------------------------------------------------------------
 
-#: most crossings ``bracket`` expands: its circle counter holds two bytes per
-#: state, so 2^26 states peak at 128 MiB (tracemalloc, T(2, 26))
+#: most crossings ``bracket`` expands: its circle counter holds one byte per
+#: state, plus at most half as many for a block it copies shifted, so 2^26
+#: states peak at 96 MiB (tracemalloc, T(2, 26); 81-87 MiB on shuffled
+#: 26-crossing 8-strand braids)
 MAX_BRACKET_CROSSINGS = 26
 
 
@@ -49,7 +51,7 @@ def bracket(g: GraphDiagram) -> LaurentPoly:
     return bracket_sums(counts, g.num_arcs, c, g.free_circles)
 
 
-def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:
+def bracket_sums(counts: bytes | bytearray, n_arcs: int, c: int, free: int) -> LaurentPoly:
     """The bracket state sum of a vertexless diagram of ``n_arcs`` arcs and
     ``c`` crossings from its circle counts, as :func:`state_circle_counts`
     returns them, with ``free`` more circles in every state.
@@ -98,7 +100,9 @@ def bracket_sums(counts: bytes, n_arcs: int, c: int, free: int) -> LaurentPoly:
             values[block] = v
         return v
 
-    blocks = (counts[i : i + size] for i in range(0, len(counts), size))
+    # each block taken out as hashable bytes: one copy of its counts
+    view = memoryview(counts)
+    blocks = (view[i : i + size].tobytes() for i in range(0, len(counts), size))
     pairs = Counter(zip(map(int.bit_count, range(1 << (c - k))), blocks))
     total = sum(
         mult * value(block) << width * (c - k - hi_b) for (hi_b, block), mult in pairs.items()

