@@ -4,9 +4,10 @@ Every edge of the input is replaced by a 2-cable carrying the 2-strand
 projector (identity minus 1/d times a turnback), every degree-n vertex by
 an n-gon of arcs joining adjacent cable strands, and every crossing by the
 2x2 grid of cable crossings.  Expanding the projector choice per edge gives
-2^|E| weighted vertexless diagrams: the plane evaluation feeds them to the
-Kauffman bracket, the punctured-disk evaluation classifies the resulting
-circles by their winding parities around the holes.
+2^|E| weighted vertexless diagrams.  The plane evaluation sums their
+weighted Kauffman brackets without calling the bracket (see below); the
+punctured-disk evaluation classifies the resulting circles by their
+winding parities around the holes.
 
 Conventions: at every vertex or crossing slot the two cable ends of an arc
 are ordered counterclockwise ("first", "second"); along an arc the strand

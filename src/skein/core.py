@@ -12,22 +12,21 @@ build step and has no compiled backend.
   a vertexless diagram, the inner loop of the Kauffman bracket state sum
   (:func:`skein.tl.bracket`) and of the plane evaluation of the 2-cabling
   (:mod:`skein.cabling`).
-* :func:`resolution_states` -- the flat multigraph of each of the 3^c
-  resolution states of a diagram, the outer loop of the Yamada state sum.
 * :func:`frontier_sweep` -- the weighted state sum of a vertexless diagram
   of bracket and projector crossings, one crossing at a time over at most
   MAX_SWEEP_STATES pairings of the open ends, as a ``LaurentPoly``: the
   plane evaluation of the 2-cabling of a diagram with crossings
   (:func:`skein.cabling.phi_plane`).
 
-The two walks run depth first over the arc-end ids of
-:meth:`GraphDiagram.end_ids`, numbered as the :mod:`skein.diagrams` module
-docstring states.  They keep the open strands in a mate array (``mate[e]``
-is the far end of the strand ending at arc end e, initially e ^ 1), join
-strands at each smoothing and undo the join on the way back, so a step
-costs O(1) work instead of a union-find over all arc ends.  The sweep joins
-the same way in a local mate table per state and step.  Each function's
-docstring describes the rest of its work.
+The kernels read the arc-end ids of :meth:`GraphDiagram.end_ids`, numbered
+as the :mod:`skein.diagrams` module docstring states.  The walk of
+:func:`state_circle_counts` runs depth first over the crossings and keeps
+the open strands in a mate array (``mate[e]`` is the far end of the strand
+ending at arc end e, initially e ^ 1): it joins strands at each smoothing
+and undoes the join on the way back, so a step costs O(1) work instead of a
+union-find over all arc ends.  The 3^c walk of :func:`skein.yamada.yamada`
+joins the same way, and the sweep in a local mate table per state and
+step.  Each function's docstring describes the rest of its work.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from array import array
 from bisect import insort
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .rings import LaurentPoly
 
@@ -558,79 +557,3 @@ def components(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]
             count -= 1
     return count, [find(x) for x in range(n)]
 
-
-def resolution_states(
-    n_arcs: int,
-    vertices: Sequence[Sequence[int]],
-    crossings: Sequence[tuple[int, int, int, int]],
-) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...], int]]:
-    """Flat residues of all 3^c resolution states of a diagram, lazily.
-
-    ``vertices[v]`` and ``crossings[i]`` hold the arc-end ids of the slots
-    of flat vertex v and crossing i; every id below 2 * n_arcs appears in
-    exactly one slot, which is checked when this is called, before any
-    state is made.  Each crossing becomes a flat vertex, or takes the B- or
-    the A-smoothing (as in :func:`state_circle_counts`), in that order,
-    crossing 0 the most significant.  The k-th crossing resolved as a vertex
-    becomes vertex ``len(vertices) + k``.  Yields ``(a_exponent,
-    vertex_resolutions, num_vertices, edges, circles)`` per state, with
-    a_exponent = 4 * (#A - #B) and edges the sorted tuple of vertex pairs
-    (u, v), u <= v, as :class:`skein.diagrams.FlatState` holds them.
-
-    Vertex slots are the terminals of the open strands: in a leaf state
-    each strand runs between two of them, an edge; circles are the joins
-    that closed a strand.
-    """
-    _check_slots(n_arcs, vertices, crossings)
-    mate = [e ^ 1 for e in range(2 * n_arcs)]
-    owner = [0] * (2 * n_arcs)  # vertex of each terminal end
-    terminals: list[int] = []
-    for v, ends in enumerate(vertices):
-        for e in ends:
-            owner[e] = v
-        terminals.extend(ends)
-    n = len(vertices)
-    return _resolve(crossings, 0, mate, owner, terminals, n, n, 0, 0)
-
-
-def _resolve(
-    crossings: Sequence[tuple[int, int, int, int]], i: int, mate: list[int], owner: list[int],
-    terminals: list[int], n_vertices: int, nv: int, a_exp: int, closed: int,
-) -> Iterator[tuple[int, int, int, tuple[tuple[int, int], ...], int]]:
-    """The states of :func:`resolution_states` with crossings[:i] resolved:
-    ``nv`` vertices so far, A-exponent ``a_exp`` and ``closed`` circles.
-    Crossing i is joined as :func:`state_circle_counts` joins, and the
-    joins are undone on the way back."""
-    if i == len(crossings):
-        edges = sorted([
-            (a, b) if (a := owner[e]) <= (b := owner[mate[e]]) else (b, a)
-            for e in terminals
-            if e < mate[e]
-        ])
-        yield a_exp, nv - n_vertices, nv, tuple(edges), closed
-        return
-    ends = crossings[i]
-    for e in ends:
-        owner[e] = nv
-    terminals.extend(ends)
-    yield from _resolve(crossings, i + 1, mate, owner, terminals, n_vertices, nv + 1, a_exp, closed)
-    del terminals[-4:]
-    e0, e1, e2, e3 = ends
-    # the B-smoothing (0-3, 1-2), then the A-smoothing (0-1, 2-3)
-    for x, y, z, w, da in ((e0, e3, e1, e2, -4), (e0, e1, e2, e3, 4)):
-        a = mate[x]
-        b = mate[y]
-        mate[a] = b
-        mate[b] = a
-        p = mate[z]
-        q = mate[w]
-        mate[p] = q
-        mate[q] = p
-        closes = (a == y) + (p == w)
-        yield from _resolve(
-            crossings, i + 1, mate, owner, terminals, n_vertices, nv, a_exp + da, closed + closes
-        )
-        mate[p] = z
-        mate[q] = w
-        mate[a] = x
-        mate[b] = y

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import components, resolution_states
+from .core import components
 
 RAY_TOKENS = ("1+", "1-", "2+", "2-")
 
@@ -381,6 +381,9 @@ def to_flat_state(g: GraphDiagram) -> FlatState:
     free-circle count."""
     if g.crossings:
         raise InvalidDiagramError("diagram still has crossings")
-    vertex_ends, _ = g.end_ids()
-    ((_, _, n, edges, circles),) = resolution_states(g.num_arcs, vertex_ends, ())
-    return FlatState(n, edges, circles + g.free_circles)
+    # arc i joins the vertices that own its ends 2i and 2i + 1
+    owner = [0] * (2 * g.num_arcs)
+    for v, ends in enumerate(g.end_ids()[0]):
+        for e in ends:
+            owner[e] = v
+    return FlatState.make(len(g.vertices), zip(owner[::2], owner[1::2]), g.free_circles)

@@ -1,7 +1,7 @@
 """The Yamada invariant of spatial-graph diagrams in the 3-sphere.
 
-Crossings are expanded by the three-term resolution (A^4, A^-4, -d) on
-arc-end ids (:func:`skein.core.resolution_states`), without building a
+Crossings are expanded by the three-term resolution (A^4, A^-4, -d) in one
+depth-first walk over arc-end ids in :func:`yamada`, without building a
 diagram per state; the crossing-free residue depends only on the abstract
 multigraph and is evaluated by deletion-contraction with a memo table keyed
 on canonical multigraph forms.  The walk over 3^c states reaches the same
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .core import CANON_KEY_LIMIT, canon_key, components, resolution_states
+from .core import CANON_KEY_LIMIT, canon_key, components
 from .diagrams import FlatState, GraphDiagram, InvalidDiagramError
 
 # unused here, but skeinbench/tracing.py rebinds this name in this module
@@ -41,7 +41,7 @@ from .rings import (
 )
 
 #: most crossings ``yamada`` expands: its 3^c resolution states, 3^16 at most,
-#: 7-9 min at the 10-13 us per state that 12-crossing closed braids take
+#: 6-9 min at the 9-13 us per state that 12-crossing closed braids take
 MAX_RESOLVED_CROSSINGS = 16
 
 EdgePicker = Callable[[Sequence[tuple[int, int]]], int]
@@ -266,15 +266,19 @@ def flat_eval_oracle(state: FlatState, max_edges: int = 16) -> LocalizedElement:
 def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> LocalizedElement:
     """The Yamada value of a plane/3-sphere diagram.
 
-    Evaluates the flat residue of each of the 3^c resolution states and
-    counts its states per (A-exponent e, vertex resolutions v) for each
-    value object ``flat_eval`` returns, keyed by identity, so no ring
-    element is hashed per state.  Each distinct value then gets one integer
-    LaurentPoly, the sum of count * A^e (-d)^v with (-d)^v from one table of
-    c + 1 powers, and LocalizedElement.sum_of_products takes one product
-    per distinct value and normalizes the total once.  The flat states
-    share ``memo``, or a fresh memo when none is given.  A diagram of more
-    than MAX_RESOLVED_CROSSINGS crossings raises InvalidDiagramError, which
+    Walks the 3^c resolution states depth first, crossing 0 outermost:
+    each crossing becomes a flat vertex (the k-th one vertex n + k, for
+    the n vertices of ``g``), then takes the B-, then the A-smoothing, by
+    the joins of :func:`skein.core.state_circle_counts`.  Evaluates the
+    flat residue of each state and counts its states per (A-exponent e,
+    vertex resolutions v) for each value object ``flat_eval`` returns,
+    keyed by identity, so no ring element is hashed per state.  Each
+    distinct value then gets one integer LaurentPoly, the sum of count *
+    A^e (-d)^v with (-d)^v from one table of c + 1 powers, and
+    LocalizedElement.sum_of_products takes one product per distinct value
+    and normalizes the total once.  The flat states share ``memo``, or a
+    fresh memo when none is given.  A diagram of more than
+    MAX_RESOLVED_CROSSINGS crossings raises InvalidDiagramError, which
     states its 3^c states.
     """
     if g.has_rays():
@@ -289,20 +293,65 @@ def yamada(g: GraphDiagram, memo: dict[bytes, LaurentPoly] | None = None) -> Loc
         memo = {}
     vertex_ends, crossing_ends = g.end_ids()
     free = g.free_circles
+    n = len(vertex_ends)
+    mate = [e ^ 1 for e in range(2 * g.num_arcs)]
+    owner = [0] * (2 * g.num_arcs)  # the vertex of each terminal end
+    terminals: list[int] = []
+    for v, ends in enumerate(vertex_ends):
+        for e in ends:
+            owner[e] = v
+        terminals.extend(ends)
     # per flat value, keyed by the identity of the object flat_eval returns,
     # its states per (A-exponent, vertex resolutions); ``held`` keeps each
     # object alive, so no id is reused within the call
     tallies: dict[int, dict[tuple[int, int], int]] = {}
     held: list[LocalizedElement] = []
-    for a_exp, v, n, edges, circles in resolution_states(g.num_arcs, vertex_ends, crossing_ends):
-        # the walk's edges are sorted pairs u <= v below n: a valid state
-        value = flat_eval(FlatState._unchecked(n, edges, circles + free), memo)
-        counts = tallies.get(id(value))
-        if counts is None:
-            counts = tallies[id(value)] = {}
-            held.append(value)
-        key = (a_exp, v)
-        counts[key] = counts.get(key, 0) + 1
+
+    def visit(i: int, nv: int, a_exp: int, closed: int) -> None:
+        if i == c:
+            # each open strand runs between two terminals, an edge: sorted
+            # pairs u <= v below nv, a valid state
+            edges = sorted([
+                (a, b) if (a := owner[e]) <= (b := owner[mate[e]]) else (b, a)
+                for e in terminals
+                if e < mate[e]
+            ])
+            value = flat_eval(FlatState._unchecked(nv, tuple(edges), closed + free), memo)
+            counts = tallies.get(id(value))
+            if counts is None:
+                counts = tallies[id(value)] = {}
+                held.append(value)
+            key = (a_exp, nv - n)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        ends = crossing_ends[i]
+        for e in ends:
+            owner[e] = nv
+        terminals.extend(ends)
+        visit(i + 1, nv + 1, a_exp, closed)
+        del terminals[-4:]
+        e0, e1, e2, e3 = ends
+        # the B-smoothing (0-3, 1-2), then the A-smoothing (0-1, 2-3);
+        # joining the two ends of one strand (a == y) closes a circle
+        for x, y, z, w, da in ((e0, e3, e1, e2, -4), (e0, e1, e2, e3, 4)):
+            a = mate[x]
+            b = mate[y]
+            mate[a] = b
+            mate[b] = a
+            p = mate[z]
+            q = mate[w]
+            mate[p] = q
+            mate[q] = p
+            visit(i + 1, nv, a_exp + da, closed + (a == y) + (p == w))
+            mate[p] = z
+            mate[q] = w
+            mate[a] = x
+            mate[b] = y
+
+    visit(0, n, 0, 0)
+    # visit refers to itself through its closure cell; unbinding it frees
+    # the cycle now, not at the next garbage collection
+    visit = None
     neg_d = [(-D_LAURENT) ** v for v in range(c + 1)]
     # sum count A^a (-d)^v as integer A-coefficients per distinct value;
     # equal values from distinct objects share one sum

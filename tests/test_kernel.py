@@ -15,8 +15,8 @@ import pytest
 
 from skein import core, fixtures, tl
 from skein.core import CANON_KEY_LIMIT, backend_name
-from skein.diagrams import GraphDiagram, disjoint_union, parse_diagram
-from skein.rings import D_LAURENT, LaurentPoly, RationalFunction
+from skein.diagrams import FlatState, GraphDiagram, disjoint_union, parse_diagram, to_flat_state
+from skein.rings import D, D_LAURENT, ZERO, LaurentPoly, LocalizedElement, RationalFunction
 from skein.tl import TangleElement, bracket, markov_trace
 from skein.yamada import yamada
 
@@ -379,9 +379,10 @@ def _union_find_circle_counts(n_arcs, crossings):
 
 
 def _union_find_resolution_states(n_arcs, vertices, crossings):
-    """Reference for ``resolution_states``: the components of all arc ends
-    under the arc and smoothing joins of each state, computed afresh per
-    state in ``product`` order; edges sorted."""
+    """Reference for the 3^c walk of ``yamada``: the components of all arc
+    ends under the arc and smoothing joins of each state, computed afresh
+    per state in ``product`` order (vertex, B, A), as (A-exponent, vertex
+    resolutions, vertices, sorted edges, circles)."""
     n_ends = 2 * n_arcs
     arc_joins = [(2 * a, 2 * a + 1) for a in range(n_arcs)]
     vertex_slots = [(e, v) for v, ends in enumerate(vertices) for e in ends]
@@ -413,13 +414,6 @@ def _union_find_resolution_states(n_arcs, vertices, crossings):
                 edges.append((u, v) if u <= v else (v, u))
         states.append((a_exp, nv - n_vertices, nv, sorted(edges), count - len(edges)))
     return states
-
-
-def _sorted_edges(states):
-    return [
-        (a_exp, v, n, sorted((x, y) if x <= y else (y, x) for x, y in edges), circles)
-        for a_exp, v, n, edges, circles in states
-    ]
 
 
 def _random_diagram(rng, c, vertex_ends=0):
@@ -736,14 +730,66 @@ def test_frontier_sweep_checks_its_slots_and_its_budget(monkeypatch):
         core.frontier_sweep(*_kernel_args(TORI[6]), 6, 0)
 
 
-def test_resolution_states_against_reference():
+def _as_diagram(n_arcs, vertices, crossings, free_circles=0):
+    """The diagram of raw arc-end ids: end e on arc label e >> 1."""
+    return GraphDiagram(
+        [[e >> 1 for e in ends] for ends in vertices],
+        [[e >> 1 for e in ends] for ends in crossings],
+        free_circles,
+    )
+
+
+def _reference_states(g):
+    """The reference states of ``g`` with its free circles added, each with
+    its A-exponent and vertex resolutions."""
+    return [
+        (a_exp, v, FlatState.make(n, edges, circles + g.free_circles))
+        for a_exp, v, n, edges, circles in _union_find_resolution_states(g.num_arcs, *g.end_ids())
+    ]
+
+
+def test_resolution_states_against_reference(monkeypatch):
     rng = random.Random(7)
     cases = [_random_diagram(rng, rng.randint(0, 5), 2 * rng.randint(0, 4)) for _ in range(60)]
-    for g in _diagrams(6):
-        cases.append((g.num_arcs, *g.end_ids()))
-    for n_arcs, vertices, crossings in cases:
-        states = core.resolution_states(n_arcs, vertices, crossings)
-        assert _sorted_edges(states) == _union_find_resolution_states(n_arcs, vertices, crossings)
+    # yamada takes plane diagrams: the fixtures with ray words are left out
+    diagrams = [_as_diagram(*case) for case in cases]
+    diagrams += [g for g in _diagrams(6) if not g.has_rays()]
+    yamada_module = sys.modules["skein.yamada"]
+    real = yamada_module.flat_eval
+    seen = []
+
+    def record(state, memo=None):
+        seen.append(state)
+        return real(state, memo)
+
+    monkeypatch.setattr(yamada_module, "flat_eval", record)
+    for g in diagrams:
+        seen.clear()
+        value = yamada(g)
+        reference = _reference_states(g)
+        # the walk's states, in call order, are the reference's in product order
+        assert seen == [state for _, _, state in reference]
+        expect = ZERO
+        for a_exp, v, state in reference:
+            weight = LocalizedElement(LaurentPoly.monomial(1, a_exp)) * D ** v
+            expect = expect + weight.scale((-1) ** v) * real(state)
+        assert value == expect
+
+
+def test_to_flat_state_against_reference():
+    names = [n for n in fixtures.list_fixtures() if n.endswith(".graph")]
+    diagrams = [fixtures.load_diagram(n) for n in names] + [parse_diagram(t) for t in EDGE_CASES]
+    diagrams += [parse_diagram(gen.grid(r, c).text()) for r in (2, 3, 4) for c in (2, 3, 4)]
+    # seeded vertex slots give loops, multi-edges and isolated vertices
+    rng = random.Random(3407)
+    for _ in range(40):
+        n_arcs, vertices, _ = _random_diagram(rng, 0, 2 * rng.randint(0, 8))
+        diagrams.append(_as_diagram(n_arcs, vertices, (), rng.randint(0, 2)))
+    flat = [g for g in diagrams if not g.crossings]
+    assert len(flat) >= 60
+    for g in flat:
+        ((_, _, n, edges, circles),) = _union_find_resolution_states(g.num_arcs, g.end_ids()[0], ())
+        assert to_flat_state(g) == FlatState.make(n, edges, circles + g.free_circles)
 
 
 def test_torus_brackets_match_the_state_sum_by_mask():
@@ -768,10 +814,7 @@ def test_kernels_leave_no_reference_cycles():
         core.state_circle_counts(g.num_arcs, g.end_ids()[1])
         bracket(g)
         for diagram in (g, theta):
-            list(core.resolution_states(diagram.num_arcs, *diagram.end_ids()))
-        partial = core.resolution_states(g.num_arcs, *g.end_ids())
-        next(partial)
-        del partial
+            yamada(diagram)
         for n, edges in _symmetric_graphs():
             core.canon_key(n, edges)
         assert gc.collect() == 0
@@ -784,9 +827,6 @@ def test_kernels_reject_ids_not_in_exactly_one_slot():
         core.state_circle_counts(2, [(0, 1, 2, 2)])
     with pytest.raises(ValueError, match="exactly one slot"):
         core.state_circle_counts(3, [(0, 1, 2, 3)])
-    # resolution_states checks when it is called, before its first state
-    with pytest.raises(ValueError, match="exactly one slot"):
-        core.resolution_states(2, [(0, 1)], [(0, 1, 2, 3)])
 
 
 def test_canon_key_rejects_counts_past_the_byte_limit():

@@ -206,6 +206,46 @@ def test_yamada_kinks():
     assert yamada(fixtures.load_diagram("kink_neg")) == A8_INV * CIRCLE_FACTOR
 
 
+def _splice_kink(rng, g, loop_first):
+    """``g`` with a seeded arc split into e and f, in a seeded order, and a
+    one-crossing kink spliced between them at a seeded crossing index: the
+    loop k at slots 0-1 (``X k k e f``, as in kink_pos) when ``loop_first``,
+    else at slots 1-2 (``X e k k f``, as in kink_neg)."""
+    e = rng.choice(g.arcs)
+    f, k = g.arcs[-1] + 1, g.arcs[-1] + 2
+    to_f = rng.randrange(2)  # the occurrence of e that becomes f
+    seen = 0
+
+    def split(slots):
+        nonlocal seen
+        out = []
+        for a in slots:
+            if a == e:
+                a = f if seen == to_f else e
+                seen += 1
+            out.append(a)
+        return out
+
+    vertices = [split(v) for v in g.vertices]
+    crossings = [split(x) for x in g.crossings]
+    kink = (k, k, e, f) if loop_first else (e, k, k, f)
+    crossings.insert(rng.randint(0, len(crossings)), kink)
+    return GraphDiagram(vertices, crossings, g.free_circles)
+
+
+@pytest.mark.parametrize("loop_first, factor", [(True, A8), (False, A8_INV)], ids=["pos", "neg"])
+def test_a_spliced_kink_multiplies_yamada_by_a_to_the_8(loop_first, factor):
+    rng = random.Random(3411)
+    memo: dict = {}
+    for i in range(24):
+        c = 1 + i % 6
+        code = gen.twisted_graph(rng, gen.K4 if i % 2 else gen.THETA, c, 1 + i // 6 % min(c, 3))
+        g = parse_diagram(code.text())
+        value = yamada(g, memo)
+        assert value != ZERO
+        assert yamada(_splice_kink(rng, g, loop_first), memo) == factor * value
+
+
 def test_yamada_rejects_ray_words():
     with pytest.raises(InvalidDiagramError):
         yamada(fixtures.load_diagram("annulus_core"))
