@@ -16,8 +16,12 @@ The rings:
   1..p-1: its ring operations are integer ones followed by reduction mod p,
   a ring homomorphism, so every result is exact.
 
-``LaurentPoly``'s sum, difference and product are the one hand-written
-sparse kernel; :func:`power` and :func:`signed_sum` serve every ring here
+One sparse kernel, :func:`_addmul` (acc += a * b over exponent ->
+coefficient maps, dropping zero coefficients), computes ``LaurentPoly``'s
+sum, difference and product, each step of its exact division and of
+:meth:`LocalizedElement.to_d_laurent`, and the terms the constructor is
+given; :func:`_lp` wraps zero-free terms as a ``LaurentPoly`` without
+another pass.  :func:`power` and :func:`signed_sum` serve every ring here
 and in :mod:`skein.polyxyz`.
 """
 
@@ -73,6 +77,31 @@ def _power_str(var: str, e: int) -> str:
     return "1" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
+def _addmul(
+    acc: dict[int, int], a: Mapping[int, int], b: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """acc += a * b in place and return acc, for acc and a exponent ->
+    coefficient maps and b (exponent, coefficient) pairs, iterated once per
+    term of a.  A zero-free acc stays zero-free."""
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            e = e1 + e2
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return acc
+
+
+def _lp(terms: dict[int, int]) -> "LaurentPoly":
+    """The polynomial with these terms, which hold no zero coefficient."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    out._hash = None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials over Z
 # ---------------------------------------------------------------------------
@@ -85,13 +114,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for exp, coeff in items:
-            if coeff:
-                acc[exp] = acc.get(exp, 0) + coeff
-                if not acc[exp]:
-                    del acc[exp]
-        self._terms = acc
+        self._terms = _addmul({}, _UNIT, items)
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------------
@@ -144,38 +167,15 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        out._hash = None
-        return out
+        return _lp(_addmul(dict(self._terms), _UNIT, other._terms.items()))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) - c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        out._hash = None
-        return out
+        return _lp(_addmul(dict(self._terms), _MINUS_UNIT, other._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _lp({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if isinstance(other, int):
@@ -184,33 +184,18 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _LP_ZERO
-        # iterate over the smaller operand
+        # the outer loop runs over the smaller operand
         a, b = (self._terms, other._terms)
         if len(a) > len(b):
             a, b = b, a
-        acc: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        out._hash = None
-        return out
+        return _lp(_addmul({}, a, b.items()))
 
     __rmul__ = __mul__
 
     def scale(self, n: int) -> "LaurentPoly":
         if not n:
             return _LP_ZERO
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: c * n for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _lp({e: c * n for e, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         return power(self, n, _LP_ONE)
@@ -219,17 +204,11 @@ class LaurentPoly:
         """Multiply by the unit A^k."""
         if not k:
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _lp({e + k: c for e, c in self._terms.items()})
 
     def substitute_inverse(self) -> "LaurentPoly":
         """The substitution A -> A^-1."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _lp({-e: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient self/divisor in Z[A^{+-1}], or None if not divisible."""
@@ -251,16 +230,9 @@ class LaurentPoly:
             lr = rem[dr]
             if lr % lead:
                 return None
-            c = lr // lead
-            quot[dr - db] = c
-            for e, cd in div.items():
-                k = e + dr - db
-                s = rem.get(k, 0) - c * cd
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
-        return LaurentPoly(quot).shifted(a_shift - b_shift)
+            c = quot[dr - db] = lr // lead
+            _addmul(rem, {dr - db: -c}, div.items())
+        return _lp(quot).shifted(a_shift - b_shift)
 
     # -- comparisons / hashing ------------------------------------------------
 
@@ -282,12 +254,11 @@ class LaurentPoly:
         return signed_sum((c, _power_str("A", e)) for e, c in terms)
 
 
-_LP_ZERO = LaurentPoly.__new__(LaurentPoly)
-_LP_ZERO._terms = {}
-_LP_ZERO._hash = None
-_LP_ONE = LaurentPoly.__new__(LaurentPoly)
-_LP_ONE._terms = {0: 1}
-_LP_ONE._hash = None
+#: The factors a of _addmul(acc, a, b) that add b to acc and subtract it.
+_UNIT = {0: 1}
+_MINUS_UNIT = {0: -1}
+_LP_ZERO = _lp({})
+_LP_ONE = _lp({0: 1})
 
 #: The loop value d = -A^2 - A^-2 expanded into A-terms.
 D_LAURENT = LaurentPoly({2: -1, -2: -1})
@@ -295,15 +266,11 @@ D_LAURENT = LaurentPoly({2: -1, -2: -1})
 
 def _divisible_by_d(poly: LaurentPoly) -> bool:
     # d = -A^-2 (A^4 + 1); fold A^4 -> -1 and test zero.
-    folded: dict[int, int] = {}
+    folded = [0] * 4
     for e, c in poly._terms.items():
         q, r = divmod(e, 4)
-        s = folded.get(r, 0) + (c if q % 2 == 0 else -c)
-        if s:
-            folded[r] = s
-        elif r in folded:
-            del folded[r]
-    return not folded
+        folded[r] += -c if q & 1 else c
+    return not any(folded)
 
 
 def _divide_out_d(poly: LaurentPoly, k: int) -> tuple[LaurentPoly, int]:
@@ -331,10 +298,7 @@ def _divide_out_d(poly: LaurentPoly, k: int) -> tuple[LaurentPoly, int]:
         j += 1
     sign = -1 if j & 1 else 1
     low += 2 * j
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._terms = {low + i: sign * v for i, v in enumerate(c) if v}
-    out._hash = None
-    return out, k - j
+    return _lp({low + i: sign * v for i, v in enumerate(c) if v}), k - j
 
 
 @lru_cache(maxsize=None)
@@ -602,20 +566,15 @@ class LocalizedElement:
             return None
         work = dict(self.num._terms)
         out: dict[int, int] = {}
+        # d^j leads with (-1)^j A^(2j), so each step lowers the top exponent
         while work:
             top = max(work)
             if top < 0 or top % 2:
                 return None
             j = top // 2
-            c = work[top] * (-1 if j % 2 else 1)
-            out[j] = out.get(j, 0) + c
-            for e, cd in (D_LAURENT**j)._terms.items():
-                s = work.get(e, 0) - c * cd
-                if s:
-                    work[e] = s
-                elif e in work:
-                    del work[e]
-        return {j - self.d_power: c for j, c in out.items() if c}
+            c = out[j - self.d_power] = work[top] * (-1 if j % 2 else 1)
+            _addmul(work, {0: -c}, (D_LAURENT**j)._terms.items())
+        return out
 
     def d_form(self) -> str | None:
         """Human-readable d-polynomial string, or None if not expressible."""

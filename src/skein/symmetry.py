@@ -6,7 +6,8 @@ modulus polynomial, in one of two membership modes:
 * SATURATED (default): ideal membership in the localized ring
   GF(p)[A^{+-1}, d^{-1}].  The modulus is expanded into a polynomial in A;
   factors shared with A^4 + 1 (the numerator of d, a unit) are stripped by
-  repeated gcd division, and membership is plain divisibility.
+  repeated gcd division, at the p-th root of a modulus in A^p, and
+  membership is plain divisibility.
 * FOLDED: exponent folding modulo an A-power modulus on denominator-free
   inputs, the literal finite quotient-ring computation.
 
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable, NamedTuple
 
 from .rings import (
     D_LAURENT,
     GfpLaurent,
+    LaurentPoly,
     LocalizedElement,
     RingError,
     _power_str,
@@ -69,8 +70,23 @@ class ModulusKind:
         if self.base == "A":
             return GfpLaurent(p, {m: 1, 0: -1})
         # d^m = (-1)^m sum_j C(m, j) A^(2m - 4j)
-        terms = [(2 * m - 4 * j, (-1) ** m * comb(m, j)) for j in range(m + 1)]
+        terms = [(2 * m - 4 * j, (-1) ** m * c) for j, c in _binomials_mod(m, p).items()]
         return GfpLaurent(p, terms + [(0, -1)])
+
+
+def _binomials_mod(m: int, p: int) -> dict[int, int]:
+    """The nonzero C(m, j) mod p by j, by Lucas's theorem: C(m, j) is the
+    product over base-p digits of C(m_i, j_i), zero where some j_i > m_i."""
+    row, place = {0: 1}, 1
+    while m:
+        m, n = divmod(m, p)
+        # C(n, k) for k <= n < p, each nonzero mod p
+        digit = [1]
+        for k in range(1, n + 1):
+            digit.append(digit[-1] * (n - k + 1) * pow(k, -1, p) % p)
+        row = {j + k * place: c * b % p for k, b in enumerate(digit) for j, c in row.items()}
+        place *= p
+    return row
 
 
 class Criterion(NamedTuple):
@@ -101,10 +117,18 @@ CRITERIA: tuple[Criterion, ...] = (
 
 def _strip_unit_factors(f: GfpLaurent) -> GfpLaurent:
     """Remove all factors of A^4 + 1 (numerator of the unit d) and unit
-    powers of A from a modulus polynomial over GF(p)."""
+    powers of A from a modulus polynomial over GF(p).
+
+    A nonconstant f whose exponents are all multiples of p is g(A^p) = g^p
+    in GF(p)[A]: g is stripped and raised back, as A^(8p) - 1 = (A^8 - 1)^p
+    would otherwise take p divisions of degree 8p.
+    """
     p = f.p
-    cyclo = GfpLaurent(p, {4: 1, 0: 1})
     f = f.shifted(-f.min_exp())
+    if f.max_exp() and all(e % p == 0 for e, _ in f.items()):
+        root = f._with(LaurentPoly({e // p: c for e, c in f.items()}))
+        return _strip_unit_factors(root).frobenius()
+    cyclo = GfpLaurent(p, {4: 1, 0: 1})
     while True:
         g = gfp_gcd(f, cyclo)
         if g.is_zero() or g.max_exp() == 0:

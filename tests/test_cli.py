@@ -264,6 +264,16 @@ def test_cli_symmetry_exit_codes(tmp_path):
     assert out.returncode == 0  # verdicts live in the report, not the exit code
 
 
+def test_cli_symmetry_finishes_at_a_large_prime():
+    # A^(8p) - 1 = (A^8 - 1)^p is stripped of A^4 + 1 at its p-th root; one
+    # division at a time, p = 1009 took 2.5 s and p = 10007 over a minute
+    start = time.perf_counter()
+    out = run_cli(["symmetry", "--p", "10007", "--poly", "fixture:petersen.poly"])
+    assert out.returncode == 0, out.stderr
+    assert time.perf_counter() - start < 2.0
+    assert "p = 10007" in out.stdout
+
+
 def test_cli_symmetry_machine_report():
     out = run_cli(
         ["symmetry", "--p", "5", "--poly", "fixture:petersen.poly", "--output", "machine"]

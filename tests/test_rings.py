@@ -114,6 +114,65 @@ def test_ring_axioms_random():
         assert a - a == ZERO
 
 
+def _dict_sum(*terms):
+    """The sum of exponent -> coefficient dicts, zero coefficients dropped."""
+    out = {}
+    for t in terms:
+        for e, c in t.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_product(a, b):
+    return _dict_sum(*({e1 + e2: c1 * c2} for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def _cancelling_pairs(rng, count):
+    """Pairs (f + g, f - g) of dicts whose sum, difference and product f^2 -
+    g^2 cancel terms: f and g share exponents in [-200, 200] and have
+    coefficients up to 10^40; every sixth pair has a zero first member,
+    and every sixth the monomial f twice."""
+    for i in range(count):
+        shared = rng.sample(range(-200, 201), rng.randint(1, 8))
+        f, g = (
+            {e: rng.choice((-1, 1)) * rng.randint(1, 10**40)
+             for e in rng.sample(shared, rng.randint(low, len(shared)))}
+            for low in (1, 0)
+        )
+        if i % 6 == 0:
+            g = {e: -c for e, c in f.items()}
+        elif i % 6 == 1:
+            f, g = dict([f.popitem()]), {}
+        yield _dict_sum(f, g), _dict_sum(f, {e: -c for e, c in g.items()})
+
+
+def test_laurent_arithmetic_stores_no_zero_coefficient():
+    # every result equals and hashes like the constructor's polynomial of a
+    # plain-dict reference, and stores no zero coefficient
+    rng = random.Random(3501)
+    seen_zero = seen_monomial = 0
+
+    def check(result, reference):
+        assert all(c for _, c in result.items()), result
+        expected = LaurentPoly(reference)
+        assert result == expected and hash(result) == hash(expected)
+
+    for a, b in _cancelling_pairs(rng, 400):
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        seen_zero += not a or not b
+        seen_monomial += len(a) == 1 or len(b) == 1
+        check(pa + pb, _dict_sum(a, b))
+        check(pa - pb, _dict_sum(a, {e: -c for e, c in b.items()}))
+        check(pa * pb, _dict_product(a, b))
+        n = rng.choice((0, 1, -1, rng.randint(-(10**40), 10**40)))
+        check(pa.scale(n), {e: c * n for e, c in a.items() if n})
+        k = rng.randint(-200, 200)
+        check(pa.shifted(k), {e + k: c for e, c in a.items()})
+        if b:
+            check((pa * pb).exact_div(pb), a)
+    assert seen_zero >= 40 and seen_monomial >= 40
+
+
 def _reference_d_division(num, k):
     """The constructor's division by d as it was before the synthetic pass:
     the fold test, then one generic exact_div per power of d."""

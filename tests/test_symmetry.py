@@ -1,6 +1,8 @@
 """Congruence obstruction tests over GF(p) with the localized moduli."""
 
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -14,6 +16,8 @@ from skein.rings import (
     LaurentPoly,
     LocalizedElement,
     RingError,
+    gfp_divrem,
+    gfp_gcd,
 )
 from skein.symmetry import (
     CRITERIA,
@@ -23,6 +27,7 @@ from skein.symmetry import (
     full_report,
     ideal_member,
 )
+from skein.yamada import yamada
 
 PETERSEN = fixtures.load_poly("petersen")
 
@@ -337,6 +342,42 @@ def test_d_modulus_reduced_before_its_power_equals_the_integer_power_reduced():
         for m in (1, 2, 3, p - 1, p, 2 * p):
             expect = GfpLaurent.from_laurent(D_LAURENT**m - one, p)
             assert ModulusKind("D", m).gfp_poly(p) == expect
+
+
+def _dense_gfp_poly(modulus, p):
+    """The modulus expanded over Z and then reduced mod p."""
+    m = modulus.power
+    if modulus.base == "A":
+        return GfpLaurent(p, {m: 1, 0: -1})
+    terms = [(2 * m - 4 * j, (-1) ** m * comb(m, j)) for j in range(m + 1)]
+    return GfpLaurent(p, terms + [(0, -1)])
+
+
+@lru_cache(maxsize=None)
+def _strip_by_division(f):
+    """f stripped of A^4 + 1 by dividing out its gcd with A^4 + 1, one
+    division at a time."""
+    cyclo = GfpLaurent(f.p, {4: 1, 0: 1})
+    f = f.shifted(-f.min_exp())
+    while (g := gfp_gcd(f, cyclo)).max_exp():
+        q, r = gfp_divrem(f, g)
+        while not r:
+            f = q.shifted(-q.min_exp())
+            q, r = gfp_divrem(f, g)
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 41, 101, 211, 1009])
+def test_full_report_equals_the_dense_modulus_computation(monkeypatch, p):
+    # the p-th root strip and the Lucas binomials against the expansion over
+    # Z and the division-at-a-time strip, with a quotient, in both modes
+    quotient = yamada(fixtures.load_diagram("theta"))
+    for yg, yquot in ((PETERSEN, PETERSEN), (CIRCLE_FACTOR, quotient)):
+        reports = [full_report(yg, yquot, p, mode).to_dict() for mode in Mode]
+        with monkeypatch.context() as m:
+            m.setattr(symmetry, "_strip_unit_factors", _strip_by_division)
+            m.setattr(ModulusKind, "gfp_poly", _dense_gfp_poly)
+            assert reports == [full_report(yg, yquot, p, mode).to_dict() for mode in Mode]
 
 
 def test_zero_witnesses_are_falsy_and_print_no_terms():
